@@ -5,8 +5,7 @@ Measures raw events/second through :mod:`perf_harness` in two families:
 * **drain** — ``sim.run()`` over a pre-loaded 200k-event queue, for the
   bare loop, the three instrumentation levels (null registry, live
   counters+histogram, kernel probe), and — when the PR8 fast-path
-  kernel is present — the macro-batch and trace-specialized
-  configurations;
+  kernel is present — the macro-batch configuration;
 * **end-to-end** — scheduling plus drain, comparing the per-call token
   path against the PR3 ``cancellable=False`` and ``schedule_many``
   fast paths.
@@ -45,7 +44,6 @@ _DRAIN_LABELS = {
     "live_instruments": "live counters + histogram",
     "kernel_probe": "live registry + kernel probe",
     "macro_drain": "macro batch twin (summing payloads)",
-    "trace_jit": "trace-specialized loop (fastpath=on)",
 }
 _E2E_LABELS = {
     "loop_token": "schedule_at loop (tokens)",
@@ -104,13 +102,11 @@ def test_kernel_throughput(benchmark):
     assert scalar > bare * 0.05
     assert drain["live_instruments"] > scalar * 0.1
     assert drain["kernel_probe"] > scalar * 0.1
-    # The fast-path families (feature-detected) do real per-event work
-    # in their handlers, so they are slower than the no-op bare drain,
-    # but must stay within an order of magnitude of it.
+    # The macro family (feature-detected) does real per-event work in
+    # its twin, so it is slower than the no-op bare drain, but must
+    # stay within an order of magnitude of it.
     if "macro_drain" in drain:
         assert drain["macro_drain"] > bare * 0.1
-    if "trace_jit" in drain:
-        assert drain["trace_jit"] > bare * 0.05
     # The no-token and batch fast paths must never be slower than the
     # token path they bypass (generous margin for noisy runners).
     assert e2e["loop_no_token"] > loop * 0.9

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, Optional
 from repro.core.events import Simulator
 from repro.core.instrument import MetricsRegistry
 
-try:  # PR8 macro/trace fast paths; absent on older checkouts
+try:  # PR8 macro fast path; absent on older checkouts
     from repro.core.macro import as_macro
 except ImportError:  # pragma: no cover - pre-PR8 checkout
     as_macro = None
@@ -201,23 +201,6 @@ def build_macro_drain() -> Simulator:
     return sim
 
 
-def build_trace_jit() -> Simulator:
-    """PR8 trace path: no batch twin, forced trace specialization.
-
-    ``fastpath="on"`` skips the hotness warmup so the drain installs
-    the synthesized per-event-guarded loop on the first attempt — the
-    speed of the specialized general path, not of a macro batch.
-    """
-    sim = Simulator(fastpath="on")
-    acc = [0]
-
-    def work(s: Simulator, payload) -> None:
-        acc[0] += 1
-
-    sim.schedule_many(_times(), work)
-    return sim
-
-
 def _fastpath_supported() -> bool:
     if as_macro is None:
         return False
@@ -237,7 +220,6 @@ DRAIN_CONFIGS: Dict[str, Callable[[], Simulator]] = {
 
 if _fastpath_supported():
     DRAIN_CONFIGS["macro_drain"] = build_macro_drain
-    DRAIN_CONFIGS["trace_jit"] = build_trace_jit
 
 
 def measure_drain(

@@ -8,8 +8,8 @@ These are the shared primitives every paper-facing model builds on:
 * :mod:`repro.core.events` — deterministic discrete-event kernel, the
   single simulation substrate every event-driven model runs on.
 * :mod:`repro.core.macro` / :mod:`repro.core.fastpath` — macro-event
-  batch twins and the guarded trace-JIT policy behind the kernel's
-  fast-path drain (``REPRO_FASTPATH``).
+  batch twins for bulk-loaded trains and the mode policy behind the
+  kernel's fast-path drain (``REPRO_FASTPATH``).
 * :mod:`repro.core.instrument` — counters/gauges/quantile histograms and
   trace sinks threaded through the kernel and every migrated simulator.
 * :mod:`repro.core.energy` — hierarchical energy ledger ("energy first").

@@ -48,18 +48,16 @@ points:
   replays the identical event stream.  Snapshots cost nothing on the
   per-event hot path — mid-run accounting is derived structurally from
   the sequence counter (see :meth:`Simulator.snapshot`).
-* **Fast paths** (:mod:`repro.core.fastpath`, :mod:`repro.core.macro`):
-  contiguous same-handler runs in the in-order lane are executed as one
-  *macro-event* batch (an author-supplied batch twin, or a synthesized
-  trace-specialized loop once a handler proves hot), detected in O(1)
-  from run records maintained at schedule time.  Guards keep the
-  executed stream byte-identical to the general path: batches are
-  refused while kernel observers are active (probes, span tracer,
-  armed fault injector), while any cancellation is pending in the run's
-  sequence span, and never across an out-of-order (heap) event; a guard
-  failure mid-batch commits what ran and falls back to the general path
-  for the rest.  ``REPRO_FASTPATH=off`` (or ``Simulator(fastpath=
-  "off")``) disables all of it.
+* **Fast path** (:mod:`repro.core.fastpath`, :mod:`repro.core.macro`):
+  a bulk load (:meth:`Simulator.schedule_many` / :meth:`Simulator.
+  schedule_batch`) that extends the in-order lane with a train whose
+  callback carries a batch twin *declares* a span; the drain hands the
+  span to the twin as one *macro-event* batch.  Nothing else batches.
+  Guards keep the executed stream byte-identical to the general path:
+  batches are refused while kernel observers are active (probes, span
+  tracer, armed fault injector) and never cross an out-of-order (heap)
+  event or a ``run(until=)`` horizon.  ``REPRO_FASTPATH=off`` (or
+  ``Simulator(fastpath="off")``) disables it.
 
 Models plug in through the :class:`SimModel` protocol — ``bind(sim)``,
 ``reset()``, ``finish()`` — so generic machinery (fault injectors,
@@ -79,7 +77,7 @@ from typing import Any, Callable, List, Optional, Protocol, Tuple, runtime_check
 
 from . import fastpath as _fastpath
 from .instrument import MetricsRegistry, default_registry
-from .macro import MACRO_ATTR
+from .macro import MACRO_ATTR, MacroRun
 
 EventCallback = Callable[["Simulator", Any], None]
 ProbeCallback = Callable[["Simulator", "Event"], None]
@@ -429,40 +427,23 @@ class Simulator:
         #: pending alongside the heap.
         self._parked: list[tuple[float, int, Any, EventCallback, Any]] = []
         # -- fast-path layer (see repro.core.fastpath) -----------------
-        #: Mode: "off" | "auto" | "on"; explicit arg wins over the
+        #: Mode: "off" | "auto"; explicit arg wins over the
         #: REPRO_FASTPATH environment variable, default "auto".
         self._fp_mode = _fastpath.resolve_mode(fastpath)
-        #: True when run records are maintained at schedule time.
+        #: True when bulk loads declare spans (mode "auto").
         self._fp_record = self._fp_mode != "off"
-        #: Open tail run: ``[callback, start, end)`` in lane indices,
-        #: extended in place while consecutive lane appends share one
-        #: callback.  Closed (moved to ``_fp_runs`` if long enough) when
-        #: the callback changes.
-        self._fp_tail: Optional[list] = None
-        #: Closed runs awaiting the drain cursor, FIFO by position.
+        #: Declared spans awaiting the drain cursor, FIFO by position:
+        #: ``[callback, start, end, batch]`` covering lane indices
+        #: ``[start, end)`` (see _fp_declare).
         self._fp_runs: deque = deque()
         #: One-cell list holding the lane index of the next position
         #: worth a batch attempt (``_FP_INF`` = none).  The drain loop
         #: compares its cursor against this cell once per event — the
         #: entire per-event cost of the fast-path layer.
         self._fp_wake: list = [_FP_INF]
-        #: Executor cache keyed by callback identity (weak: model
-        #: callbacks are usually per-run closures).
-        self._fp_execs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        self._fp_recorder = _fastpath.TraceRecorder()
-        #: Deopt epoch: bumped whenever an observer arrives (probe
-        #: added, tracer attached, fault injector armed) or a restore
-        #: happens.  Synthesized executors re-check it per event and
-        #: abort on change, so a mid-batch observer arrival sees every
-        #: subsequent event exactly once.
-        self._fp_epoch = 0
         #: Count of active observers that must veto batching entirely
         #: (armed KernelFaultInjector; see fastpath_block()).
         self._fp_blockers = 0
-        #: Progress cell written by synthesized executors from finally;
-        #: run() folds it into its accounting when an exception escapes
-        #: a callback mid-batch.
-        self._fp_prog: list = [0]
         #: Behavior counters (batches committed, aborts, deopts, …).
         self.fastpath_stats = _fastpath.FastPathStats()
         if _INIT_HOOKS:
@@ -577,9 +558,6 @@ class Simulator:
         check.
         """
         self._probes.append(probe)
-        # Observer arrival: a batch in flight must stop before the next
-        # event so this probe observes every subsequent event.
-        self._fp_epoch += 1
         return probe
 
     def remove_probe(self, probe: ProbeCallback) -> None:
@@ -589,18 +567,8 @@ class Simulator:
 
     @property
     def fastpath_mode(self) -> str:
-        """Active fast-path mode: ``"off"``, ``"auto"``, or ``"on"``."""
+        """Active fast-path mode: ``"off"`` or ``"auto"``."""
         return self._fp_mode
-
-    def set_fastpath(self, mode: str) -> None:
-        """Switch fast-path mode; ``"off"`` also drops all run records."""
-        self._fp_mode = _fastpath.resolve_mode(mode)
-        self._fp_record = self._fp_mode != "off"
-        self._fp_epoch += 1
-        if not self._fp_record:
-            self._fp_runs.clear()
-            self._fp_tail = None
-            self._fp_wake[0] = _FP_INF
 
     def fastpath_block(self) -> None:
         """Veto batching until :meth:`fastpath_unblock` (re-entrant).
@@ -608,112 +576,78 @@ class Simulator:
         Used by observers that need per-event visibility but don't hang
         off the probe list — the armed :class:`~repro.crosscut.faults.
         KernelFaultInjector` calls this so fault timing can never land
-        inside a committed batch.  The epoch bump aborts any batch
-        already in flight.
+        inside a committed batch.
         """
         self._fp_blockers += 1
-        self._fp_epoch += 1
 
     def fastpath_unblock(self) -> None:
         if self._fp_blockers > 0:
             self._fp_blockers -= 1
 
-    def fastpath_notify_observer(self) -> None:
-        """Signal that an observer arrived: abort any batch in flight.
+    def _fp_declare(self, callback: EventCallback, start: int, end: int) -> None:
+        """Declare ``lane[start:end)``, just bulk-loaded, as a span.
 
-        Called by :func:`repro.obs.spans.attach_tracer` (and anything
-        else that starts consuming per-event hooks mid-run) so the
-        observer sees every subsequent event exactly once.  Batch
-        attempts re-check observer presence up front, so the epoch bump
-        is only needed for a batch already executing.
+        Only a callback carrying a batch twin declares anything.  A load
+        that directly follows a span of the same callback extends it;
+        otherwise a span shorter than ``MIN_RUN`` is not worth a record.
+        Arms the drain-gate wake cell at the span's start.
         """
-        self._fp_epoch += 1
-
-    def _fp_note_extend(self, callback: EventCallback, start: int, end: int) -> None:
-        """Record ``lane[start:end)`` as (part of) a run of ``callback``.
-
-        Slow half of run-record maintenance: called when the open tail's
-        callback changes (the hot same-callback increment is inlined at
-        the append sites).  Closes the old tail into the run deque when
-        long enough, opens the new one, and arms the drain-gate wake
-        cell once a run is worth attempting.
-        """
-        t = self._fp_tail
-        if t is not None and t[0] is callback:
-            t[2] = end
-        else:
-            if t is not None and t[2] - t[1] >= _FP_MIN_RUN:
-                self._fp_runs.append(t)
-            t = self._fp_tail = [callback, start, end]
-        if t[2] - t[1] >= _FP_MIN_RUN:
+        batch = getattr(callback, MACRO_ATTR, None)
+        if batch is None:
+            return
+        runs = self._fp_runs
+        if runs and runs[-1][0] is callback and runs[-1][2] == start:
+            runs[-1][2] = end
+        elif end - start >= _FP_MIN_RUN:
+            runs.append([callback, start, end, batch])
             wake = self._fp_wake
-            if t[1] < wake[0]:
-                wake[0] = t[1]
+            if start < wake[0]:
+                wake[0] = start
 
     def _fp_shift(self, n: int) -> None:
-        """Re-base run records after a lane compaction (``del lane[:n]``)."""
+        """Re-base span records after a lane compaction (``del lane[:n]``)."""
         runs = self._fp_runs
         while runs and runs[0][2] <= n:
             runs.popleft()
         for r in runs:
             r[1] = r[1] - n if r[1] >= n else 0
             r[2] -= n
-        t = self._fp_tail
-        if t is not None:
-            if t[2] <= n:
-                self._fp_tail = None
-            else:
-                t[1] = t[1] - n if t[1] >= n else 0
-                t[2] -= n
         wake = self._fp_wake
         if wake[0] != _FP_INF:
             wake[0] = wake[0] - n if wake[0] >= n else 0
 
     def _fp_reset_records(self) -> None:
-        """Drop all run records (queue rebuilt or fully consumed)."""
+        """Drop all span records (queue rebuilt or fully consumed)."""
         self._fp_runs.clear()
-        self._fp_tail = None
         self._fp_wake[0] = _FP_INF
 
     def _fp_attempt(self, lane: list, pos: int, boundary: int) -> Tuple[int, int]:
         """Try to execute a macro batch at ``lane[pos]``; ``(new_pos, n)``.
 
         Called from the drain loop when the cursor reaches the wake
-        cell.  Validates the span (run record covering ``pos``, clipped
-        to ``boundary`` — the first out-of-order event), checks the
-        guards (no probes, no tracer, no blockers, no cancellation in
-        the span's seq range), resolves an executor (author batch twin
-        via ``__macro_batch__``, else a synthesized trace once the
-        recorder calls the handler hot), runs it, and commits clock +
-        wake state.  Every exit re-arms ``_fp_wake`` so the per-event
-        gate stays O(1) and always makes progress.
+        cell.  Finds the declared span covering ``pos``, clips it to
+        ``boundary`` (the first out-of-order event or the ``until``
+        horizon), checks the observer guards (no probes, no tracer, no
+        blockers), hands the span to the twin and commits the clock for
+        what it consumed.  Every exit re-arms ``_fp_wake`` so the
+        per-event gate stays O(1) and always makes progress.
         """
         wake = self._fp_wake
         runs = self._fp_runs
         while runs and runs[0][2] <= pos:
             runs.popleft()
-        if runs:
-            rec = runs[0]
-            if rec[1] > pos:  # heterogeneous gap before the next run
-                wake[0] = rec[1]
-                return pos, 0
-        else:
-            rec = self._fp_tail
-            if rec is None or not rec[1] <= pos < rec[2]:
-                if rec is not None and rec[1] > pos and rec[2] - rec[1] >= _FP_MIN_RUN:
-                    wake[0] = rec[1]
-                else:
-                    wake[0] = _FP_INF
-                return pos, 0
+        if not runs:
+            wake[0] = _FP_INF
+            return pos, 0
+        rec = runs[0]
+        if rec[1] > pos:  # scalar events before the next span
+            wake[0] = rec[1]
+            return pos, 0
         end = rec[2] if rec[2] < boundary else boundary
         if end - pos < _FP_MIN_RUN:
-            # Too short to pay for a batch (often a self-chaining
-            # handler staying one entry ahead of the cursor): back off.
+            # Too short to pay for a batch (an out-of-order event or the
+            # horizon clips the span just ahead of the cursor): back off.
             wake[0] = pos + _FP_RETRY
-            return pos, 0
-        cb = rec[0]
-        if lane[pos][3] is not cb:  # defensive: records out of sync
-            self._fp_reset_records()
             return pos, 0
         stats = self.fastpath_stats
         if (
@@ -724,34 +658,12 @@ class Simulator:
             stats.deopts += 1
             wake[0] = rec[2]
             return pos, 0
-        log = self._cancel_log
-        if log:
-            lo = lane[pos][1]
-            hi = lane[end - 1][1]
-            if any(lo <= s <= hi for s in log):
-                # A cancellation is pending somewhere in the span's seq
-                # range: let the general path purge at full precision.
-                stats.deopts += 1
-                wake[0] = rec[2]
-                return pos, 0
-        exec_ = self._fp_execs.get(cb)
-        if exec_ is None:
-            batch = getattr(cb, MACRO_ATTR, None)
-            if batch is not None:
-                exec_ = _fastpath.adapt_macro(cb, batch)
-            elif self._fp_recorder.hot(cb, end - pos, self._fp_mode):
-                exec_ = _fastpath.synthesize(cb)
-                stats.traces_installed += 1
-            else:
-                stats.declines += 1
-                wake[0] = rec[2]
-                return pos, 0
-            self._fp_execs[cb] = exec_
-        n = exec_(self, lane, pos, end)
-        self._fp_prog[0] = 0
-        if not 0 <= n <= end - pos:
+        n = rec[3](self, MacroRun(lane, pos, end))
+        if n is None:
+            n = end - pos
+        elif not 0 <= n <= end - pos:
             raise RuntimeError(
-                f"macro batch for {cb!r} consumed {n} of {end - pos} "
+                f"macro batch for {rec[0]!r} consumed {n} of {end - pos} "
                 "offered entries — batch twin violates its contract"
             )
         if n:
@@ -765,6 +677,7 @@ class Simulator:
             # heap events drain generally first).
             wake[0] = new_pos
             return new_pos, n
+        stats.declines += 1
         wake[0] = pos + _FP_RETRY
         return pos, 0
 
@@ -820,14 +733,6 @@ class Simulator:
         lane = self._lane
         if not lane or entry[0] >= lane[-1][0]:
             lane.append(entry)  # in-order: O(1) append, O(1) pop later
-            if self._fp_record:
-                t = self._fp_tail
-                if t is not None and t[0] is callback:
-                    t[2] += 1
-                    if t[2] - t[1] == _FP_MIN_RUN and t[1] < self._fp_wake[0]:
-                        self._fp_wake[0] = t[1]
-                else:
-                    self._fp_note_extend(callback, len(lane) - 1, len(lane))
         else:
             heapq.heappush(self._heap, entry)
         return token
@@ -854,14 +759,6 @@ class Simulator:
         lane = self._lane
         if not lane or entry[0] >= lane[-1][0]:
             lane.append(entry)
-            if self._fp_record:
-                t = self._fp_tail
-                if t is not None and t[0] is callback:
-                    t[2] += 1
-                    if t[2] - t[1] == _FP_MIN_RUN and t[1] < self._fp_wake[0]:
-                        self._fp_wake[0] = t[1]
-                else:
-                    self._fp_note_extend(callback, len(lane) - 1, len(lane))
         else:
             heapq.heappush(self._heap, entry)
         return token
@@ -889,14 +786,6 @@ class Simulator:
         lane = self._lane
         if not lane or entry[0] >= lane[-1][0]:
             lane.append(entry)
-            if self._fp_record:
-                t = self._fp_tail
-                if t is not None and t[0] is callback:
-                    t[2] += 1
-                    if t[2] - t[1] == _FP_MIN_RUN and t[1] < self._fp_wake[0]:
-                        self._fp_wake[0] = t[1]
-                else:
-                    self._fp_note_extend(callback, len(lane) - 1, len(lane))
         else:
             heapq.heappush(self._heap, entry)
         return token, seq
@@ -968,7 +857,7 @@ class Simulator:
                 start = len(lane)
                 lane.extend(entries)
                 if self._fp_record:
-                    self._fp_note_extend(callback, start, len(lane))
+                    self._fp_declare(callback, start, len(lane))
             elif len(entries) * 4 > len(heap):
                 heap.extend(entries)
                 heapq.heapify(heap)
@@ -1011,7 +900,7 @@ class Simulator:
             start = len(lane)
             lane.extend(entries)  # stays sorted: O(n) load, O(1) pops
             if self._fp_record:
-                self._fp_note_extend(callback, start, len(lane))
+                self._fp_declare(callback, start, len(lane))
         elif len(entries) * 4 > len(heap):
             heap.extend(entries)
             heapq.heapify(heap)  # O(n+m) beats m pushes for large m
@@ -1030,13 +919,12 @@ class Simulator:
         """Bulk-load a train intended for macro-batch execution.
 
         Identical scheduling semantics to :meth:`schedule_many`; the
-        name declares intent.  An in-order train lands in the sorted
-        lane as one contiguous same-handler run, which is exactly what
-        the drain's macro fast path consumes in one shot when
-        ``callback`` carries a batch twin (:func:`repro.core.macro.
-        as_macro`) or gets trace-specialized once hot.  Works — just
-        without batching — when fast paths are off; the executed stream
-        is identical either way.
+        name declares intent.  An in-order train whose ``callback``
+        carries a batch twin (:func:`repro.core.macro.as_macro`) lands
+        in the sorted lane as one declared span, which the drain's
+        macro fast path consumes in one shot.  Works — just without
+        batching — when fast paths are off; the executed stream is
+        identical either way.
         """
         return self.schedule_many(times, callback, payloads)
 
@@ -1144,7 +1032,7 @@ class Simulator:
         # run that starts with observers attached (probes, tracer) never
         # batches, so it aliases the frozen never-wakes cell and pays
         # nothing beyond the compare; observers arriving mid-run are
-        # caught by the per-attempt guards and the deopt epoch instead.
+        # caught by the per-attempt guards instead.
         fpw = (
             self._fp_wake
             if self._fp_record
@@ -1354,14 +1242,6 @@ class Simulator:
             completed = True
         finally:
             self._running = False
-            prog = self._fp_prog
-            if prog[0]:
-                # An exception escaped a callback inside a synthesized
-                # batch: the executor mirrored its progress here, so
-                # the events it committed are accounted exactly.
-                executed += prog[0]
-                pos += prog[0]
-                prog[0] = 0
             if self._parked:
                 # A callback raised out of bulk-lane mode: the parked
                 # heap entries are still pending — put them back.
@@ -1524,15 +1404,11 @@ class Simulator:
         del self._parked[:]  # always empty outside run(); belt and braces
         self._lane = sorted(snap.entries)
         self._lane_pos = 0
-        # A restore invalidates recorded traces and run records: the
-        # rebuilt lane's indices have nothing to do with the records'
-        # positions, and replay must re-prove handlers hot.  Replay
-        # therefore drains on the general path until new schedules form
-        # fresh runs — determinism is unconditional either way.
+        # A restore drops the span records: the rebuilt lane's indices
+        # have nothing to do with the records' positions.  Replay
+        # therefore drains on the general path until a new bulk load
+        # declares a span — determinism is unconditional either way.
         self._fp_reset_records()
-        self._fp_execs = weakref.WeakKeyDictionary()
-        self._fp_recorder.reset()
-        self._fp_epoch += 1
         self.stats.events_executed = snap.events_executed
         self.stats.events_cancelled = snap.events_cancelled
         self.stats.end_time = snap.now

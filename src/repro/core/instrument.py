@@ -31,6 +31,7 @@ null registry unless a session has been enabled.
 from __future__ import annotations
 
 import math
+import zlib
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, Optional, Tuple
 
@@ -118,8 +119,9 @@ class Histogram:
         self.max = -math.inf
         self._capacity = capacity
         self._reservoir: list[float] = []
-        # Seed from the name so streams are stable per metric.
-        self._rng_state = (hash(name) & 0xFFFFFFFFFFFFFFFF) or 0x9E3779B97F4A7C15
+        # Seed from the name so streams are stable per metric.  crc32,
+        # not hash(): str hashes are salted per process.
+        self._rng_state = zlib.crc32(name.encode()) or 0x9E3779B97F4A7C15
         self._sorted_cache: Optional[list[float]] = None
 
     def _next_rand(self) -> int:

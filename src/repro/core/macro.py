@@ -1,13 +1,13 @@
-"""Macro-events: batch execution of homogeneous event runs (PR8).
+"""Macro-events: batch execution of bulk-loaded event trains.
 
-A *macro-event* is a contiguous run of pending events that share one
+A *macro-event* is a contiguous span of pending events that share one
 handler, executed as a single operation instead of one kernel dispatch
-per event.  The kernel (``events.Simulator``) detects such runs in the
-sorted in-order lane at drain time — they form naturally whenever a
-model bulk-loads a train via :meth:`Simulator.schedule_many` /
-:meth:`Simulator.schedule_batch`, or schedules the same callback
-repeatedly in timestamp order — and hands the whole span to a *batch
-implementation* the handler author attached with :func:`as_macro`::
+per event.  A span exists only where a model declares it: bulk-loading
+a train via :meth:`Simulator.schedule_many` / :meth:`Simulator.
+schedule_batch` into the sorted in-order lane, with a callback that
+carries a *batch implementation* the handler author attached with
+:func:`as_macro`.  The drain hands the whole span to that twin.
+Events scheduled one at a time never batch, whatever their callback::
 
     def arrive(sim, i):            # scalar handler, the semantic truth
         ...
@@ -43,13 +43,14 @@ scalar handler once per consumed entry, in order.  Specifically:
   **zero** entries' side effects applied — the kernel treats a raising
   batch as having consumed nothing and re-raises.
 * Return ``0`` to decline (e.g. an attached model-level tracer needs
-  per-event hooks); the kernel falls back to the general path and backs
-  off before retrying.
+  per-event hooks); the kernel counts a decline, falls back to the
+  general path and backs off before retrying.
 
-The kernel never offers a batch a span containing a cancelled entry, a
-span crossing an out-of-order (heap) event, or any span at all while
-kernel observers (probes, span tracer, armed fault injector) are
-active — those guards live in ``events.py``, not here.
+Span entries are non-cancellable (bulk loads create no tokens).  The
+kernel never offers a batch a span crossing an out-of-order (heap)
+event or a ``run(until=)`` horizon, or any span at all while kernel
+observers (probes, span tracer, armed fault injector) are active —
+those guards live in ``events.py``, not here.
 
 Vectorization: :meth:`MacroRun.times_array` returns the span's
 timestamps as a numpy array when numpy is importable, falling back to a
@@ -75,7 +76,7 @@ MACRO_ATTR = "__macro_batch__"
 
 
 class MacroRun:
-    """Read-only view of one homogeneous span of pending lane entries.
+    """Read-only view of one declared span of pending lane entries.
 
     Iterating yields ``(time, payload)`` pairs in execution order.  The
     view aliases the kernel's live lane — it is only valid for the

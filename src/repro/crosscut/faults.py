@@ -300,7 +300,7 @@ class KernelFaultInjector:
         self._armed = True
         # An armed injector is a kernel observer: it must see (and be
         # able to perturb) model state between any two events, so the
-        # kernel's macro/trace fast paths stand down until disarm.
+        # kernel's macro fast path stands down until disarm.
         block = getattr(sim, "fastpath_block", None)
         if block is not None:
             block()

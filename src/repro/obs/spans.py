@@ -288,11 +288,6 @@ def attach_tracer(sim: Any, tracer: Optional[Tracer] = None,
     if tracer is None:
         tracer = Tracer(capacity=capacity)
     sim.metrics.tracer = tracer
-    # A tracer is a kernel observer: deoptimize any in-flight
-    # trace-specialized drain so every subsequent event is traceable.
-    notify = getattr(sim, "fastpath_notify_observer", None)
-    if notify is not None:
-        notify()
     sim.register_checkpointable(tracer.sink)
     return tracer
 

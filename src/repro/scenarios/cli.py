@@ -23,6 +23,7 @@ import json
 import sys
 from typing import Optional
 
+from ..core.fastpath import MODES
 from . import championship, library
 
 __all__ = ["main"]
@@ -163,7 +164,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     p_replay.add_argument("id")
     p_replay.add_argument(
-        "--fastpath", choices=("off", "auto", "on"), default=None,
+        "--fastpath", choices=MODES, default=None,
         help="pin the kernel fast-path mode (default: REPRO_FASTPATH)",
     )
     p_replay.add_argument(
@@ -197,7 +198,7 @@ def main(argv: Optional[list] = None) -> int:
              "(default: all)",
     )
     p_champ.add_argument(
-        "--fastpath", choices=("off", "auto", "on"), default=None,
+        "--fastpath", choices=MODES, default=None,
     )
     p_champ.add_argument(
         "--output", default=None, help="write the JSON leaderboard here"

@@ -183,7 +183,7 @@ def replay_scenario(config: Dict[str, Any]) -> Dict[str, Any]:
 
 # -- the shipped library ---------------------------------------------------
 # Sizes are deliberately modest (a few thousand records): every id is
-# replayed in CI across three fastpath modes and three backends, and
+# replayed in CI across both fastpath modes and three backends, and
 # golden digests make byte-level drift loud, not slow tests.
 
 register(Scenario(

@@ -38,6 +38,7 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
+from ..core.fastpath import MODES
 from ..exec.cache import canonicalize
 
 __all__ = [
@@ -231,9 +232,9 @@ def design_point(
         except KeyError as exc:
             raise ValueError(str(exc.args[0])) from None
         fastpath = config.get("fastpath")
-        if fastpath not in (None, "off", "auto", "on"):
+        if fastpath is not None and fastpath not in MODES:
             raise ValueError(
-                f"fastpath must be off/auto/on, got {fastpath!r}"
+                f"fastpath must be one of {'/'.join(MODES)}, got {fastpath!r}"
             )
     body = json.dumps(config, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(f"{workload}:{body}".encode()).hexdigest()[:16]

@@ -56,7 +56,7 @@ Three kinds, mirroring the paper's emerging-apps tables (A.1/A.2):
 Timestamps must be nondecreasing across the whole file (enforced at
 write time): replay bulk-loads each block with
 :meth:`~repro.core.events.Simulator.schedule_batch`, which keeps the
-train in the kernel's in-order lane where the macro/trace fast paths
+train in the kernel's in-order lane where the macro fast path
 (:mod:`repro.core.macro`) can drain it in batches.
 
 Two read paths share one validation layer: :meth:`TraceReader.blocks`

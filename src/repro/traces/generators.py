@@ -3,7 +3,7 @@
 The paper's Table A.1/A.2 argument is that 21st-century workloads —
 always-on social/media services, personalized medicine scans, ML
 serving, graph analytics over NVM — stress architectures differently
-than SPEC-era batch jobs.  These generators synthesize those stresses
+than SPEC-era batch jobs.  These generators reproduce those stresses
 as replayable traces: each profile is a seeded, closed-form recipe that
 produces one structured record array (see :mod:`repro.traces.format`)
 with nondecreasing timestamps, ready for :class:`TraceWriter.write_block`.

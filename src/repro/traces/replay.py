@@ -5,8 +5,8 @@ synthetic workload at run time, a *sink* replays a trace
 (:mod:`repro.traces.format`) through the kernel.  Replay goes in
 through :meth:`Simulator.schedule_batch`, and each sink's per-record
 handler carries a macro batch twin (:func:`repro.core.macro.as_macro`),
-so the PR8 fast-path drains apply to replayed traffic exactly as they
-do to synthetic traffic — ``REPRO_FASTPATH=off|auto|on`` produce
+so the macro fast path applies to replayed traffic exactly as it does
+to synthetic traffic — ``REPRO_FASTPATH=off|auto`` produce
 byte-identical results, which the golden suite pins per scenario.
 
 Sinks (:data:`SINKS`):

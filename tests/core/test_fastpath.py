@@ -1,16 +1,19 @@
-"""Kernel fast-path layer (PR8): macro batching, trace-JIT, guards.
+"""Kernel fast-path layer: macro batching of declared spans, guards.
 
 The load-bearing property throughout is *observational equivalence*:
 for any workload, the executed stream (order, times, payloads) and the
 final :class:`~repro.core.events.SimStats` must be byte-identical with
-fast paths ``off``, ``auto``, and ``on``.  Unit tests pin the
-individual mechanisms (mode resolution, batch commit, partial consume,
-hazard aborts, trace hotness, observer deopt, snapshot/restore
-invalidation); the hypothesis test at the bottom drives randomized
-guard-abort interleavings through all three modes at once.
+fast paths ``off`` and ``auto``.  Unit tests pin the individual
+mechanisms (mode resolution, span declaration, batch commit, partial
+consume, hazard aborts, observer deopt, horizon clipping); the
+hypothesis test at the bottom drives randomized twin behaviour,
+cancellations, spawns and snapshot/restore through both modes.
 """
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -51,21 +54,25 @@ def test_resolve_mode_default_and_env(monkeypatch):
     monkeypatch.setenv(fastpath.ENV_VAR, "OFF")
     assert fastpath.resolve_mode() == "off"
     # An explicit argument beats the environment.
-    assert fastpath.resolve_mode("on") == "on"
+    assert fastpath.resolve_mode("auto") == "auto"
     with pytest.raises(ValueError, match="fastpath mode"):
         fastpath.resolve_mode("sometimes")
+    # The retired trace-JIT mode is an error naming the valid modes.
+    monkeypatch.setenv(fastpath.ENV_VAR, "on")
+    with pytest.raises(ValueError, match=r"\('off', 'auto'\)"):
+        Simulator()
     monkeypatch.setenv(fastpath.ENV_VAR, "bogus")
     with pytest.raises(ValueError, match="fastpath mode"):
         Simulator()
 
 
 def test_simulator_mode_property_and_set(monkeypatch):
+    """The mode is set once, at construction."""
     monkeypatch.delenv(fastpath.ENV_VAR, raising=False)
-    sim = Simulator()
-    assert sim.fastpath_mode == "auto"
-    sim.set_fastpath("off")
-    assert sim.fastpath_mode == "off"
-    assert Simulator(fastpath="on").fastpath_mode == "on"
+    assert Simulator().fastpath_mode == "auto"
+    assert Simulator(fastpath="off").fastpath_mode == "off"
+    with pytest.raises(ValueError, match="fastpath mode"):
+        Simulator(fastpath="on")
 
 
 def test_as_macro_attaches_twin():
@@ -93,13 +100,13 @@ def test_macro_batch_executes_whole_train():
 
 def test_macro_matches_off_mode_stream():
     logs = {}
-    for mode in ("off", "auto", "on"):
+    for mode in fastpath.MODES:
         log = logs[mode] = []
         cb = _recorded_pair(log)
         sim = Simulator(fastpath=mode)
         _train(sim, cb, 64)
         sim.run()
-    assert logs["off"] == logs["auto"] == logs["on"]
+    assert logs["off"] == logs["auto"]
 
 
 def test_macro_partial_consume_counts_abort():
@@ -142,16 +149,20 @@ def test_macro_decline_falls_back_to_scalar():
     sim.run()
     assert log == expected
     assert sim.fastpath_stats.batches == 0
+    assert sim.fastpath_stats.declines >= 1
 
 
 def test_macro_exception_is_atomic():
     log = []
+    broken = [True]
 
     def scalar(sim, payload):
         log.append(payload)
 
     def batch(sim, run):
-        raise RuntimeError("batch blew up before touching anything")
+        if broken[0]:
+            raise RuntimeError("batch blew up before touching anything")
+        log.extend(run.payloads())
 
     as_macro(scalar, batch)
     sim = Simulator(fastpath="auto")
@@ -159,13 +170,14 @@ def test_macro_exception_is_atomic():
     with pytest.raises(RuntimeError, match="blew up"):
         sim.run()
     # Atomic: the raising batch consumed nothing — no event executed,
-    # every entry still pending, and a later off-mode drain runs them.
+    # every entry still pending, and a later drain runs them.
     assert log == []
     assert sim.stats.events_executed == 0
     assert len(sim) == 32
-    sim.set_fastpath("off")
+    broken[0] = False
     sim.run()
     assert log == list(range(32))
+    assert sim.stats.events_executed == 32
 
 
 def test_macro_contract_violation_is_loud():
@@ -192,89 +204,64 @@ def test_macrorun_view():
     assert run.payloads() == [20, 30, 40, 50]
 
 
-# -- trace-JIT ---------------------------------------------------------------
+# -- declared spans and guards ----------------------------------------------
 
 
-def test_trace_on_mode_specializes_immediately():
+def test_twin_scheduled_only_via_schedule_at_never_batches():
+    """Only a bulk load declares a span: the same twin'd callback
+    scheduled one event at a time runs entirely on the general path."""
     log = []
-
-    def scalar(sim, payload):  # no batch twin
-        log.append((sim.now, payload))
-
-    sim = Simulator(fastpath="on")
-    expected = _train(sim, scalar, 100)
-    sim.run()
-    assert log == expected
-    fps = sim.fastpath_stats
-    assert fps.traces_installed == 1
-    assert fps.batches >= 1
-    assert fps.batched_events == 100
-
-
-def test_trace_auto_mode_needs_heat():
-    log = []
-
-    def scalar(sim, payload):
-        log.append(payload)
-
+    cb = _recorded_pair(log)
     sim = Simulator(fastpath="auto")
-    # Two sightings warm the recorder, the third is hot.
-    for _ in range(fastpath.TRACE_HOT_COUNT - 1):
-        _train(sim, scalar, 64, start=sim.now)
-        sim.run()
-        assert sim.fastpath_stats.traces_installed == 0
-    _train(sim, scalar, 64, start=sim.now)
+    for i in range(200):
+        sim.schedule_at(float(i), cb, i, cancellable=False)
     sim.run()
-    assert sim.fastpath_stats.traces_installed == 1
-    assert log == list(range(64)) * fastpath.TRACE_HOT_COUNT
-
-
-def test_trace_auto_mode_long_run_is_hot_immediately():
-    def scalar(sim, payload):
-        pass
-
-    sim = Simulator(fastpath="auto")
-    _train(sim, scalar, fastpath.TRACE_HOT_RUN, step=0.01)
-    sim.run()
-    assert sim.fastpath_stats.traces_installed == 1
+    assert log == [(float(i), i) for i in range(200)]
+    assert sim.fastpath_stats == fastpath.FastPathStats()
 
 
 def test_trace_abort_on_cancellation():
-    """A cancellation landing mid-trace aborts the specialized loop and
-    the purge happens at general-path precision."""
-    log = []
-    tokens = {}
+    """A span event cancelling a pending out-of-order event inside the
+    span's time range: the span is clipped at that event, which the
+    general path purges exactly as in ``off`` mode."""
+    outcomes = {}
+    for mode in fastpath.MODES:
+        log = []
+        tokens = {}
 
-    def scalar(sim, payload):
-        log.append(payload)
-        if payload == 10:
-            tokens[50].cancel()
+        def scalar(sim, payload, _log=log):
+            _log.append(payload)
+            if payload == 10:
+                tokens[50].cancel()
 
-    def build(mode):
-        log.clear()
-        tokens.clear()
+        def batch(sim, run, _log=log):
+            for _t, p in run:
+                _log.append(p)
+                if p == 10:
+                    tokens[50].cancel()
+
+        as_macro(scalar, batch)
         sim = Simulator(fastpath=mode)
-        for i in range(100):
-            tokens[i] = sim.schedule_at(float(i), scalar, i)
-        return sim
-
-    sim = build("on")
-    stats = sim.run()
-    assert 50 not in log
-    assert log == [i for i in range(100) if i != 50]
-    assert stats.events_cancelled == 1
-    on_log = list(log)
-
-    off_stats = build("off").run()
-    assert log == on_log
-    assert off_stats.events_cancelled == 1
+        _train(sim, scalar, 100)
+        for i in (30, 50, 70):
+            tokens[i] = sim.schedule_at(i + 0.5, scalar, -i)
+        stats = sim.run()
+        outcomes[mode] = (list(log), stats.events_executed,
+                          stats.events_cancelled)
+        if mode == "auto":
+            assert sim.fastpath_stats.batched_events > 0
+    assert outcomes["auto"] == outcomes["off"]
+    log, executed, cancelled = outcomes["off"]
+    assert -50 not in log and -30 in log and -70 in log
+    assert (executed, cancelled) == (102, 1)
 
 
 def test_trace_abort_on_out_of_order_schedule():
-    """A callback scheduling into the heap mid-trace aborts the loop so
-    the new event interleaves at its exact (time, seq) slot."""
+    """A twin that schedules out-of-order work stops at its hazard
+    horizon, so the new event interleaves at its exact (time, seq)
+    slot and the rest of the span batches afterwards."""
     logs = {}
-    for mode in ("off", "on"):
+    for mode in fastpath.MODES:
         log = logs[mode] = []
 
         def scalar(sim, payload, _log=log):
@@ -283,51 +270,62 @@ def test_trace_abort_on_out_of_order_schedule():
                 # Lands between the pre-scheduled entries at 30.0/31.0.
                 sim.schedule_at(30.5, scalar, 999)
 
+        def batch(sim, run, _log=log):
+            for k, (t, p) in enumerate(run):
+                _log.append((t, p))
+                if p == 20:
+                    sim.schedule_at(30.5, scalar, 999)
+                    return k + 1
+            return len(run)
+
+        as_macro(scalar, batch)
         sim = Simulator(fastpath=mode)
         _train(sim, scalar, 64)
         sim.run()
-    assert logs["off"] == logs["on"]
-    i = logs["on"].index((30.5, 999))
-    assert logs["on"][i - 1] == (30.0, 30)
-    assert logs["on"][i + 1] == (31.0, 31)
+    assert logs["off"] == logs["auto"]
+    i = logs["auto"].index((30.5, 999))
+    assert logs["auto"][i - 1] == (30.0, 30)
+    assert logs["auto"][i + 1] == (31.0, 31)
 
 
-# -- observer-arrival deopt (the PR8 satellite regression tests) -------------
+def _observer_mid_span(sim, log, arrive):
+    """A twin'd 100-event train plus one scalar event at t=40.5 that
+    calls ``arrive(sim)``; the span batches up to the scalar event."""
+    cb = _recorded_pair(log)
+    expected = _train(sim, cb, 100)
+    sim.schedule_at(40.5, lambda s, _p: arrive(s), -1)
+    return expected
 
 
 def test_probe_added_mid_trace_sees_every_subsequent_event():
     seen = []
-
-    def probe(sim, event):
-        seen.append(event.payload)
-
-    def scalar(sim, payload):
-        if payload == 10:
-            sim.add_probe(probe)
-
-    sim = Simulator(fastpath="on")
-    _train(sim, scalar, 100)
+    log = []
+    sim = Simulator(fastpath="auto")
+    expected = _observer_mid_span(
+        sim, log, lambda s: s.add_probe(lambda _s, e: seen.append(e.payload))
+    )
     sim.run()
-    # The active trace flushed at the installing event; everything after
-    # it ran on the general path and was probed exactly once.
-    assert seen == list(range(11, 100))
-    assert sim.fastpath_stats.deopts >= 1
+    assert log == expected
+    # The batch covered 0..40; the probe observed the event installing
+    # it and every later event, each exactly once.
+    assert seen == [-1] + list(range(41, 100))
+    fps = sim.fastpath_stats
+    assert fps.batched_events == 41
+    assert fps.deopts >= 1
 
 
 def test_tracer_attached_mid_run_deoptimizes():
     from repro.obs.spans import Tracer, attach_tracer
 
-    def scalar(sim, payload):
-        if payload == 10:
-            attach_tracer(sim, Tracer())
-
-    sim = Simulator(fastpath="on", metrics=MetricsRegistry())
-    _train(sim, scalar, 100)
+    log = []
+    sim = Simulator(fastpath="auto", metrics=MetricsRegistry())
+    expected = _observer_mid_span(
+        sim, log, lambda s: attach_tracer(s, Tracer())
+    )
     sim.run()
+    assert log == expected
     fps = sim.fastpath_stats
-    # The trace committed at most the prefix through the attaching
-    # event; every later event stayed on the (traceable) general path.
-    assert fps.batched_events <= 11
+    assert fps.batched_events == 41
     assert fps.deopts >= 1
 
 
@@ -341,21 +339,21 @@ def test_fault_injector_arm_blocks_batching():
     injector = KernelFaultInjector(mean_interval=1e9, rng=0)
     injector.register(_Target())
 
-    def scalar(sim, payload):
-        if payload == 10:
-            injector.arm(sim, horizon=1.0)
-
-    sim = Simulator(fastpath="on")
-    _train(sim, scalar, 100)
+    log = []
+    sim = Simulator(fastpath="auto")
+    expected = _observer_mid_span(
+        sim, log, lambda s: injector.arm(s, horizon=1.0)
+    )
     sim.run()
+    assert log == expected
     fps = sim.fastpath_stats
-    assert fps.batched_events <= 11
+    assert fps.batched_events == 41
     assert fps.deopts >= 1
 
     # Disarm unblocks: a fresh train on the same simulator batches again.
     injector.disarm()
     before = fps.batched_events
-    _train(sim, scalar, 100, start=sim.now + 1.0)
+    _train(sim, _recorded_pair(log), 100, start=sim.now + 1.0)
     sim.run()
     assert fps.batched_events > before
 
@@ -382,7 +380,7 @@ def test_probed_run_never_batches():
     events = []
     log = []
     cb = _recorded_pair(log)
-    sim = Simulator(fastpath="on")
+    sim = Simulator(fastpath="auto")
     sim.add_probe(lambda s, e: events.append(e.payload))
     expected = _train(sim, cb, 64)
     sim.run()
@@ -408,27 +406,6 @@ def test_until_horizon_batches_inclusively():
     assert log == expected
 
 
-def test_restore_invalidates_traces_and_replays():
-    def scalar(sim, payload):
-        log.append((sim.now, payload))
-
-    for mode in ("auto", "on"):
-        log = []
-        sim = Simulator(fastpath=mode)
-        sim.schedule_batch([float(i) for i in range(100)], scalar,
-                           payloads=range(100))
-        sim.run(until=30.0)
-        snap = sim.snapshot()
-        split = len(log)
-        sim.run()
-        full = list(log)
-
-        sim.restore(snap)
-        sim.run()
-        assert log[len(full):] == full[split:]
-        assert sim.stats.events_executed == 100
-
-
 def test_schedule_batch_is_schedule_many():
     log = []
     cb = _recorded_pair(log)
@@ -440,17 +417,62 @@ def test_schedule_batch_is_schedule_many():
     assert log == [(0.0, "a"), (1.0, "b"), (2.0, "c")]
 
 
-# -- randomized guard-abort interleavings ------------------------------------
+def _own_calls(fn, name):
+    """Calls to ``name`` in ``fn``'s own body, not in nested functions."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) == name:
+                yield node
+        stack.extend(ast.iter_child_nodes(node))
 
-_MODES = ("off", "auto", "on")
+
+def test_every_as_macro_twin_is_bulk_loaded_in_the_same_function():
+    """A twin only runs on a span a bulk load declares.  Pin that every
+    ``as_macro(h, ...)`` in the library sits next to a
+    ``schedule_batch(..., h, ...)`` in the same function, so no twin
+    can silently stop batching."""
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    sites = 0
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            loaded = {
+                arg.id
+                for call in _own_calls(fn, "schedule_batch")
+                for arg in [*call.args, *(kw.value for kw in call.keywords)]
+                if isinstance(arg, ast.Name)
+            }
+            for call in _own_calls(fn, "as_macro"):
+                handler = call.args[0]
+                where = f"{path.relative_to(src)}:{call.lineno}"
+                assert isinstance(handler, ast.Name), where
+                assert handler.id in loaded, (
+                    f"{where}: as_macro({handler.id}, ...) without "
+                    f"schedule_batch(..., {handler.id}, ...) in the same "
+                    "function"
+                )
+                sites += 1
+    # cluster, hedging, NoC, harvest and the three trace-replay sinks.
+    assert sites == 7
+
+
+# -- randomized guard-abort interleavings ------------------------------------
 
 
 @st.composite
 def _programs(draw):
-    """A workload: homogeneous segments + mid-run cancels/spawns/split."""
+    """A workload: bulk-loaded twin'd trains + cancellable stragglers."""
     segments = draw(
         st.lists(
-            st.tuples(st.integers(0, 2), st.integers(1, 48)),
+            st.tuples(st.integers(0, 1), st.integers(1, 48)),
             min_size=1,
             max_size=6,
         )
@@ -461,9 +483,16 @@ def _programs(draw):
             st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n
         )
     )
+    # Cancellable schedule_at stragglers, mostly landing in the heap
+    # inside some train's time range.
+    stragglers = draw(
+        st.lists(st.floats(0.0, float(n), allow_nan=False), max_size=6)
+    )
     cancels = draw(
         st.dictionaries(
-            st.integers(0, n - 1), st.integers(0, n - 1), max_size=4
+            st.integers(0, n - 1),
+            st.integers(0, max(len(stragglers) - 1, 0)),
+            max_size=4,
         )
     )
     spawns = draw(
@@ -473,8 +502,11 @@ def _programs(draw):
             max_size=4,
         )
     )
+    # Per-attempt twin budget: 0 declines, k consumes at most k entries.
+    budgets = draw(st.lists(st.integers(0, 24), min_size=1, max_size=8))
     split = draw(st.floats(0.0, float(n), allow_nan=False))
-    return segments, steps, cancels, spawns, split
+    detour = split + draw(st.floats(0.0, float(n), allow_nan=False))
+    return segments, steps, stragglers, cancels, spawns, budgets, split, detour
 
 
 @settings(
@@ -484,22 +516,40 @@ def _programs(draw):
 )
 @given(_programs())
 def test_fastpath_modes_are_observationally_identical(program):
-    """Random guard-abort interleavings — cancellations, heterogeneous
-    handler segments, mid-trace spawns into the heap, a mid-workload
-    snapshot/restore replay — produce executed streams byte-identical
-    across off/auto/on (the PR8 acceptance property)."""
-    segments, steps, cancels, spawns, split = program
+    """Random schedule_batch trains whose twins partially consume or
+    decline, mixed with cancellable schedule_at events that span events
+    cancel, spawns into the heap, a ``run(until=)`` split, a partial
+    run abandoned by a restore, and a snapshot/restore replay: the
+    executed streams and SimStats in ``auto`` are byte-identical to
+    ``off``."""
+    (segments, steps, stragglers, cancels, spawns, budgets, split,
+     detour) = program
 
     def execute(mode):
         log = []
-        tokens = {}
+        tokens = []
+        attempts = [0]
         sim = Simulator(fastpath=mode)
 
         def h0(s, i):
             log.append(("h0", s.now, i))
             target = cancels.get(i)
-            if target is not None and target in tokens:
+            if target is not None and target < len(tokens):
                 tokens[target].cancel()
+
+        def h0_batch(s, run):
+            budget = budgets[attempts[0] % len(budgets)]
+            attempts[0] += 1
+            k = 0
+            for t, i in run:
+                if k == budget:
+                    break
+                log.append(("h0", t, i))
+                target = cancels.get(i)
+                if target is not None and target < len(tokens):
+                    tokens[target].cancel()
+                k += 1
+            return k
 
         def h1(s, i):
             log.append(("h1", s.now, i))
@@ -507,21 +557,45 @@ def test_fastpath_modes_are_observationally_identical(program):
             if delay is not None:
                 s.schedule(delay, h2, 1000 + i, cancellable=False)
 
+        def h1_batch(s, run):
+            for k, (t, i) in enumerate(run):
+                log.append(("h1", t, i))
+                delay = spawns.get(i)
+                if delay is not None:
+                    # Hazard horizon: stop right after the spawn so the
+                    # kernel re-interleaves the new event.
+                    s.schedule_at(t + delay, h2, 1000 + i, cancellable=False)
+                    return k + 1
+            return None
+
         def h2(s, i):
             log.append(("h2", s.now, i))
 
-        handlers = (h0, h1, h2)
+        as_macro(h0, h0_batch)
+        as_macro(h1, h1_batch)
+        handlers = (h0, h1)
         t = 0.0
         idx = 0
         for hid, length in segments:
+            times = []
             for _ in range(length):
-                tokens[idx] = sim.schedule_at(t, handlers[hid], idx)
+                times.append(t)
                 t += steps[idx]
                 idx += 1
+            sim.schedule_batch(times, handlers[hid],
+                               payloads=range(idx - length, idx))
+        for j, when in enumerate(stragglers):
+            tokens.append(sim.schedule_at(when, h2, -1 - j))
 
         sim.run(until=split)
         snap = sim.snapshot()
         cut = len(log)
+        # A detour the restore rolls back (the log is not checkpointed,
+        # so truncate it by hand); spans pending at the detour's end
+        # must not outlive the restore.
+        sim.run(until=detour)
+        del log[cut:]
+        sim.restore(snap)
         sim.run()
         full = list(log)
         stats = (
@@ -535,8 +609,6 @@ def test_fastpath_modes_are_observationally_identical(program):
         assert tail == full[cut:], f"replay diverged in mode {mode}"
         return full, tail, stats
 
-    reference = execute("off")
-    for mode in ("auto", "on"):
-        assert execute(mode) == reference, (
-            f"mode {mode} diverged from the general path"
-        )
+    assert execute("auto") == execute("off"), (
+        "auto diverged from the general path"
+    )

@@ -76,6 +76,32 @@ class TestHistogram:
 
         assert fill() == fill()
 
+    def test_quantiles_identical_across_hash_seeds(self):
+        """The reservoir RNG is seeded from the metric name; ``str``
+        hashes are salted per process, so the seed must not use them."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "from repro.core.instrument import Histogram\n"
+            "h = Histogram('lat', capacity=128)\n"
+            "for i in range(10_000):\n"
+            "    h.observe(float(i))\n"
+            "print([h.quantile(q) for q in (0.1, 0.5, 0.9)])\n"
+        )
+        src = str(Path(instrument.__file__).resolve().parents[2])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True, timeout=60,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_empty_quantile_nan(self):
         import math
 

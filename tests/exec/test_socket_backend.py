@@ -150,15 +150,29 @@ class TestWorkerDeath:
             ))
 
             killed = []
+            # The engine hands the job this path (checkpoint_root/<id>).
+            progress_file = tmp_path / "resumable"
+
+            def checkpointed_steps():
+                try:
+                    return int(progress_file.read_text().strip() or 0)
+                except (OSError, ValueError):
+                    return 0
 
             class Assassin:
-                """Runner shim: kill a busy spawned worker once."""
+                """Runner shim: kill a busy spawned worker once.
+
+                Only after the job checkpointed a step: its progress
+                heartbeat has then gone out, so the resume is free.  A
+                kill before the first heartbeat is (correctly) a failed
+                attempt with ``retries=0``, which is not this test.
+                """
 
                 def __getattr__(self, name):
                     return getattr(backend, name)
 
                 def poll(self):
-                    if not killed:
+                    if not killed and checkpointed_steps() >= 1:
                         snapshot = backend.describe()
                         busy = [w for w in snapshot["workers"]
                                 if w["busy_with"]]

@@ -13,10 +13,10 @@ observable scheduling behaviour, not just speed; that is either a bug
 or a semantic change that must be called out (and these constants
 re-recorded) explicitly.
 
-Since PR8 every golden runs under all three fast-path modes
-(``off``/``auto``/``on``).  A probed run never batches — the probe is a
-kernel observer, so the macro/trace layer stands down — which makes the
-probed goldens a direct check that observation forces the general path.
+Every golden runs under both fast-path modes (``off``/``auto``).  A
+probed run never batches — the probe is a kernel observer, so the macro
+layer stands down — which makes the probed goldens a direct check that
+observation forces the general path.
 The real fast paths are exercised by the **no-probe** cross-mode test
 at the bottom: same models, no observer, modes compared against
 ``off`` on model results and SimStats (and the harvest train must
@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 from repro.core.events import Simulator
+from repro.core.fastpath import MODES
 from repro.datacenter.cluster import Balancer, ClusterConfig, ClusterSimulator
 from repro.datacenter.hedging import kernel_hedged_latencies
 from repro.datacenter.latency import lognormal_latency
@@ -43,8 +44,6 @@ from repro.sensor.harvest import (
     IntermittentConfig,
     simulate_intermittent,
 )
-
-MODES = ("off", "auto", "on")
 
 
 def _probed_sim(mode: str) -> tuple[Simulator, "hashlib._Hash"]:
@@ -195,8 +194,8 @@ def test_streams_reproducible_run_to_run():
 
 @pytest.mark.parametrize("name", sorted(_DRIVERS))
 def test_modes_agree_without_observers(name: str):
-    """No probe attached: the macro/trace fast paths genuinely engage,
-    and every mode must still produce the off-mode result and stats."""
+    """No probe attached: the macro fast path genuinely engages, and
+    every mode must still produce the off-mode result and stats."""
     outcomes = {}
     for mode in MODES:
         sim = Simulator(fastpath=mode)
@@ -214,7 +213,6 @@ def test_modes_agree_without_observers(name: str):
             # test has silently stopped covering the fast path.
             assert sim.fastpath_stats.batched_events > 0
     assert outcomes["auto"] == outcomes["off"], f"{name}: auto diverged"
-    assert outcomes["on"] == outcomes["off"], f"{name}: on diverged"
 
 
 if __name__ == "__main__":

@@ -20,14 +20,13 @@ re-executes as a no-op, exactly like any other replayed event.
 import pytest
 
 from repro.core.events import FunctionCheckpoint, Simulator
+from repro.core.fastpath import MODES
 
-# Since PR8 every crash-resume golden runs under all three fast-path
-# modes.  The probe keeps the drain on the general path (observation
-# vetoes batching), so what the parametrization actually pins is the
-# fast-path *bookkeeping* riding through snapshot()/restore(): run
-# records rebuilt after a restore, installed traces invalidated, and
-# the replay still byte-identical to the straight run.
-MODES = ("off", "auto", "on")
+# Every crash-resume golden runs under both fast-path modes.  The probe
+# keeps the drain on the general path (observation vetoes batching), so
+# what the parametrization actually pins is the fast-path *bookkeeping*
+# riding through snapshot()/restore(): span records dropped by a
+# restore, and the replay still byte-identical to the straight run.
 from repro.datacenter.cluster import Balancer, ClusterConfig, ClusterSimulator
 from repro.datacenter.hedging import kernel_hedged_latencies
 from repro.datacenter.latency import lognormal_latency

@@ -49,7 +49,7 @@ class TestReplay:
         doc = json.loads(capsys.readouterr().out)
         assert doc["digest"] == GOLDEN_DIGESTS["wear-hotline@1"]
 
-    @pytest.mark.parametrize("mode", ("off", "on"))
+    @pytest.mark.parametrize("mode", ("off", "auto"))
     def test_replay_fastpath_flag_does_not_move_the_digest(
         self, capsys, mode
     ):
@@ -58,6 +58,12 @@ class TestReplay:
         ]) == 0
         out = capsys.readouterr().out
         assert GOLDEN_DIGESTS["cpu-mix@1"] in out
+
+    def test_replay_rejects_the_retired_on_mode(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", "replay", "cpu-mix@1", "--fastpath", "on"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'on'" in capsys.readouterr().err
 
 
 class TestGenInfo:

@@ -2,7 +2,7 @@
 
 The acceptance bar for the trace front end: replaying a shipped
 scenario id yields a **byte-identical digest** no matter which
-fast-path mode the kernel runs in (``off``/``auto``/``on``) and no
+fast-path mode the kernel runs in (``off``/``auto``) and no
 matter which execution backend carries the job (serial, process pool,
 socket cluster).  The digests below are recorded constants; if a code
 change alters one, it changed simulated behaviour — either a bug, or a
@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.fastpath import MODES
 from repro.scenarios.library import get, list_ids, replay_scenario, run
-
-MODES = ("off", "auto", "on")
 
 # sha256 of the canonicalized replay result (sink, records, outputs,
 # interval stats) per shipped scenario id.  Regenerate with:

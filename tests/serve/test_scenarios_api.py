@@ -46,9 +46,11 @@ class TestScenarioWorkload:
 
     def test_bad_fastpath_value_is_rejected(self, serve_factory):
         _, client = serve_factory()
-        status, _, _ = client.submit(
-            "scenario",
-            {"scenario": "wear-hotline@1", "fastpath": "warp"},
-            wait=True,
-        )
-        assert status == 400
+        for bad in ("warp", "on"):  # "on" was the retired trace-JIT mode
+            status, _, body = client.submit(
+                "scenario",
+                {"scenario": "wear-hotline@1", "fastpath": bad},
+                wait=True,
+            )
+            assert status == 400
+            assert "off/auto" in json.dumps(body)

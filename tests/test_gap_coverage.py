@@ -109,7 +109,7 @@ class TestFastPathMode:
         from repro.core.fastpath import ENV_VAR, resolve_mode
 
         monkeypatch.setenv(ENV_VAR, "off")
-        assert resolve_mode("on") == "on"
+        assert resolve_mode("auto") == "auto"
         assert resolve_mode() == "off"
 
     def test_defaults_to_auto_and_normalizes(self, monkeypatch):
@@ -117,18 +117,19 @@ class TestFastPathMode:
 
         monkeypatch.delenv(ENV_VAR, raising=False)
         assert resolve_mode() == "auto"
-        assert resolve_mode(" ON ") == "on"
+        assert resolve_mode(" OFF ") == "off"
 
     def test_invalid_mode_is_a_value_error_naming_choices(self):
         from repro.core.fastpath import resolve_mode
 
-        with pytest.raises(ValueError, match="auto"):
-            resolve_mode("fast")
+        for bad in ("fast", "on"):  # "on" was the retired trace-JIT mode
+            with pytest.raises(ValueError, match="auto"):
+                resolve_mode(bad)
 
     def test_simulator_exposes_resolved_mode(self):
         from repro.core.events import Simulator
 
-        assert Simulator(fastpath="on").fastpath_mode == "on"
+        assert Simulator(fastpath="off").fastpath_mode == "off"
 
 
 class TestTransportChaosConfig:
