@@ -5,10 +5,11 @@ standard teaching/research abstraction, sufficient for every cache
 question the paper raises (locality management, energy of data movement,
 hierarchy design for E17).
 
-Implementation notes (per the HPC guides): per-set state lives in
-preallocated NumPy arrays (tags, valid, dirty, last-use stamps); an
-access is O(associativity) with no Python object churn, so million-access
-traces run in seconds.
+Implementation notes: each set is one insertion-ordered ``dict`` mapping
+a resident line to its dirty flag, least recently used first.  A hit
+pops the line and re-inserts it at the back; the victim is the first
+key.  An access is a few dict operations on plain Python ints, with no
+per-access NumPy calls, whose overhead would dominate a scalar lookup.
 """
 
 from __future__ import annotations
@@ -87,20 +88,16 @@ class Cache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        n_sets, assoc = config.n_sets, config.associativity
-        self._tags = np.zeros((n_sets, assoc), dtype=np.int64)
-        self._valid = np.zeros((n_sets, assoc), dtype=bool)
-        self._dirty = np.zeros((n_sets, assoc), dtype=bool)
-        self._stamp = np.zeros((n_sets, assoc), dtype=np.int64)
-        self._clock = 0
-        self._set_mask = n_sets - 1
-        self._line_shift = int(np.log2(config.line_bytes))
+        self._sets: list[dict[int, bool]] = [
+            {} for _ in range(config.n_sets)
+        ]
+        self._set_mask = config.n_sets - 1
+        self._line_shift = config.line_bytes.bit_length() - 1
         self.stats = CacheStats()
 
     def reset(self) -> None:
-        self._valid[:] = False
-        self._dirty[:] = False
-        self._clock = 0
+        for ways in self._sets:
+            ways.clear()
         self.stats = CacheStats()
 
     def access(self, address: int, is_write: bool = False) -> bool:
@@ -113,40 +110,26 @@ class Cache:
         if address < 0:
             raise ValueError("address must be non-negative")
         line = address >> self._line_shift
-        set_idx = line & self._set_mask
-        tag = line >> max(int(self._set_mask).bit_length(), 0)
+        ways = self._sets[line & self._set_mask]
+        stats = self.stats
+        stats.accesses += 1
+        config = self.config
 
-        self._clock += 1
-        self.stats.accesses += 1
-
-        tags = self._tags[set_idx]
-        valid = self._valid[set_idx]
-        hit_ways = np.nonzero(valid & (tags == tag))[0]
-        if hit_ways.size:
-            way = int(hit_ways[0])
-            self._stamp[set_idx, way] = self._clock
-            if is_write and self.config.write_back:
-                self._dirty[set_idx, way] = True
-            self.stats.hits += 1
+        dirty = ways.pop(line, None)
+        if dirty is not None:
+            # Re-insert at the back: most recently used.
+            ways[line] = True if is_write and config.write_back else dirty
+            stats.hits += 1
             return True
 
-        self.stats.misses += 1
-        if is_write and not self.config.write_allocate:
+        stats.misses += 1
+        if is_write and not config.write_allocate:
             return False
-
-        # Choose victim: invalid way if any, else LRU.
-        invalid = np.nonzero(~valid)[0]
-        if invalid.size:
-            way = int(invalid[0])
-        else:
-            way = int(np.argmin(self._stamp[set_idx]))
-            self.stats.evictions += 1
-            if self._dirty[set_idx, way]:
-                self.stats.writebacks += 1
-        self._tags[set_idx, way] = tag
-        self._valid[set_idx, way] = True
-        self._dirty[set_idx, way] = bool(is_write and self.config.write_back)
-        self._stamp[set_idx, way] = self._clock
+        if len(ways) == config.associativity:
+            stats.evictions += 1
+            if ways.pop(next(iter(ways))):
+                stats.writebacks += 1
+        ways[line] = bool(is_write and config.write_back)
         return False
 
     def run_trace(
@@ -155,27 +138,22 @@ class Cache:
         writes: Optional[np.ndarray] = None,
     ) -> CacheStats:
         """Process a whole address trace; returns the updated stats."""
-        addrs = np.asarray(addresses, dtype=np.int64)
+        addrs = np.asarray(addresses, dtype=np.int64).tolist()
         if writes is None:
-            writes_arr = np.zeros(len(addrs), dtype=bool)
+            writes_list = [False] * len(addrs)
         else:
-            writes_arr = np.asarray(writes, dtype=bool)
-            if len(writes_arr) != len(addrs):
+            writes_list = np.asarray(writes, dtype=bool).tolist()
+            if len(writes_list) != len(addrs):
                 raise ValueError("writes must match addresses in length")
-        for addr, w in zip(addrs, writes_arr):
-            self.access(int(addr), bool(w))
+        access = self.access
+        for addr, w in zip(addrs, writes_list):
+            access(addr, w)
         return self.stats
 
     def contents(self) -> set[int]:
         """Set of resident line base-addresses (for invariant tests)."""
-        lines = set()
-        set_bits = int(self._set_mask).bit_length()
-        for set_idx in range(self.config.n_sets):
-            for way in range(self.config.associativity):
-                if self._valid[set_idx, way]:
-                    line = (int(self._tags[set_idx, way]) << set_bits) | set_idx
-                    lines.add(line << self._line_shift)
-        return lines
+        shift = self._line_shift
+        return {line << shift for ways in self._sets for line in ways}
 
 
 def stack_distance_hit_rate(
@@ -190,12 +168,14 @@ def stack_distance_hit_rate(
     """
     if capacity_lines <= 0:
         raise ValueError("capacity must be positive")
-    lines = np.asarray(addresses, dtype=np.int64) >> int(np.log2(line_bytes))
+    lines = (
+        np.asarray(addresses, dtype=np.int64) >> int(np.log2(line_bytes))
+    ).tolist()
     n = len(lines)
     if n == 0:
         return float("nan")
     # Fenwick tree over access positions marking "still most recent".
-    tree = np.zeros(n + 1, dtype=np.int64)
+    tree = [0] * (n + 1)
 
     def update(i: int, delta: int) -> None:
         i += 1
@@ -209,12 +189,11 @@ def stack_distance_hit_rate(
         while i > 0:
             s += tree[i]
             i -= i & (-i)
-        return int(s)
+        return s
 
     last_pos: dict[int, int] = {}
     hits = 0
-    for pos in range(n):
-        line = int(lines[pos])
+    for pos, line in enumerate(lines):
         if line in last_pos:
             prev = last_pos[line]
             distinct = query(pos - 1) - query(prev)

@@ -2,12 +2,16 @@
 
 The second input mode for every simulator family: instead of drawing a
 synthetic workload at run time, a *sink* replays a trace
-(:mod:`repro.traces.format`) through the kernel.  Replay goes in
-through :meth:`Simulator.schedule_batch`, and each sink's per-record
-handler carries a macro batch twin (:func:`repro.core.macro.as_macro`),
-so the macro fast path applies to replayed traffic exactly as it does
-to synthetic traffic — ``REPRO_FASTPATH=off|auto`` produce
-byte-identical results, which the golden suite pins per scenario.
+(:mod:`repro.traces.format`).  The sinks whose models schedule events
+(``queue``, ``noc``, ``cpu``) go in through
+:meth:`Simulator.schedule_batch`, and each per-record handler carries
+a macro batch twin (:func:`repro.core.macro.as_macro`; the NoC's lives
+in :meth:`repro.interconnect.noc.MeshNoC.run`), so the macro fast path
+applies to replayed traffic exactly as it does to synthetic traffic —
+``REPRO_FASTPATH=off|auto`` produce byte-identical results, which the
+golden suite pins per scenario.  The ``memory`` and ``wear`` models
+schedule nothing, so those sinks walk the records directly and never
+start the kernel.
 
 Sinks (:data:`SINKS`):
 
@@ -19,7 +23,7 @@ Sinks (:data:`SINKS`):
   function (the routing championship's plug point).
 * ``memory``  — memory records through a
   :class:`repro.memory.hierarchy.MemoryHierarchy` level walk, one
-  kernel event per access.
+  record at a time in stable timestamp order.
 * ``wear``    — memory-record write streams against a
   :class:`repro.memory.wear.WearLeveler` (the wear championship's plug
   point).
@@ -341,61 +345,40 @@ def _replay_memory(
 
     arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     n = len(arr)
+    # The level walk schedules nothing, so it needs no kernel; it keeps
+    # the kernel's event order instead: stable by timestamp, and no
+    # timestamp before time 0 (a decoded block may be out of order).
+    ts = arr["ts"]
+    if (ts < 0).any():
+        raise ValueError(
+            f"record timestamp {float(ts[ts < 0][0])} is before time 0"
+        )
+    if (np.diff(ts) < 0).any():
+        arr = arr[np.argsort(ts, kind="stable")]
     addrs = arr["addr"].astype(np.int64).tolist()
-    writes = arr["op"].tolist()
+    writes = (arr["op"] != 0).tolist()
 
     level_hits = [0] * n_levels
-    state = {"cycles": 0, "memory_accesses": 0}
-
-    def access(s: Simulator, i: int) -> None:
-        addr = addrs[i]
-        w = bool(writes[i])
-        cycles = state["cycles"]
+    cycles = 0
+    memory_accesses = 0
+    for addr, w in zip(addrs, writes):
         for lvl in range(n_levels):
             cycles += latencies[lvl]
-            if caches[lvl].access(addr, is_write=w):
+            if caches[lvl].access(addr, w):
                 level_hits[lvl] += 1
                 break
         else:
-            state["memory_accesses"] += 1
+            memory_accesses += 1
             cycles += mem_latency
-        state["cycles"] = cycles
-
-    def access_batch(s: Simulator, run) -> int:
-        # Macro twin: the level walk schedules nothing, so the hazard
-        # horizon is infinite and the whole reference train drains in
-        # one call — this is where replay throughput comes from.
-        cycles = state["cycles"]
-        mem = state["memory_accesses"]
-        k = 0
-        for _t, i in run:
-            addr = addrs[i]
-            w = bool(writes[i])
-            for lvl in range(n_levels):
-                cycles += latencies[lvl]
-                if caches[lvl].access(addr, is_write=w):
-                    level_hits[lvl] += 1
-                    break
-            else:
-                mem += 1
-                cycles += mem_latency
-            k += 1
-        state["cycles"] = cycles
-        state["memory_accesses"] = mem
-        return k
-
-    as_macro(access, access_batch)
-    sim.schedule_batch(arr["ts"], access, payloads=range(n))
-    sim.run()
 
     return {
         "accesses": n,
         "level_hits": {
             specs[i].name: level_hits[i] for i in range(n_levels)
         },
-        "memory_accesses": state["memory_accesses"],
-        "total_cycles": state["cycles"],
-        "amat_cycles": state["cycles"] / n if n else 0.0,
+        "memory_accesses": memory_accesses,
+        "total_cycles": cycles,
+        "amat_cycles": cycles / n if n else 0.0,
     }
 
 

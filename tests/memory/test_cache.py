@@ -151,6 +151,88 @@ class TestInvariants:
         assert c.stats.misses >= min(unique_lines, 1)
 
 
+class _ReferenceLRU:
+    """Test-only model: one Python list per set, LRU order by position.
+
+    Index 0 is the least recently used line; each entry is
+    ``[line, dirty]``.  Written for obviousness, not speed.
+    """
+
+    def __init__(self, cfg: CacheConfig) -> None:
+        self.cfg = cfg
+        self.sets = [[] for _ in range(cfg.n_sets)]
+        self.counts = dict(accesses=0, hits=0, misses=0, evictions=0,
+                           writebacks=0)
+
+    def access(self, address: int, is_write: bool) -> bool:
+        line = address // self.cfg.line_bytes
+        ways = self.sets[line % self.cfg.n_sets]
+        self.counts["accesses"] += 1
+        for pos, entry in enumerate(ways):
+            if entry[0] == line:
+                ways.append(ways.pop(pos))
+                if is_write and self.cfg.write_back:
+                    entry[1] = True
+                self.counts["hits"] += 1
+                return True
+        self.counts["misses"] += 1
+        if is_write and not self.cfg.write_allocate:
+            return False
+        if len(ways) == self.cfg.associativity:
+            _, dirty = ways.pop(0)
+            self.counts["evictions"] += 1
+            if dirty:
+                self.counts["writebacks"] += 1
+        ways.append([line, is_write and self.cfg.write_back])
+        return False
+
+    def contents(self) -> set:
+        return {line * self.cfg.line_bytes
+                for ways in self.sets for line, _ in ways}
+
+
+class TestDifferentialAgainstReference:
+    @given(
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([1, 2, 4, 16]),
+        st.booleans(),
+        st.booleans(),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=(1 << 13) - 1),
+                      st.booleans()),
+            min_size=1,
+            max_size=400,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_every_access(
+        self, assoc, n_sets, write_back, write_allocate, stream
+    ):
+        cfg = CacheConfig(size_bytes=64 * assoc * n_sets, line_bytes=64,
+                          associativity=assoc, write_back=write_back,
+                          write_allocate=write_allocate)
+        cache, ref = Cache(cfg), _ReferenceLRU(cfg)
+        for address, is_write in stream:
+            assert cache.access(address, is_write) == ref.access(
+                address, is_write)
+            s = cache.stats
+            assert dict(accesses=s.accesses, hits=s.hits, misses=s.misses,
+                        evictions=s.evictions,
+                        writebacks=s.writebacks) == ref.counts
+            assert cache.contents() == ref.contents()
+
+    def test_run_trace_matches_per_access_calls(self):
+        addrs = zipf_addresses(4000, unique=1024, rng=4)
+        writes = np.random.default_rng(4).random(len(addrs)) < 0.3
+        cfg = CacheConfig(size_bytes=4096, associativity=4)
+        bulk, single = Cache(cfg), Cache(cfg)
+        bulk.run_trace(addrs, writes)
+        for a, w in zip(addrs.tolist(), writes.tolist()):
+            single.access(a, w)
+        assert bulk.stats == single.stats
+        assert bulk.contents() == single.contents()
+
+
 class TestStackDistance:
     def test_agrees_with_fully_associative_simulator(self):
         addrs = zipf_addresses(8000, unique=512, rng=0)
