@@ -473,6 +473,13 @@ class ProcessPoolRunner:
                 f"unrecognized worker message {message!r}",
                 now,
             )
+        if alive and pipe_broken:
+            # A child that exits between the liveness sample and the pipe
+            # read shows up here as a closed pipe; a brief join tells
+            # that crash, with its exit code, from a live child that
+            # merely closed its end.
+            run.process.join(0.5)
+            alive = run.process.exitcode is None
         if not alive:
             # Died without a result: a hard crash (segfault, os._exit,
             # OOM kill).  Classified immediately on this poll — a dead

@@ -2,22 +2,26 @@
 
 The second input mode for every simulator family: instead of drawing a
 synthetic workload at run time, a *sink* replays a trace
-(:mod:`repro.traces.format`).  The sinks whose models schedule events
-(``queue``, ``noc``, ``cpu``) go in through
-:meth:`Simulator.schedule_batch`, and each per-record handler carries
-a macro batch twin (:func:`repro.core.macro.as_macro`; the NoC's lives
-in :meth:`repro.interconnect.noc.MeshNoC.run`), so the macro fast path
-applies to replayed traffic exactly as it does to synthetic traffic —
+(:mod:`repro.traces.format`).  Only the ``noc`` sink starts the event
+kernel: its packets hop through :class:`repro.interconnect.noc.MeshNoC`,
+which loads them with :meth:`Simulator.schedule_batch` and a macro twin
+(:meth:`repro.interconnect.noc.MeshNoC.run`), so
 ``REPRO_FASTPATH=off|auto`` produce byte-identical results, which the
-golden suite pins per scenario.  The ``memory`` and ``wear`` models
-schedule nothing, so those sinks walk the records directly and never
-start the kernel.
+golden suite pins per scenario.  The ``queue``, ``memory`` and ``cpu``
+sinks walk their records in one loop, without the kernel, and keep the
+order it would run them in: stable by timestamp, with a timestamp
+before 0 a ``ValueError`` (the ``noc`` sink shares that boundary).
+The ``queue`` sink's ``jsq`` policy keeps its in-flight completions in
+a heap and retires those that finish strictly before each arrival: at
+a tie the kernel ran the bulk-loaded arrival first.  The ``wear`` sink
+applies its write stream in closed form.
 
 Sinks (:data:`SINKS`):
 
 * ``queue``   — request records into an FCFS multi-server queue with a
   pluggable, deterministic scheduling policy (the scheduling
-  championship's plug point).
+  championship's plug point), one record at a time in stable timestamp
+  order.
 * ``noc``     — request records as node-to-node packets through
   :class:`repro.interconnect.noc.MeshNoC` with a pluggable route
   function (the routing championship's plug point).
@@ -28,7 +32,8 @@ Sinks (:data:`SINKS`):
   :class:`repro.memory.wear.WearLeveler` (the wear championship's plug
   point).
 * ``cpu``     — instruction records through a small in-order scoreboard
-  (load-use hazards, branch bubbles).
+  (load-use hazards, branch bubbles), one record at a time in stable
+  timestamp order.
 
 Every sink returns a :class:`ReplayResult` whose :meth:`digest` covers
 only deterministic simulation outputs — latencies, counts, cycle
@@ -41,13 +46,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from heapq import heappop, heappush
+from itertools import cycle, repeat
 from dataclasses import dataclass, field
 from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.events import Simulator
-from ..core.macro import as_macro
 from ..exec.cache import canonicalize
 from .format import (
     KIND_INSTRUCTION,
@@ -136,6 +142,28 @@ def _gather(
     return out
 
 
+def _time_ordered(
+    blocks: List[np.ndarray],
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The blocks as one record array in the order the kernel runs them.
+
+    A bulk-loaded train runs stable by timestamp, and the kernel refuses
+    a timestamp before time 0; a decoded iterable may be out of order.
+    Returns the ordered array and the stable sort permutation, or
+    ``None`` for it when the records were already in order.
+    """
+    arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    ts = arr["ts"]
+    if (ts < 0).any():
+        raise ValueError(
+            f"record timestamp {float(ts[ts < 0][0])} is before time 0"
+        )
+    if not (np.diff(ts) < 0).any():
+        return arr, None
+    order = np.argsort(ts, kind="stable")
+    return arr[order], order
+
+
 def _quantiles(values: np.ndarray) -> Dict[str, float]:
     return {
         "mean": float(np.mean(values)),
@@ -166,94 +194,54 @@ def _replay_queue(
         )
     if n_servers < 1:
         raise ValueError("need at least one server")
-    arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    arr, order = _time_ordered(blocks)
     n = len(arr)
     times = arr["ts"].tolist()
     service = (arr["service_us"] * 1e-6).tolist()
-    targets = arr["target"].tolist()
-    clients = arr["client"].tolist()
+    # Latencies are filed under each record's original position: their
+    # mean sums them in that order.
+    index = range(n) if order is None else order.tolist()
+    jsq = policy == "jsq"
+    if policy == "rr":
+        picks = cycle(range(n_servers))
+    elif policy == "target":
+        picks = (arr["target"].astype(np.int64) % n_servers).tolist()
+    elif policy == "client":
+        picks = (arr["client"].astype(np.int64) % n_servers).tolist()
+    else:  # jsq picks from live queue depths
+        picks = repeat(0)
 
     free_at = [0.0] * n_servers
     qlen = [0] * n_servers
     served = [0] * n_servers
-    latencies = np.empty(n)
-    rr = 0
+    latencies = [0.0] * n
     busy = 0.0
-    # Only join-shortest-queue consults live queue depths, so only it
-    # needs completion events; the static policies replay as one pure
-    # arrival train the macro twin drains in a single call.
-    need_qlen = policy == "jsq"
-
-    def complete(s: Simulator, server: int) -> None:
-        qlen[server] -= 1
-
-    def arrive(s: Simulator, i: int) -> None:
-        nonlocal rr, busy
-        t = s.now
-        if policy == "rr":
-            srv = rr
-            rr = (rr + 1) % n_servers
-        elif policy == "target":
-            srv = targets[i] % n_servers
-        elif policy == "client":
-            srv = clients[i] % n_servers
-        else:  # jsq
+    # jsq's in-flight (finish, server) completions.  Those finishing
+    # strictly before an arrival retire first; at a tie the arrival
+    # goes first, as in the kernel, where the bulk-loaded arrivals carry
+    # older sequence numbers than any completion scheduled mid-run.
+    inflight: List[Tuple[float, int]] = []
+    for i, t, svc, srv in zip(index, times, service, picks):
+        if jsq:
+            while inflight and inflight[0][0] < t:
+                qlen[heappop(inflight)[1]] -= 1
             srv = qlen.index(min(qlen))
         f = free_at[srv]
-        finish = (t if t > f else f) + service[i]
+        finish = (t if t > f else f) + svc
         free_at[srv] = finish
         served[srv] += 1
-        busy += service[i]
+        busy += svc
         latencies[i] = finish - t
-        if need_qlen:
+        if jsq:
             qlen[srv] += 1
-            s.schedule_at(finish, complete, srv, cancellable=False)
-
-    def arrive_batch(s: Simulator, run) -> int:
-        # Macro twin (contract: repro.core.macro).  Static policies
-        # schedule nothing, so the hazard horizon stays infinite and
-        # the whole train drains here; jsq stops at the earliest
-        # completion it scheduled (ties safe: pre-scheduled arrivals
-        # carry older seqs than any completion scheduled in-batch).
-        nonlocal rr, busy
-        horizon = float("inf")
-        k = 0
-        for t, i in run:
-            if t > horizon:
-                break
-            if policy == "rr":
-                srv = rr
-                rr = (rr + 1) % n_servers
-            elif policy == "target":
-                srv = targets[i] % n_servers
-            elif policy == "client":
-                srv = clients[i] % n_servers
-            else:
-                srv = qlen.index(min(qlen))
-            f = free_at[srv]
-            finish = (t if t > f else f) + service[i]
-            free_at[srv] = finish
-            served[srv] += 1
-            busy += service[i]
-            latencies[i] = finish - t
-            if need_qlen:
-                qlen[srv] += 1
-                s.schedule_at(finish, complete, srv, cancellable=False)
-                if finish < horizon:
-                    horizon = finish
-            k += 1
-        return k
-
-    as_macro(arrive, arrive_batch)
-    sim.schedule_batch(arr["ts"], arrive, payloads=range(n))
-    sim.run()
+            heappush(inflight, (finish, srv))
 
     makespan = max(max(free_at), times[-1]) if n else 0.0
     return {
         "policy": policy,
         "n_servers": n_servers,
         "requests": n,
-        "latency_s": _quantiles(latencies),
+        "latency_s": _quantiles(np.array(latencies)),
         "served_per_server": served,
         "utilization": (busy / (n_servers * makespan)) if makespan else 0.0,
     }
@@ -281,7 +269,7 @@ def _replay_noc(
             f"unknown routing {routing!r}; choose from "
             f"{', '.join(sorted(routes))}"
         ) from None
-    arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    arr, _ = _time_ordered(blocks)
     nodes = width * height
     src_ids = arr["client"] % nodes
     dst_ids = arr["target"] % nodes
@@ -294,7 +282,9 @@ def _replay_noc(
     ]
     # Trace timestamps are seconds; the NoC clock is cycles.  Scale so
     # the whole trace spans a workload-proportional cycle window and
-    # quantize to integers (the model aligns to cycle boundaries).
+    # quantize to integers (the model aligns to cycle boundaries).  The
+    # records are in order, so ``ts[0]`` and ``ts[-1]`` are the block's
+    # earliest and latest timestamps.
     ts = arr["ts"]
     span = float(ts[-1] - ts[0]) or 1.0
     cycles = np.floor((ts - ts[0]) / span * (len(arr) * 2.0))
@@ -343,18 +333,8 @@ def _replay_memory(
     mem_latency = hierarchy.memory.latency_cycles
     n_levels = len(specs)
 
-    arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    arr, _ = _time_ordered(blocks)
     n = len(arr)
-    # The level walk schedules nothing, so it needs no kernel; it keeps
-    # the kernel's event order instead: stable by timestamp, and no
-    # timestamp before time 0 (a decoded block may be out of order).
-    ts = arr["ts"]
-    if (ts < 0).any():
-        raise ValueError(
-            f"record timestamp {float(ts[ts < 0][0])} is before time 0"
-        )
-    if (np.diff(ts) < 0).any():
-        arr = arr[np.argsort(ts, kind="stable")]
     addrs = arr["addr"].astype(np.int64).tolist()
     writes = (arr["op"] != 0).tolist()
 
@@ -451,60 +431,41 @@ def _replay_cpu(
     pays ``branch_penalty`` pipeline bubbles.  Simple, but enough to
     rank instruction mixes, and fully deterministic.
     """
-    arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    arr, _ = _time_ordered(blocks)
     n = len(arr)
-    ops = arr["op"].tolist()
-    dsts = arr["dst"].tolist()
-    src1s = arr["src1"].tolist()
-    src2s = arr["src2"].tolist()
-
-    state = {"cycles": 0, "stalls": 0, "branches": 0,
-             "loads": 0, "stores": 0, "last_load_dst": -1}
-
-    def step(i: int) -> None:
-        op = ops[i]
-        cycles = 1
-        last = state["last_load_dst"]
-        if last >= 0 and (src1s[i] == last or src2s[i] == last):
-            stall = load_latency - 1
-            cycles += stall
-            state["stalls"] += stall
+    stall = load_latency - 1
+    stalls = loads = stores = branches = 0
+    # Register ids are unsigned, so -1 ("the previous op was not a
+    # load") never matches a source.
+    last_load_dst = -1
+    for op, dst, src1, src2 in zip(
+        arr["op"].tolist(),
+        arr["dst"].tolist(),
+        arr["src1"].tolist(),
+        arr["src2"].tolist(),
+    ):
+        if src1 == last_load_dst or src2 == last_load_dst:
+            stalls += stall
         if op == 1:
-            state["loads"] += 1
-            state["last_load_dst"] = dsts[i]
+            loads += 1
+            last_load_dst = dst
         else:
-            state["last_load_dst"] = -1
+            last_load_dst = -1
             if op == 2:
-                state["stores"] += 1
+                stores += 1
             elif op == 3:
-                state["branches"] += 1
-                cycles += branch_penalty
-        state["cycles"] += cycles
+                branches += 1
 
-    def retire(s: Simulator, i: int) -> None:
-        step(i)
-
-    def retire_batch(s: Simulator, run) -> int:
-        # Schedules nothing -> infinite horizon -> whole train per call.
-        k = 0
-        for _t, i in run:
-            step(i)
-            k += 1
-        return k
-
-    as_macro(retire, retire_batch)
-    sim.schedule_batch(arr["ts"], retire, payloads=range(n))
-    sim.run()
-
-    cycles = state["cycles"]
+    # One cycle per op, plus the stalls and the branch bubbles.
+    cycles = n + stalls + branches * branch_penalty
     return {
         "instructions": n,
         "cycles": cycles,
         "ipc": n / cycles if cycles else 0.0,
-        "stall_cycles": state["stalls"],
-        "loads": state["loads"],
-        "stores": state["stores"],
-        "branches": state["branches"],
+        "stall_cycles": stalls,
+        "loads": loads,
+        "stores": stores,
+        "branches": branches,
     }
 
 

@@ -460,9 +460,9 @@ def test_every_as_macro_twin_is_bulk_loaded_in_the_same_function():
                     "function"
                 )
                 sites += 1
-    # cluster, hedging, NoC, harvest and the two trace-replay twins
-    # (queue and cpu; the memory sink walks its trace without the kernel).
-    assert sites == 6
+    # cluster, hedging, NoC and harvest; the queue, memory and cpu
+    # trace-replay sinks walk their records without the kernel.
+    assert sites == 4
 
 
 # -- randomized guard-abort interleavings ------------------------------------

@@ -93,6 +93,24 @@ class TestDeathRace:
         assert wall < 5.0  # nowhere near the 30s timeout
         runner.shutdown()
 
+    def test_exit_after_the_liveness_sample_reports_the_exit_code(
+        self, monkeypatch
+    ):
+        """Force the race's other order: the child has already exited,
+        but the liveness sample still reads true, so the drain finds
+        only a closed pipe.  The crash must still carry the exit code."""
+        runner = ProcessPoolRunner(1)
+        runner.submit(Job(id="a", fn=crashing_job), None, 30.0)
+        process = runner._running["a"].process
+        process.join(10.0)
+        assert process.exitcode == 7
+        monkeypatch.setattr(process, "is_alive", lambda: True)
+        (attempt,) = runner.poll()
+        monkeypatch.undo()
+        assert attempt.status == "crash"
+        assert "exited with code 7" in attempt.error
+        runner.shutdown()
+
 
 class TestHeartbeats:
     def test_pool_runner_receives_beats(self):

@@ -1,0 +1,299 @@
+"""Differential tests for the ``queue`` and ``cpu`` replay sinks.
+
+Both sinks walk their records in one loop, without the event kernel.
+The references below are the kernel-driven handlers they replaced: one
+bulk-loaded event per record through :meth:`Simulator.schedule_batch`,
+with a macro twin, and ``jsq`` completions scheduled mid-run.  Random
+blocks with tied timestamps, zero service times and shuffled order must
+give equal outputs under both fastpath modes.  The same boundary holds
+for the ``noc`` sink: a negative timestamp is a ``ValueError`` and a
+shuffled block replays like its stable-sorted copy.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, List
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.events import Simulator
+from repro.core.fastpath import MODES
+from repro.core.macro import as_macro
+from repro.traces.format import KIND_INSTRUCTION, KIND_REQUEST, dtype_for
+from repro.traces.generators import generate
+from repro.traces.replay import QUEUE_POLICIES, SINKS, _quantiles, replay
+
+
+def reference_queue(
+    blocks: List[np.ndarray],
+    sim: Simulator,
+    n_servers: int = 8,
+    policy: str = "rr",
+) -> Dict[str, Any]:
+    """The kernel-driven queue sink: one arrival event per record."""
+    arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    n = len(arr)
+    times = arr["ts"].tolist()
+    service = (arr["service_us"] * 1e-6).tolist()
+    targets = arr["target"].tolist()
+    clients = arr["client"].tolist()
+
+    free_at = [0.0] * n_servers
+    qlen = [0] * n_servers
+    served = [0] * n_servers
+    latencies = np.empty(n)
+    rr = 0
+    busy = 0.0
+    need_qlen = policy == "jsq"
+
+    def complete(s: Simulator, server: int) -> None:
+        qlen[server] -= 1
+
+    def pick(i: int) -> int:
+        nonlocal rr
+        if policy == "rr":
+            srv = rr
+            rr = (rr + 1) % n_servers
+            return srv
+        if policy == "target":
+            return targets[i] % n_servers
+        if policy == "client":
+            return clients[i] % n_servers
+        return qlen.index(min(qlen))
+
+    def serve(s: Simulator, t: float, i: int) -> float:
+        nonlocal busy
+        srv = pick(i)
+        f = free_at[srv]
+        finish = (t if t > f else f) + service[i]
+        free_at[srv] = finish
+        served[srv] += 1
+        busy += service[i]
+        latencies[i] = finish - t
+        if need_qlen:
+            qlen[srv] += 1
+            s.schedule_at(finish, complete, srv, cancellable=False)
+        return finish
+
+    def arrive(s: Simulator, i: int) -> None:
+        serve(s, s.now, i)
+
+    def arrive_batch(s: Simulator, run) -> int:
+        # jsq stops at the earliest completion it scheduled.
+        horizon = float("inf")
+        k = 0
+        for t, i in run:
+            if t > horizon:
+                break
+            finish = serve(s, t, i)
+            if need_qlen and finish < horizon:
+                horizon = finish
+            k += 1
+        return k
+
+    as_macro(arrive, arrive_batch)
+    sim.schedule_batch(arr["ts"], arrive, payloads=range(n))
+    sim.run()
+
+    makespan = max(max(free_at), times[-1]) if n else 0.0
+    return {
+        "policy": policy,
+        "n_servers": n_servers,
+        "requests": n,
+        "latency_s": _quantiles(latencies),
+        "served_per_server": served,
+        "utilization": (busy / (n_servers * makespan)) if makespan else 0.0,
+    }
+
+
+def reference_cpu(
+    blocks: List[np.ndarray],
+    sim: Simulator,
+    load_latency: int = 3,
+    branch_penalty: int = 2,
+) -> Dict[str, Any]:
+    """The kernel-driven cpu sink: one retire event per instruction."""
+    arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    n = len(arr)
+    ops = arr["op"].tolist()
+    dsts = arr["dst"].tolist()
+    src1s = arr["src1"].tolist()
+    src2s = arr["src2"].tolist()
+    state = {"cycles": 0, "stalls": 0, "branches": 0,
+             "loads": 0, "stores": 0, "last_load_dst": -1}
+
+    def step(i: int) -> None:
+        op = ops[i]
+        cycles = 1
+        last = state["last_load_dst"]
+        if last >= 0 and (src1s[i] == last or src2s[i] == last):
+            stall = load_latency - 1
+            cycles += stall
+            state["stalls"] += stall
+        if op == 1:
+            state["loads"] += 1
+            state["last_load_dst"] = dsts[i]
+        else:
+            state["last_load_dst"] = -1
+            if op == 2:
+                state["stores"] += 1
+            elif op == 3:
+                state["branches"] += 1
+                cycles += branch_penalty
+        state["cycles"] += cycles
+
+    def retire(s: Simulator, i: int) -> None:
+        step(i)
+
+    def retire_batch(s: Simulator, run) -> int:
+        k = 0
+        for _t, i in run:
+            step(i)
+            k += 1
+        return k
+
+    as_macro(retire, retire_batch)
+    sim.schedule_batch(arr["ts"], retire, payloads=range(n))
+    sim.run()
+
+    cycles = state["cycles"]
+    return {
+        "instructions": n,
+        "cycles": cycles,
+        "ipc": n / cycles if cycles else 0.0,
+        "stall_cycles": state["stalls"],
+        "loads": state["loads"],
+        "stores": state["stores"],
+        "branches": state["branches"],
+    }
+
+
+def _sink(name: str):
+    return SINKS[name][1]
+
+
+# Quarter-second timestamps and service times add exactly, so a
+# completion often lands on a later arrival's timestamp, and zero
+# service makes a completion tie with its own arrival.
+_times = st.integers(0, 12).map(lambda k: k * 0.25)
+_service_us = st.one_of(
+    st.sampled_from([0.0, 250_000.0, 500_000.0, 750_000.0]),
+    st.floats(0.0, 2e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def request_blocks(draw) -> np.ndarray:
+    n = draw(st.integers(1, 40))
+    arr = np.zeros(n, dtype=dtype_for(KIND_REQUEST))
+    arr["ts"] = draw(st.lists(_times, min_size=n, max_size=n))
+    arr["service_us"] = draw(st.lists(_service_us, min_size=n, max_size=n))
+    arr["client"] = draw(st.lists(st.integers(0, 65535), min_size=n,
+                                  max_size=n))
+    arr["target"] = draw(st.lists(st.integers(0, 65535), min_size=n,
+                                  max_size=n))
+    if draw(st.booleans()):
+        arr = arr[np.argsort(arr["ts"], kind="stable")]
+    return arr
+
+
+@st.composite
+def instruction_blocks(draw) -> np.ndarray:
+    n = draw(st.integers(1, 60))
+    arr = np.zeros(n, dtype=dtype_for(KIND_INSTRUCTION))
+    arr["ts"] = draw(st.lists(_times, min_size=n, max_size=n))
+    for name, hi in (("op", 3), ("dst", 4), ("src1", 4), ("src2", 4)):
+        arr[name] = draw(st.lists(st.integers(0, hi), min_size=n,
+                                  max_size=n))
+    if draw(st.booleans()):
+        arr = arr[np.argsort(arr["ts"], kind="stable")]
+    return arr
+
+
+@given(request_blocks(), st.integers(1, 8))
+@settings(max_examples=200)
+def test_queue_sink_matches_the_kernel_reference(arr, n_servers):
+    for policy in QUEUE_POLICIES:
+        got = _sink("queue")([arr], Simulator(), n_servers=n_servers,
+                             policy=policy)
+        for mode in MODES:
+            want = reference_queue([arr], Simulator(fastpath=mode),
+                                   n_servers=n_servers, policy=policy)
+            assert got == want, (policy, mode)
+
+
+@given(instruction_blocks(), st.integers(1, 5), st.integers(0, 4))
+@settings(max_examples=200)
+def test_cpu_sink_matches_the_kernel_reference(arr, load_latency,
+                                               branch_penalty):
+    got = _sink("cpu")([arr], Simulator(), load_latency=load_latency,
+                       branch_penalty=branch_penalty)
+    for mode in MODES:
+        want = reference_cpu([arr], Simulator(fastpath=mode),
+                             load_latency=load_latency,
+                             branch_penalty=branch_penalty)
+        assert got == want, mode
+
+
+def test_a_completion_tied_with_an_arrival_retires_after_it():
+    # Zero service: the first completion lands on the second arrival's
+    # timestamp.  That arrival still sees server 0 occupied, so jsq
+    # sends it to server 1.
+    arr = np.zeros(3, dtype=dtype_for(KIND_REQUEST))
+    arr["ts"] = [0.0, 0.0, 1.0]
+    out = _sink("queue")([arr], Simulator(), n_servers=2, policy="jsq")
+    assert out["served_per_server"] == [2, 1]
+    assert out == reference_queue([arr], Simulator(), n_servers=2,
+                                  policy="jsq")
+
+
+def test_multiple_blocks_match_the_kernel_reference():
+    _, arr = generate("bursty-requests", seed=3, n=400)
+    parts = [arr[:150], arr[150:]]
+    for policy in QUEUE_POLICIES:
+        params = {"n_servers": 3, "policy": policy}
+        assert (_sink("queue")(parts, Simulator(), **params)
+                == reference_queue(parts, Simulator(), **params))
+
+
+@pytest.mark.parametrize(
+    "sink, profile, params",
+    [
+        ("queue", "steady-requests", {}),
+        ("noc", "noc-uniform", {"nodes": 16}),
+        ("cpu", "instr-mix", {}),
+    ],
+    ids=["queue", "noc", "cpu"],
+)
+def test_negative_timestamp_is_rejected(sink, profile, params):
+    kind, arr = generate(profile, seed=1, n=20, **params)
+    arr = arr.copy()
+    arr["ts"][0] = -1.0
+    with pytest.raises(ValueError, match="before time 0"):
+        replay([(kind, arr)], sink=sink)
+
+
+def _shuffled_noc_block() -> np.ndarray:
+    """A noc-hotspot block with tied, shuffled timestamps."""
+    _, arr = generate("noc-hotspot", seed=4, n=600, nodes=16, rate=2500.0,
+                      hot_fraction=0.4)
+    arr = arr.copy()
+    arr["ts"] = np.floor(arr["ts"] * 1e3) / 1e3
+    return arr[np.random.default_rng(9).permutation(len(arr))]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_shuffled_noc_block_replays_like_its_stable_sorted_copy(mode):
+    arr = _shuffled_noc_block()
+    assert (np.diff(arr["ts"]) < 0).any()
+    in_order = arr[np.argsort(arr["ts"], kind="stable")]
+    params = {"width": 4, "height": 4}
+    got = replay([(KIND_REQUEST, arr)], sink="noc", sink_params=params,
+                 fastpath=mode)
+    want = replay([(KIND_REQUEST, in_order)], sink="noc",
+                  sink_params=params, fastpath=mode)
+    assert got.outputs["delivered"] == len(arr)
+    assert got.digest() == want.digest()
