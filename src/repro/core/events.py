@@ -25,9 +25,10 @@ points:
   back to the binary heap.  Each pop takes the global ``(time, seq)``
   minimum of the two lane heads, so the executed order is byte-identical
   to a single heap — only cheaper.  :meth:`Simulator.run` drains in one
-  tight loop (single head scan per event, locally aliased ``heappop``),
-  the common fire-and-forget case skips :class:`CancelToken` allocation
-  entirely (``schedule(..., cancellable=False)``), and ``sim.stats`` is
+  loop that runs lane stretches up to the next heap entry with a
+  heap-length check per event, the common fire-and-forget case skips
+  :class:`CancelToken` allocation entirely
+  (``schedule(..., cancellable=False)``), and ``sim.stats`` is
   synchronized when ``run`` returns (and on exceptions), not per event —
   use a probe for live event counting.
 * No global state: a :class:`Simulator` instance owns its clock.
@@ -420,12 +421,6 @@ class Simulator:
         #: invalidates their indices.  Snapshots evicted from a bounded
         #: ring die here silently and never pay for the copy.
         self._lazy_snaps: list[weakref.ref[KernelSnapshot]] = []
-        #: Heap entries parked by run()'s bulk-lane mode (see run()):
-        #: still pending, just held out of the heap so the inner drain
-        #: can detect new schedules with a bare truthiness check.
-        #: Always empty outside run(); snapshot() counts these as
-        #: pending alongside the heap.
-        self._parked: list[tuple[float, int, Any, EventCallback, Any]] = []
         # -- fast-path layer (see repro.core.fastpath) -----------------
         #: Mode: "off" | "auto"; explicit arg wins over the
         #: REPRO_FASTPATH environment variable, default "auto".
@@ -438,8 +433,8 @@ class Simulator:
         self._fp_runs: deque = deque()
         #: One-cell list holding the lane index of the next position
         #: worth a batch attempt (``_FP_INF`` = none).  The drain loop
-        #: compares its cursor against this cell once per event — the
-        #: entire per-event cost of the fast-path layer.
+        #: ends each lane stretch at this index — the entire cost of
+        #: the fast-path layer while no span is pending.
         self._fp_wake: list = [_FP_INF]
         #: Count of active observers that must veto batching entirely
         #: (armed KernelFaultInjector; see fastpath_block()).
@@ -467,6 +462,13 @@ class Simulator:
                     snap.materialize()
             snaps.clear()
 
+    def _drop_consumed(self, pos: int) -> None:
+        """Compact the lane by dropping its consumed prefix ``[:pos]``."""
+        self._flush_lazy_snapshots()
+        if self._fp_record:
+            self._fp_shift(pos)
+        del self._lane[:pos]
+
     @property
     def now(self) -> float:
         """Current simulation time [s or cycles, caller's choice]."""
@@ -481,22 +483,16 @@ class Simulator:
         purged.  Use :meth:`pending_live` for the exact number of events
         that will still fire.
 
-        Both counts include entries parked by ``run()``'s bulk-lane mode
-        (still pending, just held out of the heap) and are exact between
-        runs; from *inside* a callback they may additionally include
-        already-consumed lane entries, because the run loop keeps its
-        lane cursor in a local until it returns.
+        Both counts are exact between runs; from *inside* a callback they
+        may additionally include already-consumed lane entries, because
+        the run loop keeps its lane cursor in a local until it returns.
         """
-        return len(self._heap) + len(self._parked) + len(self._lane) - self._lane_pos
+        return len(self._heap) + len(self._lane) - self._lane_pos
 
     def pending_live(self) -> int:
         """Number of pending events that are *not* cancelled (O(n))."""
         live = sum(
             1 for _t, _s, token, _cb, _p in self._heap
-            if token is None or not token.cancelled
-        )
-        live += sum(
-            1 for _t, _s, token, _cb, _p in self._parked
             if token is None or not token.cancelled
         )
         lane = self._lane
@@ -626,11 +622,12 @@ class Simulator:
 
         Called from the drain loop when the cursor reaches the wake
         cell.  Finds the declared span covering ``pos``, clips it to
-        ``boundary`` (the first out-of-order event or the ``until``
-        horizon), checks the observer guards (no probes, no tracer, no
-        blockers), hands the span to the twin and commits the clock for
-        what it consumed.  Every exit re-arms ``_fp_wake`` so the
-        per-event gate stays O(1) and always makes progress.
+        ``boundary`` (the first out-of-order event, the ``until``
+        horizon or the ``max_events`` budget), checks the observer
+        guards (no probes, no tracer, no blockers), hands the span to
+        the twin and commits the clock for what it consumed.  Every exit
+        re-arms ``_fp_wake`` so the per-stretch gate stays O(1) and
+        always makes progress.
         """
         wake = self._fp_wake
         runs = self._fp_runs
@@ -1000,15 +997,24 @@ class Simulator:
         """Run until the queue drains, ``until`` passes, or budget is hit.
 
         ``until`` is inclusive: events stamped exactly at ``until`` run.
-        On a horizon stop the clock advances to ``until`` so back-to-back
-        ``run`` calls behave like one longer run.
+        When the next live event lies beyond ``until`` the clock advances
+        to ``until``, so back-to-back ``run`` calls behave like one
+        longer run; a queue that drains first leaves the clock at its
+        last event.
 
-        The drain is one tight loop: each event costs a single heap pop
-        (plus one head peek when a horizon/budget is set), with
-        ``heappop``/the heap/the probe list held in locals.  ``stats``
-        counters accumulate in locals and synchronize when ``run``
-        returns — including on an exception escaping a callback — so
-        code that needs per-event counts live should use a probe.
+        One loop serves every bound.  Each pass either runs one head
+        entry (the heap head, or a lane head whose successor the heap
+        head precedes), or drains a stretch ``lane[pos:boundary]`` of
+        the in-order lane, where ``boundary`` is the first lane entry
+        behind the heap head, the ``until`` horizon, the ``max_events``
+        budget or the fast-path wake index, whichever comes first.
+        Inside a stretch an event costs one callback plus a cancel-log,
+        a probe and a heap-length check; a callback that pushes onto the
+        heap ends the stretch, so the next pass re-merges at the exact
+        ``(time, seq)`` slot.  ``stats`` counters accumulate in locals
+        and synchronize when ``run`` returns — including on an exception
+        escaping a callback — so code that needs per-event counts live
+        should use a probe.
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run)")
@@ -1028,11 +1034,10 @@ class Simulator:
             tracer.begin("kernel.run", sim_time=self._now, category="kernel")
             if tracer is not None else None
         )
-        # Fast-path gate: one `cursor >= fpw[0]` compare per event.  A
-        # run that starts with observers attached (probes, tracer) never
-        # batches, so it aliases the frozen never-wakes cell and pays
-        # nothing beyond the compare; observers arriving mid-run are
-        # caught by the per-attempt guards instead.
+        # Fast-path gate: one `pos >= fpw[0]` compare per stretch.  A run
+        # that starts with observers attached (probes, tracer) never
+        # batches, so it aliases the frozen never-wakes cell; observers
+        # arriving mid-run are caught by the per-attempt guards instead.
         fpw = (
             self._fp_wake
             if self._fp_record
@@ -1043,216 +1048,122 @@ class Simulator:
         )
         completed = False
         try:
-            if until is None and max_events is None:
-                # Fastest path: unconditional drain, merged two-lane pop.
-                # The lane is append-only while running (schedule/
-                # schedule_many only ever append or heappush), so the
-                # local consumption index cannot desync.
-                parked = self._parked
-                heappush = heapq.heappush
-                while True:
-                    if pos < len(lane):
-                        if heap:
-                            if heap[0] < lane[pos]:
-                                entry = heappop(heap)
-                            elif len(heap) <= 8:
-                                # Bulk-lane mode: a small far-off heap
-                                # (e.g. one pending checkpoint tick)
-                                # would otherwise tax EVERY lane pop
-                                # with a tuple compare.  Park the heap
-                                # in a side list (still visible to
-                                # mid-run snapshot()), binary-search
-                                # how far the lane runs before the
-                                # parked head, and drain that stretch
-                                # with only a heap-emptiness check per
-                                # event — any schedule into the (now
-                                # empty) heap makes it truthy, which
-                                # breaks the loop before the next pop,
-                                # preserving exact (time, seq) order.
-                                while heap:
-                                    parked.append(heappop(heap))
-                                boundary = bisect_left(
-                                    lane, parked[0], pos
-                                )
-                                while pos < boundary:
-                                    if fpw[0] <= pos:
-                                        pos, n = self._fp_attempt(
-                                            lane, pos, boundary
-                                        )
-                                        executed += n
-                                        if heap:
-                                            break
-                                        if n:
-                                            continue
-                                    entry = lane[pos]
-                                    pos += 1
-                                    if clog:
-                                        token = entry[2]
-                                        if token is not None and token.cancelled:
-                                            stats_obj.events_cancelled += 1
-                                            clog.discard(entry[1])
-                                            continue
-                                    self._now = entry[0]
-                                    callback = entry[3]
-                                    callback(self, entry[4])
-                                    executed += 1
-                                    if probes:
-                                        event = Event(
-                                            time=entry[0], seq=entry[1],
-                                            callback=callback,
-                                            payload=entry[4],
-                                        )
-                                        for probe in probes:
-                                            probe(self, event)
-                                    if heap:
-                                        break
-                                while parked:
-                                    heappush(heap, parked.pop())
-                                if pos >= 262144 and pos * 2 >= len(lane):
-                                    self._flush_lazy_snapshots()
-                                    if self._fp_record:
-                                        self._fp_shift(pos)
-                                    del lane[:pos]
-                                    pos = 0
-                                continue
-                            else:
-                                if fpw[0] <= pos:
-                                    # Lane entries up to the heap head
-                                    # are safe to batch even with a
-                                    # large heap pending.
-                                    pos, n = self._fp_attempt(
-                                        lane, pos,
-                                        bisect_left(lane, heap[0], pos),
-                                    )
-                                    executed += n
-                                    if n:
-                                        continue
-                                entry = lane[pos]
-                                pos += 1
-                        else:
-                            if fpw[0] <= pos:
-                                pos, n = self._fp_attempt(
-                                    lane, pos, len(lane)
-                                )
-                                executed += n
-                                if n:
-                                    continue
-                            entry = lane[pos]
-                            pos += 1
-                            # Amortized compaction: self-chaining sims
-                            # append one event per pop, so the consumed
-                            # prefix would otherwise grow without bound.
-                            if pos >= 262144 and pos * 2 >= len(lane):
-                                self._flush_lazy_snapshots()
-                                if self._fp_record:
-                                    self._fp_shift(pos)
-                                del lane[:pos]
-                                pos = 0
-                    elif heap:
+            while max_events is None or executed < max_events:
+                if pos < len(lane):
+                    entry = lane[pos]
+                    if heap and heap[0] < entry:
                         entry = heappop(heap)
-                    else:
-                        break
-                    if clog:
-                        token = entry[2]
-                        if token is not None and token.cancelled:
-                            # Purge accounting is live (not batched in a
-                            # local) so a mid-run snapshot() can read an
-                            # exact count; purges are off the hot path
-                            # (an empty cancel log proves no pending
-                            # event is cancelled), so this costs nothing
-                            # on cancel-free drains.
-                            stats_obj.events_cancelled += 1
-                            clog.discard(entry[1])
-                            continue
-                    self._now = entry[0]
-                    callback = entry[3]
-                    callback(self, entry[4])
-                    executed += 1
-                    if probes:
-                        event = Event(time=entry[0], seq=entry[1],
-                                      callback=callback, payload=entry[4])
-                        for probe in probes:
-                            probe(self, event)
-            else:
-                while True:
-                    if max_events is not None and executed >= max_events:
-                        break
-                    if fpw[0] <= pos and pos < len(lane) and max_events is None:
-                        # Horizon-bounded batching: the span is clipped
-                        # at the first entry beyond ``until`` (events at
-                        # exactly ``until`` are inclusive, and seqs are
-                        # always < inf, so the probe tuple sorts after
-                        # every entry stamped at the horizon).
-                        boundary = (
-                            bisect_left(lane, heap[0], pos)
-                            if heap else len(lane)
-                        )
-                        if until is not None:
-                            clip = bisect_left(
-                                lane, (until, _FP_INF), pos
-                            )
-                            if clip < boundary:
-                                boundary = clip
-                        pos, n = self._fp_attempt(lane, pos, boundary)
-                        executed += n
-                        if n:
-                            continue
-                    lane_head = lane[pos] if pos < len(lane) else None
-                    if heap and (lane_head is None or heap[0] < lane_head):
-                        entry = heap[0]
-                        from_heap = True
-                    elif lane_head is not None:
-                        entry = lane_head
-                        from_heap = False
-                    else:
-                        break
-                    token = entry[2]
-                    if token is not None and token.cancelled:
-                        if from_heap:
-                            heappop(heap)
-                        else:
-                            pos += 1
-                        stats_obj.events_cancelled += 1
-                        self._cancel_log.discard(entry[1])
-                        continue
-                    time = entry[0]
-                    if until is not None and time > until:
+                    elif until is not None and entry[0] > until:
+                        # The lane head is next and lies beyond the
+                        # horizon: purge it if cancelled, else stop.
+                        if clog:
+                            token = entry[2]
+                            if token is not None and token.cancelled:
+                                pos += 1
+                                stats_obj.events_cancelled += 1
+                                clog.discard(entry[1])
+                                continue
                         if until > self._now:
                             self._now = until
                         break
-                    if from_heap:
-                        heappop(heap)
-                    else:
+                    elif heap and (
+                        pos + 1 == len(lane) or heap[0] < lane[pos + 1]
+                    ):
+                        # A one-entry stretch (the common case behind a
+                        # busy heap) runs like a heap head, below.
                         pos += 1
                         if pos >= 262144 and pos * 2 >= len(lane):
-                            self._flush_lazy_snapshots()
-                            if self._fp_record:
-                                self._fp_shift(pos)
-                            del lane[:pos]
+                            self._drop_consumed(pos)
                             pos = 0
-                    self._now = time
-                    callback = entry[3]
-                    callback(self, entry[4])
-                    executed += 1
-                    if probes:
-                        event = Event(time=time, seq=entry[1],
-                                      callback=callback, payload=entry[4])
-                        for probe in probes:
-                            probe(self, event)
+                    else:
+                        # Drain the lane stretch [pos, boundary).  Keys
+                        # are unique, so tuple compares and bisects never
+                        # reach the token field; lane[pos + 1] precedes
+                        # the heap head here.
+                        n_heap = len(heap)
+                        boundary = (
+                            bisect_left(lane, heap[0], pos + 2)
+                            if n_heap else len(lane)
+                        )
+                        if until is not None and lane[boundary - 1][0] > until:
+                            # Entries at exactly ``until`` run; seqs are
+                            # finite, so they all sort before the probe.
+                            boundary = bisect_left(
+                                lane, (until, _FP_INF), pos + 1, boundary
+                            )
+                        if (max_events is not None
+                                and boundary - pos > max_events - executed):
+                            boundary = pos + (max_events - executed)
+                        if fpw[0] < boundary:
+                            if fpw[0] <= pos:
+                                pos, n = self._fp_attempt(lane, pos, boundary)
+                                if n:
+                                    executed += n
+                                    continue
+                            if fpw[0] < boundary:
+                                boundary = fpw[0]
+                        while pos < boundary:
+                            entry = lane[pos]
+                            pos += 1
+                            if clog:
+                                token = entry[2]
+                                if token is not None and token.cancelled:
+                                    stats_obj.events_cancelled += 1
+                                    clog.discard(entry[1])
+                                    continue
+                            self._now = entry[0]
+                            callback = entry[3]
+                            callback(self, entry[4])
+                            executed += 1
+                            if probes:
+                                event = Event(time=entry[0], seq=entry[1],
+                                              callback=callback,
+                                              payload=entry[4])
+                                for probe in probes:
+                                    probe(self, event)
+                            if len(heap) != n_heap:
+                                break
+                        # Amortized compaction: self-chaining sims append
+                        # one event per pop, so the consumed prefix would
+                        # otherwise grow without bound.
+                        if pos >= 262144 and pos * 2 >= len(lane):
+                            self._drop_consumed(pos)
+                            pos = 0
+                        continue
+                elif heap:
+                    entry = heappop(heap)
+                else:
+                    break
+                if clog:
+                    token = entry[2]
+                    if token is not None and token.cancelled:
+                        # Purge accounting is live (not batched in a
+                        # local) so a mid-run snapshot() can read an exact
+                        # count; an empty cancel log proves no pending
+                        # event is cancelled.
+                        stats_obj.events_cancelled += 1
+                        clog.discard(entry[1])
+                        continue
+                if until is not None and entry[0] > until:
+                    # Only a heap head gets here beyond the horizon.
+                    heapq.heappush(heap, entry)
+                    if until > self._now:
+                        self._now = until
+                    break
+                self._now = entry[0]
+                callback = entry[3]
+                callback(self, entry[4])
+                executed += 1
+                if probes:
+                    event = Event(time=entry[0], seq=entry[1],
+                                  callback=callback, payload=entry[4])
+                    for probe in probes:
+                        probe(self, event)
             completed = True
         finally:
             self._running = False
-            if self._parked:
-                # A callback raised out of bulk-lane mode: the parked
-                # heap entries are still pending — put them back.
-                for entry in self._parked:
-                    heapq.heappush(heap, entry)
-                del self._parked[:]
             if pos:
-                self._flush_lazy_snapshots()
-                if self._fp_record:
-                    self._fp_shift(pos)
-                del lane[:pos]  # compact the consumed prefix
+                self._drop_consumed(pos)
             self._lane_pos = 0
             stats_obj.events_executed += executed
             if run_span is not None:
@@ -1327,10 +1238,6 @@ class Simulator:
         # which is what keeps periodic-checkpoint overhead low on
         # large-queue drains.
         heap_part = list(self._heap)
-        if self._parked:
-            # run()'s bulk-lane mode holds heap entries in a side list;
-            # they are pending all the same.
-            heap_part += self._parked
         n_pending = len(heap_part) + (len(lane) - pos)
         # O(cancelled), not O(pending): the cancel log is maintained
         # eagerly by CancelToken.cancel() and pruned on purge.  A token
@@ -1401,7 +1308,6 @@ class Simulator:
         # a heap pop per event — this is what makes resume-after-crash
         # cheaper than restart in the resilience benchmarks.
         self._heap = []
-        del self._parked[:]  # always empty outside run(); belt and braces
         self._lane = sorted(snap.entries)
         self._lane_pos = 0
         # A restore drops the span records: the rebuilt lane's indices

@@ -15,7 +15,6 @@ analytics cluster).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -23,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.events import FunctionCheckpoint, Simulator
-from ..core.macro import as_macro
 from ..core.rng import RngLike, resolve_rng
 
 
@@ -229,53 +227,13 @@ class ClusterSimulator:
             if tracer is not None:
                 tracer.emit("cluster.request", t, finish, i=i, server=srv)
 
-        def arrive_batch(s: Simulator, run) -> int:
-            # Macro twin of `arrive` (see repro.core.macro): consume the
-            # arrival train up to the hazard horizon — the earliest
-            # completion this batch itself schedules.  An arrival
-            # stamped at or before that completion is still safe to
-            # consume (the pre-scheduled train carries older sequence
-            # numbers, so at a time tie the arrival executes first on
-            # the general path too); the first arrival strictly beyond
-            # it must wait for the completion to decrement its queue.
-            nonlocal busy, rr
-            if tracer is not None:
-                return 0  # per-request span emission needs the kernel loop
-            horizon = math.inf
-            k = 0
-            for t, i in run:
-                if t > horizon:
-                    break
-                if balancer is Balancer.RANDOM:
-                    srv = choices[i]
-                elif balancer is Balancer.ROUND_ROBIN:
-                    srv = rr
-                    rr = (rr + 1) % n_servers
-                elif balancer is Balancer.JSQ:
-                    srv = qlen.index(min(qlen))
-                else:  # POWER_OF_TWO
-                    a, b = pairs[i]
-                    srv = a if qlen[a] <= qlen[b] else b
-                service = service_units[i] / rates[srv]
-                f = free_at[srv]
-                finish = (t if t > f else f) + service
-                free_at[srv] = finish
-                qlen[srv] += 1
-                s.schedule_at(finish, complete, srv, cancellable=False)
-                latencies[i] = finish - t
-                busy += service
-                if finish < horizon:
-                    horizon = finish
-                k += 1
-            return k
-
-        as_macro(arrive, arrive_batch)
-        # The whole arrival train is pre-scheduled as one in-order run:
-        # O(1) pops on the general path, one contiguous macro run for
-        # the batch twin above on the fast path.  Completions always
-        # carry younger seqs than arrivals, so a completion stamped
-        # exactly at an arrival time runs after that arrival; exact ties
-        # are measure-zero under the continuous service distribution.
+        # The whole arrival train is pre-scheduled as one in-order run
+        # in the kernel's sorted lane (O(1) pops), taking its seqs in
+        # arrival order before any completion exists.  Completions
+        # always carry younger seqs than arrivals, so a completion
+        # stamped exactly at an arrival time runs after that arrival;
+        # exact ties are measure-zero under the continuous service
+        # distribution.
         kernel.schedule_batch(
             arrival_times, arrive, payloads=range(n_requests)
         )

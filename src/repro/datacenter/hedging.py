@@ -25,12 +25,10 @@ sample, which is the cross-validation.
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 
 from ..core.events import FunctionCheckpoint, Simulator
-from ..core.macro import as_macro
 from ..core.rng import RngLike, resolve_rng
 from .latency import LatencyDistribution
 
@@ -161,41 +159,6 @@ def kernel_hedged_latencies(
         req.primary = s.schedule(primary_t[i], finish_primary, req)
         req.hedge = s.schedule(trigger, hedge, req)
         requests.append(req)
-
-    def launch_batch(s: Simulator, run) -> int:
-        # Macro twin of ``launch`` (contract: repro.core.macro).
-        # Request i's primary lands at t_i + primary_t[i], before the
-        # next launch at t_i + trigger, whenever the primary beats the
-        # trigger — the common (~trigger_quantile) case — so a batch
-        # usually cannot get past its first hazard horizon.  Decline
-        # those up front: the kernel backs off instead of paying
-        # attempt overhead to consume one entry.
-        first = run[0][1]
-        if len(run) < 2 or primary_t[first] < trigger:
-            return 0
-        horizon = math.inf
-        k = 0
-        for t, i in run:
-            if t > horizon:
-                break
-            req = _Request()
-            req.i = i
-            req.start = t
-            req.backup = None
-            req.hedge = None
-            req.primary = s.schedule_at(t + primary_t[i], finish_primary, req)
-            req.hedge = s.schedule_at(t + trigger, hedge, req)
-            requests.append(req)
-            k += 1
-            p = t + primary_t[i]
-            h = t + trigger
-            if p < horizon:
-                horizon = p
-            if h < horizon:
-                horizon = h
-        return k
-
-    as_macro(launch, launch_batch)
 
     # Requests are independent; stagger starts by the trigger so the
     # kernel interleaves many outstanding requests (a realistic load).

@@ -20,7 +20,6 @@ the NoC to the paper's "energy is largely spent moving data" argument
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
@@ -29,7 +28,6 @@ import numpy as np
 
 from ..core.energy import EnergyLedger
 from ..core.events import FunctionCheckpoint, Simulator
-from ..core.macro import as_macro
 from .topology import xy_route
 
 Coord = Tuple[int, int]
@@ -301,46 +299,10 @@ class MeshNoC:
             injected += 1
             enqueue(s, packet, s.now)
 
-        def inject_batch(s: Simulator, run) -> int:
-            # Macro twin of ``inject`` (contract: repro.core.macro):
-            # inline enqueue/schedule_departure with the entry's own
-            # timestamp standing in for ``s.now`` (stale inside a
-            # batch), stopping at the hazard horizon — the earliest
-            # departure this batch scheduled.  Consuming a tie is safe:
-            # pending injections carry older seqs than any departure
-            # scheduled here, so they run first in scalar order too.
-            nonlocal injected
-            horizon = math.inf
-            k = 0
-            for t, packet in run:
-                if t > horizon:
-                    break
-                injected += 1
-                link = (packet.route[packet.hop_index],
-                        packet.route[packet.hop_index + 1])
-                state = links.get(link)
-                if state is None:
-                    state = links[link] = _LinkState()
-                state.queue.append((t + hop_lat - 1.0, packet))
-                if not state.busy:
-                    ready = state.queue[0][0]
-                    next_free = state.next_free
-                    depart = ready if ready > next_free else next_free
-                    if t > depart:
-                        depart = t
-                    state.busy = True
-                    s.schedule_at(depart, forward, state, cancellable=False)
-                    if depart < horizon:
-                        horizon = depart
-                k += 1
-            return k
-
-        as_macro(inject, inject_batch)
-
         # Injections align to the next cycle boundary (the model is
         # cycle-approximate even though the kernel clock is a float);
         # a time-sorted workload bulk-loads the kernel's in-order lane
-        # as one contiguous run for the macro fast path.
+        # in O(n), one seq per packet in injection order.
         kernel.schedule_batch(
             np.ceil(injection_arr).tolist(), inject, payloads=packets
         )

@@ -15,8 +15,8 @@ replay-a-workload tools (ROADMAP item 5):
 * :mod:`repro.traces.stats` — drmemtrace-style online interval
   statistics, chunk-size invariant by construction.
 * :mod:`repro.traces.replay` — sinks that feed traces into the
-  existing simulators through ``schedule_batch`` + macro twins, so the
-  kernel fast paths apply to replayed traffic, with a deterministic
+  existing simulators (the NoC through the event kernel, the others in
+  one plain loop each), with a deterministic
   :meth:`ReplayResult.digest` for cross-mode/cross-backend parity.
 
 The scenario library (:mod:`repro.scenarios`) names bundles of

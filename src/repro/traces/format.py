@@ -54,10 +54,9 @@ Three kinds, mirroring the paper's emerging-apps tables (A.1/A.2):
   immediate.
 
 Timestamps must be nondecreasing across the whole file (enforced at
-write time): replay bulk-loads each block with
-:meth:`~repro.core.events.Simulator.schedule_batch`, which keeps the
-train in the kernel's in-order lane where the macro fast path
-(:mod:`repro.core.macro`) can drain it in batches.
+write time): replay walks each block in timestamp order, and the NoC
+sink bulk-loads it with :meth:`~repro.core.events.Simulator.
+schedule_batch` into the kernel's in-order lane in O(n).
 
 Two read paths share one validation layer: :meth:`TraceReader.blocks`
 yields ``(kind, numpy structured array)`` per block — the fast path

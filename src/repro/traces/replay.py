@@ -4,10 +4,10 @@ The second input mode for every simulator family: instead of drawing a
 synthetic workload at run time, a *sink* replays a trace
 (:mod:`repro.traces.format`).  Only the ``noc`` sink starts the event
 kernel: its packets hop through :class:`repro.interconnect.noc.MeshNoC`,
-which loads them with :meth:`Simulator.schedule_batch` and a macro twin
-(:meth:`repro.interconnect.noc.MeshNoC.run`), so
-``REPRO_FASTPATH=off|auto`` produce byte-identical results, which the
-golden suite pins per scenario.  The ``queue``, ``memory`` and ``cpu``
+which bulk-loads them with :meth:`Simulator.schedule_batch`
+(:meth:`repro.interconnect.noc.MeshNoC.run`); ``REPRO_FASTPATH=off|auto``
+produce byte-identical results, which the golden suite pins per
+scenario.  The ``queue``, ``memory`` and ``cpu``
 sinks walk their records in one loop, without the kernel, and keep the
 order it would run them in: stable by timestamp, with a timestamp
 before 0 a ``ValueError`` (the ``noc`` sink shares that boundary).

@@ -295,12 +295,12 @@ class TestRunGuards:
         assert sim.now == 4.0
 
 
-class TestPendingCountsIncludeParked:
-    """Events parked by run()'s bulk-lane mode stay visible (PR5 fix:
-    ``__len__`` previously missed ``_parked``, disagreeing with
-    ``pending_live`` mid-run)."""
+class TestPendingCountsMidRun:
+    """Mid-run pending counts include a far-off heap entry the drain
+    stretches past (PR5 fix: ``__len__`` once disagreed with
+    ``pending_live`` while the drain held that entry aside)."""
 
-    def test_len_and_live_count_parked_entries(self):
+    def test_len_and_live_count_far_heap_entry(self):
         sim = Simulator()
 
         def noop(s, p):
@@ -309,24 +309,22 @@ class TestPendingCountsIncludeParked:
         seen = {}
 
         def check(s, p):
-            seen["parked"] = len(s._parked)
             seen["len"] = len(s)
             seen["live"] = s.pending_live()
 
         for i in range(1, 21):
-            # The checker is a *lane* event so it observes mid-stretch
-            # state (parked entries rejoin the heap between stretches).
+            # The checker is a *lane* event so it observes the counts
+            # from inside a lane stretch.
             sim.schedule_at(float(i), check if i == 5 else noop)
         sim.schedule_at(15.5, noop)  # behind the lane tail -> heap
         sim.run()
-        assert seen["parked"] == 1, "far-off heap entry was not parked"
         # run() keeps its lane cursor in a local, so mid-run both counts
-        # still include the consumed lane prefix (20 lane + 1 parked) —
-        # but they agree with each other, parked entry included.  Before
+        # still include the consumed lane prefix (20 lane + 1 heap) —
+        # but they agree with each other, heap entry included.  Before
         # the PR5 fix ``len`` read 20 while ``pending_live`` read 21.
         assert seen["len"] == seen["live"] == 21
 
-    def test_parked_cancelled_entry_counted_by_len_not_live(self):
+    def test_cancelled_far_heap_entry_in_len_not_live(self):
         sim = Simulator()
 
         def noop(s, p):
@@ -335,7 +333,6 @@ class TestPendingCountsIncludeParked:
         seen = {}
 
         def check(s, p):
-            seen["parked"] = len(s._parked)
             seen["len"] = len(s)
             seen["live"] = s.pending_live()
 
@@ -344,9 +341,8 @@ class TestPendingCountsIncludeParked:
         token = sim.schedule_at(15.5, noop)
         token.cancel()
         sim.run()
-        assert seen["parked"] == 1
         assert seen["len"] == 21  # cancelled-but-unpurged still pending
-        assert seen["live"] == 20  # ...but not live, even while parked
+        assert seen["live"] == 20  # ...but not live
 
 
 class TestRepr:
