@@ -5,7 +5,9 @@ datacenter cluster queues (:mod:`repro.datacenter.cluster`), kernel-path
 hedging (:mod:`repro.datacenter.hedging`), autoscaling fleet dynamics
 (:mod:`repro.datacenter.autoscale`), the mesh NoC
 (:mod:`repro.interconnect.noc`), and the intermittent/duty-cycled sensor
-models (:mod:`repro.sensor.harvest`, :mod:`repro.sensor.duty`).  Design
+models (:mod:`repro.sensor.harvest`, :mod:`repro.sensor.duty`).  The
+cluster and NoC models walk the same event order privately when
+:func:`kernel_unobserved` says nothing could observe a kernel.  Design
 points:
 
 * Events are ``(time, sequence, token, callback, payload)`` tuples in a
@@ -361,6 +363,23 @@ def remove_init_hook(hook: Callable[["Simulator"], None]) -> None:
         _INIT_HOOKS.remove(hook)
     except ValueError:
         pass
+
+
+def kernel_unobserved(sim: Optional["Simulator"]) -> bool:
+    """True when a model may walk its own event order instead of a kernel.
+
+    Nothing could see the difference: the caller passed no ``sim`` (so no
+    fault injector, probe, checkpoint or co-simulated model shares it),
+    no init hook would touch the private kernel a model would build, and
+    the session registry carries no span tracer.  Models that walk keep
+    the kernel's ``(time, seq)`` order exactly and report the same
+    ``sim.metrics`` instruments, so the two paths differ only in speed.
+    """
+    return (
+        sim is None
+        and not _INIT_HOOKS
+        and getattr(default_registry(), "tracer", None) is None
+    )
 
 
 class Simulator:

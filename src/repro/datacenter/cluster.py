@@ -4,24 +4,32 @@ An event-driven multi-server queueing model on the core simulation
 kernel (:class:`repro.core.events.Simulator`): Poisson arrivals,
 per-server FCFS queues, pluggable load-balancing policies (random,
 round-robin, join-shortest-queue, power-of-two choices), and optional
-server heterogeneity/stragglers.  Arrivals and completions are kernel
-events, so the simulator composes with the shared instrumentation
-(per-component counters and latency quantiles on ``sim.metrics``) and
-with :class:`repro.crosscut.faults.KernelFaultInjector` (transient
-server degradation).  Validated against M/M/1 and M/M/c closed forms,
-it underpins the datacenter experiments (E07's queueing tail, E22's
-analytics cluster).
+server heterogeneity/stragglers.  On the kernel path arrivals and
+completions are kernel events, so the simulator composes with the
+shared instrumentation (per-component counters and latency quantiles on
+``sim.metrics``), span tracers, checkpoints and
+:class:`repro.crosscut.faults.KernelFaultInjector` (transient server
+degradation).  When :func:`repro.core.events.kernel_unobserved` holds
+(no ``sim`` passed, no init hook, no session tracer) the run instead
+walks its arrivals in one loop in the kernel's event order, with the
+same results and ``cluster.*`` metrics.  Validated against M/M/1 and
+M/M/c closed forms, it underpins the datacenter experiments (E07's
+queueing tail, E22's analytics cluster).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
+from itertools import cycle, repeat
 from typing import Optional
 
 import numpy as np
 
-from ..core.events import FunctionCheckpoint, Simulator
+from ..core.events import FunctionCheckpoint, Simulator, kernel_unobserved
+from ..core.instrument import default_registry
 from ..core.rng import RngLike, resolve_rng
 
 
@@ -85,7 +93,10 @@ class ClusterSimulator:
 
     Because the per-request random draws (balancer choice, service time)
     happen in arrival order, results are reproducible for a given seed
-    regardless of how completions interleave.
+    regardless of how completions interleave.  The same draws feed the
+    walk (:meth:`_walk`) that :meth:`run` takes when
+    :func:`~repro.core.events.kernel_unobserved` holds; the kernel path
+    is its differential reference.
     """
 
     def __init__(self, config: ClusterConfig = ClusterConfig()) -> None:
@@ -159,40 +170,47 @@ class ClusterSimulator:
         """Simulate ``n_requests`` Poisson arrivals at ``arrival_rate``.
 
         Pass ``sim`` to run on a caller-owned kernel (shared metrics,
-        armed fault injectors, co-simulated models); otherwise a private
-        one is created.
+        armed fault injectors, co-simulated models).  Otherwise the run
+        walks its arrivals itself when nothing observes the kernel
+        (:func:`~repro.core.events.kernel_unobserved`), and creates a
+        private kernel when something does.
         """
         cfg = self.config
-        if arrival_rate <= 0:
-            raise ValueError("arrival rate must be positive")
+        if not math.isfinite(arrival_rate) or arrival_rate <= 0:
+            raise ValueError(
+                f"arrival rate must be positive and finite, got {arrival_rate}"
+            )
         if n_requests < 1:
             raise ValueError("need at least one request")
         gen = resolve_rng(rng)
-        kernel = sim if sim is not None else Simulator()
-        kernel.attach(self)
-        self.reset()
-        stats = self._stats
-        arrived = stats.counter("requests")
-        completed = stats.counter("completions")
-        lat_hist = stats.histogram("latency_s")
-        # Span tracing: one attribute probe per run, hoisted out of the
-        # arrival hot path; per-request spans are emitted *completed* at
-        # arrival time (the finish instant is known then), which is what
-        # lets them replay identically after a checkpoint restore.
-        tracer = getattr(kernel.metrics, "tracer", None)
-
-        arrivals = np.cumsum(gen.exponential(1.0 / arrival_rate, n_requests))
-        arrival_times = arrivals.tolist()
+        arrival_times = np.cumsum(
+            gen.exponential(1.0 / arrival_rate, n_requests)
+        ).tolist()
         # Pre-draw the per-request randomness in batches (balancer choice
         # and a unit-exponential service draw scaled by the server's
         # *current* rate at arrival time, so transient faults still bite).
         service_units = gen.standard_exponential(n_requests).tolist()
         balancer = cfg.balancer
         n_servers = cfg.n_servers
+        picks: Optional[list] = None
         if balancer is Balancer.RANDOM:
-            choices = gen.integers(n_servers, size=n_requests).tolist()
+            picks = gen.integers(n_servers, size=n_requests).tolist()
         elif balancer is Balancer.POWER_OF_TWO:
-            pairs = gen.integers(n_servers, size=(n_requests, 2)).tolist()
+            picks = gen.integers(n_servers, size=(n_requests, 2)).tolist()
+        if kernel_unobserved(sim):
+            self._stats = default_registry().scoped("cluster")
+            self.reset()
+            latencies, busy = self._walk(arrival_times, service_units, picks)
+            return self._result(latencies, busy, arrival_times)
+
+        kernel = sim if sim is not None else Simulator()
+        kernel.attach(self)
+        self.reset()
+        # Span tracing: one attribute probe per run, hoisted out of the
+        # arrival hot path; per-request spans are emitted *completed* at
+        # arrival time (the finish instant is known then), which is what
+        # lets them replay identically after a checkpoint restore.
+        tracer = getattr(kernel.metrics, "tracer", None)
         rates = self._rates
         free_at = self._free_at
         qlen = self._qlen
@@ -207,14 +225,14 @@ class ClusterSimulator:
             nonlocal busy, rr
             t = s.now
             if balancer is Balancer.RANDOM:
-                srv = choices[i]
+                srv = picks[i]
             elif balancer is Balancer.ROUND_ROBIN:
                 srv = rr
                 rr = (rr + 1) % n_servers
             elif balancer is Balancer.JSQ:
                 srv = qlen.index(min(qlen))
             else:  # POWER_OF_TWO
-                a, b = pairs[i]
+                a, b = picks[i]
                 srv = a if qlen[a] <= qlen[b] else b
             service = service_units[i] / rates[srv]
             f = free_at[srv]
@@ -231,9 +249,7 @@ class ClusterSimulator:
         # in the kernel's sorted lane (O(1) pops), taking its seqs in
         # arrival order before any completion exists.  Completions
         # always carry younger seqs than arrivals, so a completion
-        # stamped exactly at an arrival time runs after that arrival;
-        # exact ties are measure-zero under the continuous service
-        # distribution.
+        # stamped exactly at an arrival time runs after that arrival.
         kernel.schedule_batch(
             arrival_times, arrive, payloads=range(n_requests)
         )
@@ -271,18 +287,89 @@ class ClusterSimulator:
                 kernel.run()
         else:
             kernel.run()
+        return self._result(latencies, busy, arrival_times)
+
+    def _result(
+        self,
+        latencies: np.ndarray,
+        busy: float,
+        arrival_times: list[float],
+    ) -> ClusterResult:
+        """Metrics, :meth:`finish` and the result, shared by both paths."""
+        stats = self._stats
+        n_requests = len(latencies)
         # Every arrival runs and every request completes (the kernel
         # drains), so the counters batch to exact totals and the
         # latency histogram sees the same values in the same order.
-        arrived.inc(n_requests)
-        completed.inc(n_requests)
-        lat_hist.observe_many(latencies)
+        stats.counter("requests").inc(n_requests)
+        stats.counter("completions").inc(n_requests)
+        stats.histogram("latency_s").observe_many(latencies)
         self.finish()
 
-        makespan = max(max(free_at), float(arrivals[-1]))
-        utilization = busy / (makespan * cfg.n_servers)
+        makespan = max(max(self._free_at), arrival_times[-1])
+        utilization = busy / (makespan * self.config.n_servers)
         stats.gauge("utilization").set(utilization)
         return ClusterResult(latencies=latencies, utilization=utilization)
+
+    def _walk(
+        self,
+        arrival_times: list[float],
+        service_units: list[float],
+        picks: Optional[list],
+    ) -> tuple[np.ndarray, float]:
+        """The kernel path's event order in one loop over the arrivals.
+
+        ``random`` and ``round_robin`` never read queue lengths, so their
+        completions need not run at all.  ``jsq`` and ``power_of_two``
+        keep in-flight ``(finish, server)`` completions in a heap and
+        retire those finishing strictly before each arrival: at a tie
+        the kernel ran the bulk-loaded arrival first.  Needs the server
+        state :meth:`reset` sets up; returns ``(latencies, busy
+        seconds)``.
+        """
+        balancer = self.config.balancer
+        n_servers = self.config.n_servers
+        rates = self._rates
+        free_at = self._free_at
+        qlen = self._qlen
+        latencies = []
+        busy = 0.0
+        if balancer is Balancer.RANDOM or balancer is Balancer.ROUND_ROBIN:
+            servers = (
+                picks if balancer is Balancer.RANDOM
+                else cycle(range(n_servers))
+            )
+            for t, unit, srv in zip(arrival_times, service_units, servers):
+                service = unit / rates[srv]
+                f = free_at[srv]
+                finish = (t if t > f else f) + service
+                free_at[srv] = finish
+                latencies.append(finish - t)
+                busy += service
+            return np.array(latencies), busy
+        jsq = balancer is Balancer.JSQ
+        pairs = repeat(None) if jsq else picks
+        inflight: list[tuple[float, int]] = []
+        for t, unit, pair in zip(arrival_times, service_units, pairs):
+            while inflight and inflight[0][0] < t:
+                qlen[heappop(inflight)[1]] -= 1
+            if jsq:
+                srv = qlen.index(min(qlen))
+            else:
+                a, b = pair
+                srv = a if qlen[a] <= qlen[b] else b
+            service = unit / rates[srv]
+            f = free_at[srv]
+            finish = (t if t > f else f) + service
+            free_at[srv] = finish
+            qlen[srv] += 1
+            heappush(inflight, (finish, srv))
+            latencies.append(finish - t)
+            busy += service
+        # The kernel drains: every completion runs in the end.
+        for _, srv in inflight:
+            qlen[srv] -= 1
+        return np.array(latencies), busy
 
 
 # ---------------------------------------------------------------------------

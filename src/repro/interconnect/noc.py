@@ -6,12 +6,17 @@ the canonical NoC behaviours: low-load latency ~ hop count x router
 delay, queueing growth with injection rate, and saturation throughput
 differences between traffic patterns.
 
-The simulator runs on the shared event kernel
+:meth:`MeshNoC.run` has two paths with one event order.  The *kernel
+path* runs on the shared event kernel
 (:class:`repro.core.events.Simulator`): packet injections and link
-departures are scheduled events rather than a hand-rolled per-cycle
-loop, so idle stretches cost nothing, per-component counters/latency
-quantiles land on ``sim.metrics``, and the kernel's fault hooks can
-stall links mid-flight (:meth:`MeshNoC.inject_fault`).
+departures are scheduled events, so the kernel's fault hooks can stall
+links mid-flight (:meth:`MeshNoC.inject_fault`), checkpoints capture
+the run, and probes and span tracers see every hop.  The *walk* keeps
+the same ``(time, seq)`` order on a private per-cycle calendar without
+scheduling an event per hop.  A run walks exactly when
+:func:`repro.core.events.kernel_unobserved` holds (no ``sim`` passed,
+no init hook, no session tracer), when nothing could tell the paths
+apart.  Both report the same ``noc.*`` metrics on the session registry.
 
 Energy: every hop charges router + link energy to a ledger, connecting
 the NoC to the paper's "energy is largely spent moving data" argument
@@ -20,6 +25,7 @@ the NoC to the paper's "energy is largely spent moving data" argument
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
@@ -27,7 +33,8 @@ from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.energy import EnergyLedger
-from ..core.events import FunctionCheckpoint, Simulator
+from ..core.events import FunctionCheckpoint, Simulator, kernel_unobserved
+from ..core.instrument import default_registry
 from .topology import xy_route
 
 Coord = Tuple[int, int]
@@ -123,7 +130,11 @@ class NoCResult:
 
 
 class _LinkState:
-    """FIFO queue plus serialization state for one directed link."""
+    """FIFO queue plus serialization state for one directed link.
+
+    The walk (:meth:`MeshNoC._walk`) reads only ``queue`` and ``busy``:
+    without faults a link's next free cycle never decides a departure.
+    """
 
     __slots__ = ("queue", "next_free", "busy")
 
@@ -139,11 +150,13 @@ class MeshNoC:
     Each directed link serves one packet per cycle; a packet becomes
     eligible to depart ``hop_latency - 1`` cycles after arriving at the
     link and lands at the next router one cycle after departing, so an
-    uncontended hop costs exactly ``hop_latency``.  Departures are
-    kernel events (one per hop) rather than a per-cycle poll of every
-    link, which is both faster at low load and what lets the shared
-    instrumentation/fault machinery observe the NoC like any other
-    simulator.
+    uncontended hop costs exactly ``hop_latency``.  On the kernel path
+    departures are kernel events (one per hop), which is what lets the
+    shared instrumentation/fault machinery observe the NoC like any
+    other simulator.  When :func:`~repro.core.events.kernel_unobserved`
+    holds, :meth:`run` walks the same departures on a per-cycle calendar
+    instead (:meth:`_walk`); the kernel path is its differential
+    reference.
     """
 
     def __init__(self, config: NoCConfig = NoCConfig()) -> None:
@@ -198,49 +211,70 @@ class MeshNoC:
         """Inject packets (``pairs[i]`` at ``injection_times[i]``, default
         all at cycle 0 back-to-back per source) and run to drain (or to
         the ``max_cycles`` horizon; undelivered packets count as
-        dropped).  Pass ``sim`` to share a caller-owned kernel, and
-        ``route_fn`` to swap the routing policy (default
-        :func:`xy_route`; any ``(src, dst) -> [coords]`` path on mesh
-        links works — the NoC routing championship plugs in here)."""
+        dropped; the horizon is inclusive).  Pass ``sim`` to share a
+        caller-owned kernel, and ``route_fn`` to swap the routing policy
+        (default :func:`xy_route`; any ``(src, dst) -> [coords]`` path on
+        mesh links works — the NoC routing championship plugs in here).
+        Injection times must be finite and non-negative and
+        ``max_cycles`` non-negative (``ValueError`` otherwise).  Without
+        ``sim`` the run walks its own event order when nothing observes
+        the kernel (see the class docstring)."""
         cfg = self.config
         if route_fn is None:
             route_fn = xy_route
+        if max_cycles < 0:
+            raise ValueError(f"max_cycles must be >= 0, got {max_cycles}")
         if injection_times is None:
             injection_arr = np.zeros(len(pairs))
         else:
             injection_arr = np.asarray(injection_times, dtype=float)
             if len(injection_arr) != len(pairs):
                 raise ValueError("injection_times must match pairs")
+            bad = np.flatnonzero(
+                ~np.isfinite(injection_arr) | (injection_arr < 0)
+            )
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(
+                    f"injection_times[{i}] = {injection_arr[i]} is not a "
+                    "finite cycle >= 0"
+                )
         packets: list[Packet] = []
         route_cache: Dict[Tuple[Coord, Coord], list[Coord]] = {}
-        for (src, dst), t in zip(pairs, injection_arr):
-            self._check_coord(src)
-            self._check_coord(dst)
-            if src == dst:
-                raise ValueError("self-loop packet")
+        for (src, dst), t in zip(pairs, injection_arr.tolist()):
             route = route_cache.get((src, dst))
             if route is None:
+                self._check_coord(src)
+                self._check_coord(dst)
+                if src == dst:
+                    raise ValueError("self-loop packet")
                 route = route_cache[(src, dst)] = route_fn(src, dst)
             packets.append(
-                Packet(src=src, dst=dst, injected_at=float(t), route=route)
+                Packet(src=src, dst=dst, injected_at=t, route=route)
             )
+        # Injections align to the next cycle boundary (the model is
+        # cycle-approximate even though the kernel clock is a float).
+        inject_at = np.ceil(injection_arr).tolist()
+        until = float(max_cycles)
+        if kernel_unobserved(sim):
+            self._stats = default_registry().scoped("noc")
+            self.reset()
+            injected, hops, delivered = self._walk(
+                packets, inject_at, until, route_cache
+            )
+            return self._result(len(packets), injected, hops, delivered,
+                                until)
 
         kernel = sim if sim is not None else Simulator()
         kernel.attach(self)
         self.reset()
-        stats = self._stats
-        injected_ctr = stats.counter("packets_injected")
-        hops_ctr = stats.counter("hops_forwarded")
-        lat_hist = stats.histogram("packet_latency_cycles")
         # One attribute probe per run; per-packet spans are emitted
         # completed at delivery (checkpoint-replay safe).
         tracer = getattr(kernel.metrics, "tracer", None)
 
         links = self._links
-        ledger = EnergyLedger()
         delivered: list[Packet] = []
         hop_lat = cfg.hop_latency
-        last_delivery = 0.0
         hops = 0
         injected = 0
 
@@ -257,7 +291,7 @@ class MeshNoC:
             s.schedule_at(depart, forward, state, cancellable=False)
 
         def forward(s: Simulator, state: _LinkState) -> None:
-            nonlocal last_delivery, hops
+            nonlocal hops
             state.busy = False
             if not state.queue:
                 return
@@ -274,8 +308,6 @@ class MeshNoC:
                 at = s.now + 1.0
                 packet.delivered_at = at
                 delivered.append(packet)
-                if at > last_delivery:
-                    last_delivery = at
                 if tracer is not None:
                     tracer.emit("noc.packet", packet.injected_at, at,
                                 hops=packet.hop_index)
@@ -299,13 +331,9 @@ class MeshNoC:
             injected += 1
             enqueue(s, packet, s.now)
 
-        # Injections align to the next cycle boundary (the model is
-        # cycle-approximate even though the kernel clock is a float);
-        # a time-sorted workload bulk-loads the kernel's in-order lane
+        # A time-sorted workload bulk-loads the kernel's in-order lane
         # in O(n), one seq per packet in injection order.
-        kernel.schedule_batch(
-            np.ceil(injection_arr).tolist(), inject, payloads=packets
-        )
+        kernel.schedule_batch(inject_at, inject, payloads=packets)
 
         # Checkpoint support.  Pending departure events carry _LinkState
         # objects as payloads, so restore must roll the *same* state
@@ -313,7 +341,6 @@ class MeshNoC:
         # snapshot); packets are likewise shared by identity.
         def _ckpt_snapshot():
             return (
-                last_delivery,
                 hops,
                 injected,
                 len(delivered),
@@ -327,19 +354,19 @@ class MeshNoC:
             )
 
         def _ckpt_restore(saved):
-            nonlocal last_delivery, hops, injected
-            last_delivery, hops, injected = saved[0], saved[1], saved[2]
-            del delivered[saved[3]:]
-            for packet, (hop_index, delivered_at) in zip(packets, saved[4]):
+            nonlocal hops, injected
+            hops, injected = saved[0], saved[1]
+            del delivered[saved[2]:]
+            for packet, (hop_index, delivered_at) in zip(packets, saved[3]):
                 packet.hop_index = hop_index
                 packet.delivered_at = delivered_at
             links.clear()
-            for link, state, queue, next_free, busy in saved[5]:
+            for link, state, queue, next_free, busy in saved[4]:
                 state.queue = deque(queue)
                 state.next_free = next_free
                 state.busy = busy
                 links[link] = state
-            self.faults_injected = saved[6]
+            self.faults_injected = saved[5]
 
         kernel.register_checkpointable(
             FunctionCheckpoint(_ckpt_snapshot, _ckpt_restore)
@@ -347,29 +374,148 @@ class MeshNoC:
         if tracer is not None:
             with tracer.span("noc.run", sim=kernel, category="model",
                              packets=len(packets)):
-                kernel.run(until=float(max_cycles))
+                kernel.run(until=until)
         else:
-            kernel.run(until=float(max_cycles))
-        # Per-hop/injection accounting batches exactly: the locals count
-        # only callbacks that actually executed inside the horizon.
-        injected_ctr.inc(injected)
-        hops_ctr.inc(hops)
+            kernel.run(until=until)
+        return self._result(len(packets), injected, hops, delivered, until)
+
+    def _result(
+        self,
+        n_packets: int,
+        injected: int,
+        hops: int,
+        delivered: list[Packet],
+        until: float,
+    ) -> NoCResult:
+        """Metrics, energy, :meth:`finish` and the result, shared by both
+        paths."""
+        cfg = self.config
+        stats = self._stats
+        # Per-hop/injection accounting batches exactly: the counts cover
+        # only steps that actually ran inside the horizon.
+        stats.counter("packets_injected").inc(injected)
+        stats.counter("hops_forwarded").inc(hops)
+        ledger = EnergyLedger()
         if hops:
             ledger.charge(
                 "noc.router", cfg.energy_per_hop_router_j * hops, ops=hops
             )
             ledger.charge("noc.link", cfg.energy_per_hop_link_j * hops)
-        lat_hist.observe_many(
+        stats.histogram("packet_latency_cycles").observe_many(
             np.fromiter((p.latency for p in delivered), dtype=float,
                         count=len(delivered))
         )
         self.finish()
 
-        dropped = len(packets) - len(delivered)
-        cycles = last_delivery if dropped == 0 else float(max_cycles)
+        dropped = n_packets - len(delivered)
+        # Deliveries run in time order, so the last one is the latest.
+        last_delivery = delivered[-1].delivered_at if delivered else 0.0
+        cycles = last_delivery if dropped == 0 else until
         return NoCResult(
             delivered=delivered, dropped=dropped, cycles=cycles, ledger=ledger
         )
+
+    def _walk(
+        self,
+        packets: list[Packet],
+        inject_at: list[float],
+        until: float,
+        route_cache: Dict[Tuple[Coord, Coord], list[Coord]],
+    ) -> tuple[int, int, list[Packet]]:
+        """The kernel path's event order on a per-cycle calendar.
+
+        ``calendar[t]`` lists the links departing at cycle ``t`` in the
+        order the kernel would have scheduled them, i.e. in seq order.
+        At each cycle the packets due then inject first, in input order
+        (bulk-loaded, they hold the lowest seqs), then that cycle's
+        departures run in list order.  Returns ``(injected, hops,
+        delivered)``.
+        """
+        hop_lat = float(self.config.hop_latency)
+        links = self._links
+        # Each distinct route once, as the link states its hops cross.
+        paths: Dict[Tuple[Coord, Coord], list[_LinkState]] = {}
+        for key, route in route_cache.items():
+            path = paths[key] = []
+            for a, b in zip(route, route[1:]):
+                state = links.get((a, b))
+                if state is None:
+                    state = links[(a, b)] = _LinkState()
+                path.append(state)
+        order = sorted(range(len(packets)), key=inject_at.__getitem__)
+        due = [inject_at[i] for i in order]
+        arrivals = [packets[i] for i in order]
+        n = len(order)
+        calendar: Dict[float, list[_LinkState]] = {}
+        delivered: list[Packet] = []
+        hops = 0
+        j = 0
+        t = due[0] if n else math.inf
+        # A link may forward again one cycle after it last did, so its
+        # next free cycle is at most ``t + 1``: an idle link departs when
+        # the packet is ready, and a backlogged one one cycle after its
+        # departure (or when its next packet is ready, if later).
+        while t <= until:
+            while j < n and due[j] == t:
+                packet = arrivals[j]
+                j += 1
+                path = paths[(packet.src, packet.dst)]
+                state = path[0]
+                ready = t + hop_lat - 1.0
+                state.queue.append((ready, packet, 0, path))
+                if not state.busy:
+                    state.busy = True
+                    # ``ready == t`` (only when ``hop_latency == 1``)
+                    # lands at the end of this cycle's list, after the
+                    # departures scheduled before it.
+                    bucket = calendar.get(ready)
+                    if bucket is None:
+                        calendar[ready] = [state]
+                    else:
+                        bucket.append(state)
+            bucket = calendar.get(t)
+            if bucket is not None:
+                free = t + 1.0
+                ready = t + hop_lat
+                for state in bucket:
+                    queue = state.queue
+                    _, packet, k, path = queue.popleft()
+                    k += 1
+                    if k == len(path):
+                        packet.hop_index = k
+                        packet.delivered_at = free
+                        delivered.append(packet)
+                    else:
+                        nxt = path[k]
+                        nxt.queue.append((ready, packet, k, path))
+                        if not nxt.busy:
+                            nxt.busy = True
+                            later = calendar.get(ready)
+                            if later is None:
+                                calendar[ready] = [nxt]
+                            else:
+                                later.append(nxt)
+                    if queue:
+                        depart = queue[0][0]
+                        if free > depart:
+                            depart = free
+                        later = calendar.get(depart)
+                        if later is None:
+                            calendar[depart] = [state]
+                        else:
+                            later.append(state)
+                    else:
+                        state.busy = False
+                hops += len(bucket)
+                del calendar[t]
+            if calendar:
+                t += 1.0
+            elif j < n:
+                t = due[j]
+            else:
+                break
+        return j, hops, delivered
+
 
     def _check_coord(self, c: Coord) -> None:
         if not (0 <= c[0] < self.config.width and 0 <= c[1] < self.config.height):

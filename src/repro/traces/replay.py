@@ -2,19 +2,19 @@
 
 The second input mode for every simulator family: instead of drawing a
 synthetic workload at run time, a *sink* replays a trace
-(:mod:`repro.traces.format`).  Only the ``noc`` sink starts the event
-kernel: its packets hop through :class:`repro.interconnect.noc.MeshNoC`,
-which bulk-loads them with :meth:`Simulator.schedule_batch`
-(:meth:`repro.interconnect.noc.MeshNoC.run`); ``REPRO_FASTPATH=off|auto``
-produce byte-identical results, which the golden suite pins per
-scenario.  The ``queue``, ``memory`` and ``cpu``
-sinks walk their records in one loop, without the kernel, and keep the
-order it would run them in: stable by timestamp, with a timestamp
-before 0 a ``ValueError`` (the ``noc`` sink shares that boundary).
-The ``queue`` sink's ``jsq`` policy keeps its in-flight completions in
-a heap and retires those that finish strictly before each arrival: at
-a tie the kernel ran the bulk-loaded arrival first.  The ``wear`` sink
-applies its write stream in closed form.
+(:mod:`repro.traces.format`).  No sink starts the event kernel.  The
+``queue``, ``memory`` and ``cpu`` sinks walk their records in one loop
+and keep the order the kernel would run them in: stable by timestamp,
+with a timestamp before 0 a ``ValueError`` (the ``noc`` sink shares
+that boundary).  The ``queue`` sink's ``jsq`` policy keeps its
+in-flight completions in a heap and retires those that finish strictly
+before each arrival: at a tie the kernel ran the bulk-loaded arrival
+first.  The ``noc`` sink passes no kernel to
+:meth:`repro.interconnect.noc.MeshNoC.run`, which therefore walks its
+per-cycle calendar unless an init hook or session tracer observes
+kernels.  The ``wear`` sink applies its write stream in closed form.
+``REPRO_FASTPATH=off|auto`` produce byte-identical results, which the
+golden suite pins per scenario.
 
 Sinks (:data:`SINKS`):
 
@@ -293,7 +293,6 @@ def _replay_noc(
         pairs,
         injection_times=cycles,
         max_cycles=max_cycles,
-        sim=sim,
         route_fn=route_fn,
     )
     delivered = result.delivered
