@@ -21,13 +21,12 @@ backend's raw capacity).
 
 Everything is guarded by one lock: submissions arrive on the server's
 event-loop thread while dispatch/release happen on the dispatcher
-thread.
+thread; an idle dispatcher waits on ``wakeup``, a condition on it.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Any, Deque, Optional
 
@@ -56,7 +55,6 @@ class AdmissionController:
         max_queue: int = 128,
         max_inflight: int = 4,
         retry_after_s: float = 1.0,
-        linger_s: float = 0.0,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_queue < 1:
@@ -65,17 +63,14 @@ class AdmissionController:
             raise ValueError("max_inflight must be >= 1")
         if retry_after_s <= 0:
             raise ValueError("retry_after_s must be positive")
-        if linger_s < 0:
-            raise ValueError("linger_s must be non-negative")
         self.max_queue = max_queue
         self.max_inflight = max_inflight
         self.retry_after_s = retry_after_s
-        #: Minimum age an entry reaches before dispatch — the coalescing
-        #: window for duplicates that arrive just behind the original.
-        self.linger_s = linger_s
         self._metrics = metrics
         self._lock = threading.Lock()
-        self._queue: Deque[tuple[float, Any]] = deque()
+        #: Notified on every admission (and by the dispatcher's stop).
+        self.wakeup = threading.Condition(self._lock)
+        self._queue: Deque[Any] = deque()
         self._inflight = 0
         self.admitted = 0
         self.shed = 0
@@ -85,7 +80,7 @@ class AdmissionController:
 
     # -- submission side (event-loop thread) -------------------------------
 
-    def try_admit(self, entry: Any, now: Optional[float] = None) -> None:
+    def try_admit(self, entry: Any) -> None:
         """Enqueue a new design point or raise :class:`QueueFull`.
 
         The ``Retry-After`` hint grows with the backlog: a client that
@@ -105,30 +100,26 @@ class AdmissionController:
                     self.retry_after_s
                     * max(1.0, backlog / max(1, self.max_inflight)),
                 )
-            stamp = time.monotonic() if now is None else now
-            self._queue.append((stamp + self.linger_s, entry))
+            self._queue.append(entry)
             self.admitted += 1
             registry.counter("serve.admitted").inc()
             registry.gauge("serve.queue_depth").set(len(self._queue))
+            self.wakeup.notify_all()
 
     # -- dispatch side (dispatcher thread) ---------------------------------
 
-    def next_ready(self, now: Optional[float] = None) -> Optional[Any]:
-        """Pop the oldest entry whose linger window has elapsed.
+    def next_ready(self) -> Optional[Any]:
+        """Pop the oldest queued entry.
 
-        Returns ``None`` when the queue is empty, the head is still
-        lingering, or ``max_inflight`` is saturated.  A returned entry
-        counts as in flight until :meth:`release`.
+        Returns ``None`` when the queue is empty or ``max_inflight`` is
+        saturated.  A returned entry counts as in flight until
+        :meth:`release`.
         """
-        stamp = time.monotonic() if now is None else now
         registry = self._registry()
         with self._lock:
             if self._inflight >= self.max_inflight or not self._queue:
                 return None
-            ready_at, entry = self._queue[0]
-            if stamp < ready_at:
-                return None
-            self._queue.popleft()
+            entry = self._queue.popleft()
             self._inflight += 1
             registry.gauge("serve.queue_depth").set(len(self._queue))
             registry.gauge("serve.inflight").set(self._inflight)

@@ -34,7 +34,6 @@ def build_app(
     port: int = 0,
     max_queue: int = 128,
     max_inflight: Optional[int] = None,
-    linger_ms: float = 2.0,
     retry_after_s: float = 1.0,
     job_timeout_s: Optional[float] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -73,7 +72,6 @@ def build_app(
         port=port,
         max_queue=max_queue,
         max_inflight=max_inflight if max_inflight is not None else max(1, jobs),
-        linger_s=max(0.0, linger_ms) / 1e3,
         retry_after_s=retry_after_s,
         job_timeout_s=job_timeout_s,
     )
@@ -145,11 +143,12 @@ class ServerThread:
         """Drain (optionally) and stop; returns True on a clean drain."""
         if self._loop is None or self._thread is None:
             return True
-        if self._loop.is_closed() or not self._thread.is_alive():
+        if self.app.draining or not self._thread.is_alive():
             # Something else (a selftest-driven drain, a signal) already
-            # stopped the server; there is nothing left to wind down.
-            self._thread.join(timeout=10.0)
-            return True
+            # began the shutdown and stops the loop itself; a second
+            # drain scheduled now could land on a loop that never runs it.
+            self._thread.join(timeout=self.drain_timeout_s + 10.0)
+            return not self._thread.is_alive()
         try:
             fut = asyncio.run_coroutine_threadsafe(
                 self.app.drain(self.drain_timeout_s if drain else 0.0),

@@ -65,10 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="concurrent backend jobs (default: --jobs)",
     )
     parser.add_argument(
-        "--linger-ms", type=float, default=2.0, metavar="MS",
-        help="coalescing linger window before dispatch (default 2ms)",
-    )
-    parser.add_argument(
         "--timeout", type=float, default=None, metavar="S",
         help="per-job timeout passed to the backend",
     )
@@ -103,7 +99,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         port=args.port,
         max_queue=args.max_queue,
         max_inflight=args.max_inflight,
-        linger_ms=args.linger_ms,
         job_timeout_s=args.timeout,
         hedge_ms=args.hedge_ms,
     )
@@ -141,7 +136,7 @@ def selftest(
 
     app = build_app(
         backend=backend, jobs=jobs, cache_dir=cache_dir,
-        max_inflight=max(1, jobs), linger_ms=25.0,
+        max_inflight=max(1, jobs),
     )
     server = ServerThread(app)
     server.start()

@@ -18,11 +18,11 @@ checked in order under one lock:
    admission control; only this case can ever be shed or cost backend
    work.
 
-The linger window lives in admission (a new entry waits at least
-``linger_s`` before dispatch), so duplicates arriving just behind the
-original coalesce instead of racing it; attachment stays open the whole
-time the entry is queued *or* running, which is strictly wider than the
-linger window alone.
+Nothing holds a new entry back for duplicates to catch up: attachment
+stays open the whole time the entry is queued *or* running, and
+:meth:`Coalescer.complete` writes the cache under the same lock that
+retires the entry, so a duplicate arriving any later is a cache
+fast-path hit.
 """
 
 from __future__ import annotations

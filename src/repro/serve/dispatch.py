@@ -6,13 +6,16 @@ pool, elastic socket workers, array, or a
 :class:`~repro.exec.backends.router.BackendRouter`) and runs the
 service's steady-state loop:
 
-* while the backend has capacity, pop lingered-out entries from
+* while the backend has capacity, pop queued entries from
   admission and ``submit`` them as engine :class:`~repro.exec.job.Job`
   attempts (job id = design id, unique among in-flight work by
   coalescer construction);
 * ``poll`` finished attempts and hand each to the coalescer, which
   caches the result and fans it out to every waiter;
-* release the admission slot.
+* release the admission slot;
+* after a pass that did nothing, wait for the next admission — at most
+  ``poll_interval_s`` while attempts run or entries wait for capacity,
+  since backends report progress only when polled.
 
 This is deliberately the engine's own Runner seam rather than repeated
 :meth:`ExecutionEngine.run` calls: the engine tears its runner down
@@ -89,7 +92,9 @@ class Dispatcher:
                     drained = False
                     break
                 time.sleep(self.poll_interval_s)
-        self._stop.set()
+        with self.admission.wakeup:
+            self._stop.set()
+            self.admission.wakeup.notify_all()
         if self._thread is not None:
             self._thread.join(timeout=max(0.1, deadline - time.monotonic()))
         # Fail any attempts the backend never returned.
@@ -112,6 +117,10 @@ class Dispatcher:
     def _loop(self) -> None:
         registry = self._registry()
         while not self._stop.is_set():
+            # Read before the pass, so an admission during it is not
+            # slept through.  Never wake on "queue non-empty": that
+            # spins while the backend is full.
+            seen = self.admission.admitted
             progressed = False
             while self.runner.capacity() > 0:
                 entry = self.admission.next_ready()
@@ -133,7 +142,13 @@ class Dispatcher:
                 )
                 progressed = True
             if not progressed:
-                time.sleep(self.poll_interval_s)
+                busy = self._inflight or self.admission.depth()
+                with self.admission.wakeup:
+                    self.admission.wakeup.wait_for(
+                        lambda: self.admission.admitted != seen
+                        or self._stop.is_set(),
+                        self.poll_interval_s if busy else None,
+                    )
 
     def _dispatch(self, entry: Entry, registry: MetricsRegistry) -> None:
         self.coalescer.mark_running(entry)

@@ -85,7 +85,6 @@ class ExperimentServer:
         port: int = 0,
         max_queue: int = 128,
         max_inflight: int = 4,
-        linger_s: float = 0.002,
         retry_after_s: float = 1.0,
         job_timeout_s: Optional[float] = None,
     ) -> None:
@@ -97,7 +96,6 @@ class ExperimentServer:
             max_queue=max_queue,
             max_inflight=max_inflight,
             retry_after_s=retry_after_s,
-            linger_s=linger_s,
             metrics=metrics,
         )
         self.coalescer = Coalescer(cache, metrics=metrics)

@@ -26,12 +26,10 @@ class TestAdmissionController:
         assert adm.admitted == 2
 
     def test_retry_after_scales_with_backlog(self):
-        adm = AdmissionController(
-            max_queue=4, max_inflight=1, retry_after_s=0.5, linger_s=0.0
-        )
+        adm = AdmissionController(max_queue=4, max_inflight=1, retry_after_s=0.5)
         for entry in "abcd":
             adm.try_admit(entry)
-        assert adm.next_ready(now=adm._queue[0][0]) == "a"
+        assert adm.next_ready() == "a"
         adm.try_admit("e")  # pop freed one slot: re-admitted
         with pytest.raises(QueueFull) as exc_info:
             adm.try_admit("f")
@@ -39,29 +37,23 @@ class TestAdmissionController:
         assert exc_info.value.retry_after_s == pytest.approx(0.5 * 5)
 
     def test_max_inflight_limits_dispatch(self):
-        adm = AdmissionController(max_queue=8, max_inflight=2, linger_s=0.0)
+        adm = AdmissionController(max_queue=8, max_inflight=2)
         for entry in "abc":
-            adm.try_admit(entry, now=0.0)
-        assert adm.next_ready(now=1.0) == "a"
-        assert adm.next_ready(now=1.0) == "b"
-        assert adm.next_ready(now=1.0) is None  # saturated
+            adm.try_admit(entry)
+        assert adm.next_ready() == "a"
+        assert adm.next_ready() == "b"
+        assert adm.next_ready() is None  # saturated
         adm.release()
-        assert adm.next_ready(now=1.0) == "c"
-
-    def test_linger_window_delays_dispatch(self):
-        adm = AdmissionController(max_queue=4, max_inflight=1, linger_s=0.5)
-        adm.try_admit("a", now=10.0)
-        assert adm.next_ready(now=10.4) is None  # still lingering
-        assert adm.next_ready(now=10.5) == "a"
+        assert adm.next_ready() == "c"
 
     def test_drain_reopens_admission(self):
-        adm = AdmissionController(max_queue=1, max_inflight=1, linger_s=0.0)
-        adm.try_admit("a", now=0.0)
+        adm = AdmissionController(max_queue=1, max_inflight=1)
+        adm.try_admit("a")
         with pytest.raises(QueueFull):
-            adm.try_admit("b", now=0.0)
-        assert adm.next_ready(now=1.0) == "a"
+            adm.try_admit("b")
+        assert adm.next_ready() == "a"
         adm.release()
-        adm.try_admit("b", now=1.0)  # queue drained: admitted again
+        adm.try_admit("b")  # queue drained: admitted again
         assert adm.depth() == 1
 
     def test_validation(self):
@@ -71,17 +63,13 @@ class TestAdmissionController:
             AdmissionController(max_inflight=0)
         with pytest.raises(ValueError):
             AdmissionController(retry_after_s=0)
-        with pytest.raises(ValueError):
-            AdmissionController(linger_s=-1)
 
 
 class TestHttpShedding:
     def test_queue_full_returns_429_with_retry_after_then_readmits(
         self, serve_factory
     ):
-        handle, client = serve_factory(
-            max_queue=1, max_inflight=1, linger_ms=0.0
-        )
+        handle, client = serve_factory(max_queue=1, max_inflight=1)
         app = handle.app
         # Occupy the backend with a slow point, then fill the queue.
         status, _, first = client.submit("spin", {"duration_s": 0.4, "tag": "hold"})

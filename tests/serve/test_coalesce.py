@@ -110,7 +110,7 @@ class TestCacheSingleFlight:
 
 class TestHttpCoalescing:
     def test_n_duplicates_one_dispatch(self, serve_factory):
-        handle, client = serve_factory(linger_ms=50.0)
+        handle, client = serve_factory()
         app = handle.app
         n = 6
         run_ids = []
@@ -133,6 +133,31 @@ class TestHttpCoalescing:
         metrics = client.metrics_text()
         assert f"repro_serve_coalesced_total {n - 1}" in metrics
         assert f"repro_exec_cache_coalesced_total {n - 1}" in metrics
+
+    def test_duplicates_attach_while_queued(self, serve_factory):
+        handle, client = serve_factory(max_inflight=1)
+        app = handle.app
+        client.submit("spin", {"duration_s": 0.3, "tag": "hold"})
+        wait_until(lambda: app.admission.inflight() == 1)
+        params = {"duration_s": 0.0, "tag": "queued"}
+        _, _, first = client.submit("spin", params)
+        _, _, dup = client.submit("spin", params)
+        assert first["runs"][0]["status"] == "queued"
+        assert dup["runs"][0]["coalesced"] is True
+        wait_until(app.dispatcher.idle, timeout_s=15.0)
+        assert app.dispatcher.dispatched == 2
+        assert app.coalescer.get(dup["run_id"]).status == "succeeded"
+
+    def test_duplicate_after_finish_hits_cache(self, serve_factory):
+        handle, client = serve_factory()
+        params = {"duration_s": 0.0, "tag": "fast"}
+        status, _, _ = client.submit("spin", params, wait=True)
+        assert status == 200
+        status, _, dup = client.submit("spin", params)
+        assert status == 200
+        assert dup["runs"][0]["cached"] is True
+        assert handle.app.dispatcher.dispatched == 1
+        assert "repro_serve_cache_fast_path_total 1" in client.metrics_text()
 
     def test_repetitions_are_distinct_design_points(self, serve_factory):
         handle, client = serve_factory()

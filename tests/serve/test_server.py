@@ -8,10 +8,16 @@ drains in-flight runs with all waiters receiving results.
 from __future__ import annotations
 
 import asyncio
+import gc
 import threading
+import time
+import warnings
+
+import pytest
 
 from repro.obs.export import registry_state_to_prometheus
-from repro.serve.cli import selftest
+from repro.serve import ServerThread, build_app
+from repro.serve.cli import main, selftest
 from repro.serve.workloads import design_point, run_spin
 
 from .conftest import wait_until
@@ -83,7 +89,7 @@ class TestMetricsParity:
 
 class TestGracefulShutdown:
     def test_drain_completes_inflight_and_answers_waiters(self, serve_factory):
-        handle, client = serve_factory(max_inflight=1, linger_ms=0.0)
+        handle, client = serve_factory(max_inflight=1)
         app = handle.app
         # One running + one queued design point, each with a waiter
         # blocked on wait=1 from a separate thread.
@@ -110,7 +116,7 @@ class TestGracefulShutdown:
             assert body["runs"][0]["status"] == "succeeded"
 
     def test_draining_rejects_new_work_with_503(self, serve_factory):
-        handle, client = serve_factory(max_inflight=1, linger_ms=0.0)
+        handle, client = serve_factory(max_inflight=1)
         app = handle.app
         client.submit("spin", {"duration_s": 0.4, "tag": "drainee"})
         wait_until(lambda: app.admission.inflight() == 1)
@@ -126,9 +132,42 @@ class TestGracefulShutdown:
         assert app.coalescer.live_entries() == 0
 
 
+    def test_stop_after_external_drain_returns_promptly(self, tmp_path):
+        # The selftest's shape: drain from outside, then stop().  A
+        # second drain scheduled on the closing loop used to never run
+        # and leave stop() blocked on it for drain_timeout_s + 10 s.
+        for i in range(10):
+            handle = ServerThread(
+                build_app(cache_dir=str(tmp_path / f"c{i}"))
+            ).start()
+            fut = asyncio.run_coroutine_threadsafe(
+                handle.app.drain(timeout_s=5.0), handle._loop
+            )
+            assert fut.result(timeout=10.0) is True
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                start = time.monotonic()
+                handle.stop(drain=False)
+                elapsed = time.monotonic() - start
+                gc.collect()
+            assert elapsed < 5.0
+            assert not [w for w in caught if "never awaited" in str(w.message)]
+
+
 class TestSelftest:
     def test_selftest_passes_serial(self, tmp_path):
         assert selftest(backend="serial", cache_dir=str(tmp_path / "c")) == 0
+
+
+class TestRetiredLinger:
+    def test_cli_rejects_linger_flag(self):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--linger-ms", "2"])
+        assert exc_info.value.code == 2
+
+    def test_build_app_rejects_linger(self):
+        with pytest.raises(TypeError):
+            build_app(linger_ms=2)
 
 
 class TestWorkloadValidation:
