@@ -10,12 +10,21 @@ a resident line to its dirty flag, least recently used first.  A hit
 pops the line and re-inserts it at the back; the victim is the first
 key.  An access is a few dict operations on plain Python ints, with no
 per-access NumPy calls, whose overhead would dominate a scalar lookup.
+
+:meth:`Cache.access` is the scalar API.  :meth:`Cache.misses` is the one
+batch loop: it runs a whole ordered stream through the same rules with
+the geometry and policy held in locals, adds its counts to the stats
+once at the end, and returns the misses in order.  A cache's state
+depends only on the ordered stream it receives, so a hierarchy whose
+levels are non-inclusive and send no writebacks down can run one level
+at a time, each level filtering the previous level's misses; the
+``memory`` replay sink does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -132,6 +141,61 @@ class Cache:
         ways[line] = bool(is_write and config.write_back)
         return False
 
+    def misses(
+        self, addresses: List[int], writes: List[bool]
+    ) -> Tuple[List[int], List[bool]]:
+        """Run an ordered stream of accesses; returns its misses in order.
+
+        ``addresses`` and ``writes`` are plain lists of equal length.
+        Each access follows exactly the rules of :meth:`access`; the
+        returned ``(miss_addresses, miss_writes)`` are the accesses for
+        which it would have returned False.  A negative address raises
+        the same ``ValueError`` as :meth:`access`, before any state
+        changes.
+        """
+        if len(writes) != len(addresses):
+            raise ValueError("writes must match addresses in length")
+        if addresses and min(addresses) < 0:
+            raise ValueError("address must be non-negative")
+        config = self.config
+        sets = self._sets
+        mask = self._set_mask
+        shift = self._line_shift
+        assoc = config.associativity
+        write_back = config.write_back
+        write_allocate = config.write_allocate
+        miss_addresses: List[int] = []
+        miss_writes: List[bool] = []
+        add_address = miss_addresses.append
+        add_write = miss_writes.append
+        evictions = writebacks = 0
+        for address, is_write in zip(addresses, writes):
+            line = address >> shift
+            ways = sets[line & mask]
+            dirty = ways.pop(line, None)
+            if dirty is not None:
+                # Re-insert at the back: most recently used.
+                ways[line] = dirty or (is_write and write_back)
+                continue
+            add_address(address)
+            add_write(is_write)
+            if is_write and not write_allocate:
+                continue
+            if len(ways) == assoc:
+                evictions += 1
+                if ways.pop(next(iter(ways))):
+                    writebacks += 1
+            ways[line] = is_write and write_back
+
+        stats = self.stats
+        n, n_miss = len(addresses), len(miss_addresses)
+        stats.accesses += n
+        stats.hits += n - n_miss
+        stats.misses += n_miss
+        stats.evictions += evictions
+        stats.writebacks += writebacks
+        return miss_addresses, miss_writes
+
     def run_trace(
         self,
         addresses: np.ndarray,
@@ -143,11 +207,7 @@ class Cache:
             writes_list = [False] * len(addrs)
         else:
             writes_list = np.asarray(writes, dtype=bool).tolist()
-            if len(writes_list) != len(addrs):
-                raise ValueError("writes must match addresses in length")
-        access = self.access
-        for addr, w in zip(addrs, writes_list):
-            access(addr, w)
+        self.misses(addrs, writes_list)
         return self.stats
 
     def contents(self) -> set[int]:

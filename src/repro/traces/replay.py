@@ -3,10 +3,13 @@
 The second input mode for every simulator family: instead of drawing a
 synthetic workload at run time, a *sink* replays a trace
 (:mod:`repro.traces.format`).  No sink starts the event kernel.  The
-``queue``, ``memory`` and ``cpu`` sinks walk their records in one loop
-and keep the order the kernel would run them in: stable by timestamp,
-with a timestamp before 0 a ``ValueError`` (the ``noc`` sink shares
-that boundary).  The ``queue`` sink's ``jsq`` policy keeps its
+``queue`` and ``cpu`` sinks walk their records in one loop, and the
+``memory`` sink runs its cache hierarchy one level at a time, each
+level filtering the whole ordered stream.  All three keep the order
+the kernel would run the records in: stable by timestamp, with a
+timestamp before 0 a ``ValueError`` (the ``noc`` sink shares that
+boundary).  A lane with no records is a ``TraceFormatError`` for every
+sink.  The ``queue`` sink's ``jsq`` policy keeps its
 in-flight completions in a heap and retires those that finish strictly
 before each arrival: at a tie the kernel ran the bulk-loaded arrival
 first.  The ``noc`` sink passes no kernel to
@@ -25,9 +28,10 @@ Sinks (:data:`SINKS`):
 * ``noc``     — request records as node-to-node packets through
   :class:`repro.interconnect.noc.MeshNoC` with a pluggable route
   function (the routing championship's plug point).
-* ``memory``  — memory records through a
-  :class:`repro.memory.hierarchy.MemoryHierarchy` level walk, one
-  record at a time in stable timestamp order.
+* ``memory``  — memory records through the default
+  :class:`repro.memory.hierarchy.MemoryHierarchy` levels, one level at
+  a time: L1 filters the whole stream in stable timestamp order, and
+  each next level filters the previous level's misses.
 * ``wear``    — memory-record write streams against a
   :class:`repro.memory.wear.WearLeveler` (the wear championship's plug
   point).
@@ -122,7 +126,8 @@ def _gather(
     """Collect all blocks of ``want_kind``, feeding stats along the way.
 
     Blocks of other kinds are counted into stats but not replayed —
-    a mixed trace replays per-sink, each sink taking its lane.
+    a mixed trace replays per-sink, each sink taking its lane.  A lane
+    with no records is a ``TraceFormatError``.
     """
     if isinstance(source, (str, bytes, bytearray)) or hasattr(source, "read"):
         with TraceReader(source) as reader:  # type: ignore[arg-type]
@@ -135,7 +140,7 @@ def _gather(
             stats.feed(kind, arr)
         if kind == want_kind:
             out.append(arr)
-    if not out:
+    if not any(len(arr) for arr in out):
         raise TraceFormatError(
             f"trace has no {kind_name(want_kind)} records to replay"
         )
@@ -322,42 +327,42 @@ def _replay_memory(
     blocks: List[np.ndarray],
     sim: Simulator,
 ) -> Dict[str, Any]:
+    """Memory records through the default three-level hierarchy.
+
+    The levels are non-inclusive and writebacks are counted but never
+    sent down, so each cache's state depends only on the ordered stream
+    it receives: L1 gets every record in stable timestamp order, and
+    each next level gets exactly the previous level's misses, in order.
+    The hierarchy therefore runs one level at a time, each level
+    filtering the whole stream with :meth:`~repro.memory.cache.Cache.misses`.
+    A record reaching a level pays that level's latency; one missing
+    every level also pays the memory latency.
+    """
     from ..memory.hierarchy import MemoryHierarchy, default_hierarchy
 
-    specs = default_hierarchy()
-    hierarchy = MemoryHierarchy(specs)
-    hierarchy.reset()
-    caches = hierarchy.caches
-    latencies = [s.latency_cycles for s in specs]
-    mem_latency = hierarchy.memory.latency_cycles
-    n_levels = len(specs)
-
+    hierarchy = MemoryHierarchy(default_hierarchy())
     arr, _ = _time_ordered(blocks)
     n = len(arr)
-    addrs = arr["addr"].astype(np.int64).tolist()
+    # Addresses are uint64: ``tolist`` keeps those >= 2**63 unsigned.
+    addrs = arr["addr"].tolist()
     writes = (arr["op"] != 0).tolist()
 
-    level_hits = [0] * n_levels
+    level_hits: Dict[str, int] = {}
     cycles = 0
-    memory_accesses = 0
-    for addr, w in zip(addrs, writes):
-        for lvl in range(n_levels):
-            cycles += latencies[lvl]
-            if caches[lvl].access(addr, w):
-                level_hits[lvl] += 1
-                break
-        else:
-            memory_accesses += 1
-            cycles += mem_latency
+    for spec, cache in zip(hierarchy.specs, hierarchy.caches):
+        reached = len(addrs)
+        cycles += spec.latency_cycles * reached
+        addrs, writes = cache.misses(addrs, writes)
+        level_hits[spec.name] = reached - len(addrs)
+    memory_accesses = len(addrs)
+    cycles += hierarchy.memory.latency_cycles * memory_accesses
 
     return {
         "accesses": n,
-        "level_hits": {
-            specs[i].name: level_hits[i] for i in range(n_levels)
-        },
+        "level_hits": level_hits,
         "memory_accesses": memory_accesses,
         "total_cycles": cycles,
-        "amat_cycles": cycles / n if n else 0.0,
+        "amat_cycles": cycles / n,
     }
 
 

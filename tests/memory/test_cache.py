@@ -1,5 +1,7 @@
 """Tests for the set-associative cache simulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,50 @@ class TestDifferentialAgainstReference:
                         evictions=s.evictions,
                         writebacks=s.writebacks) == ref.counts
             assert cache.contents() == ref.contents()
+
+    @given(
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([1, 2, 4, 16]),
+        st.booleans(),
+        st.booleans(),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=(1 << 13) - 1),
+                      st.booleans()),
+            max_size=400,
+        ),
+        st.lists(st.integers(min_value=0, max_value=400), max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_misses_matches_reference_over_chained_chunks(
+        self, assoc, n_sets, write_back, write_allocate, stream, cuts
+    ):
+        cfg = CacheConfig(size_bytes=64 * assoc * n_sets, line_bytes=64,
+                          associativity=assoc, write_back=write_back,
+                          write_allocate=write_allocate)
+        cache, ref = Cache(cfg), _ReferenceLRU(cfg)
+        bounds = sorted({0, len(stream), *(c for c in cuts
+                                           if c <= len(stream))})
+        for lo, hi in zip(bounds, bounds[1:]):
+            chunk = stream[lo:hi]
+            addresses = [a for a, _ in chunk]
+            writes = [w for _, w in chunk]
+            want = [(a, w) for a, w in chunk if not ref.access(a, w)]
+            got_addresses, got_writes = cache.misses(addresses, writes)
+            assert list(zip(got_addresses, got_writes)) == want
+            s = cache.stats
+            assert dict(accesses=s.accesses, hits=s.hits, misses=s.misses,
+                        evictions=s.evictions,
+                        writebacks=s.writebacks) == ref.counts
+            assert cache.contents() == ref.contents()
+
+    def test_misses_rejects_a_negative_address_before_any_change(self):
+        cache = small_cache()
+        cache.misses([0, 64, 128], [True, False, True])
+        stats, contents = dataclasses.replace(cache.stats), cache.contents()
+        with pytest.raises(ValueError, match="non-negative"):
+            cache.misses([192, 256, -64, 320], [False] * 4)
+        assert cache.stats == stats
+        assert cache.contents() == contents
 
     def test_run_trace_matches_per_access_calls(self):
         addrs = zipf_addresses(4000, unique=1024, rng=4)

@@ -7,11 +7,14 @@ with a macro twin, and ``jsq`` completions scheduled mid-run.  Random
 blocks with tied timestamps, zero service times and shuffled order must
 give equal outputs under both fastpath modes.  The same boundary holds
 for the ``noc`` sink: a negative timestamp is a ``ValueError`` and a
-shuffled block replays like its stable-sorted copy.
+shuffled block replays like its stable-sorted copy.  Every sink,
+these three and ``memory`` and ``wear``, rejects a lane with no records
+with a ``TraceFormatError``.
 """
 
 from __future__ import annotations
 
+import io
 from typing import Any, Dict, List
 
 import numpy as np
@@ -22,7 +25,13 @@ from hypothesis import strategies as st
 from repro.core.events import Simulator
 from repro.core.fastpath import MODES
 from repro.core.macro import as_macro
-from repro.traces.format import KIND_INSTRUCTION, KIND_REQUEST, dtype_for
+from repro.traces.format import (
+    KIND_INSTRUCTION,
+    KIND_REQUEST,
+    TraceFormatError,
+    TraceWriter,
+    dtype_for,
+)
 from repro.traces.generators import generate
 from repro.traces.replay import QUEUE_POLICIES, SINKS, _quantiles, replay
 
@@ -274,6 +283,30 @@ def test_negative_timestamp_is_rejected(sink, profile, params):
     arr["ts"][0] = -1.0
     with pytest.raises(ValueError, match="before time 0"):
         replay([(kind, arr)], sink=sink)
+
+
+_SINK_PROFILES = {
+    "queue": ("steady-requests", {}),
+    "noc": ("noc-uniform", {"nodes": 16}),
+    "memory": ("kv-zipf", {}),
+    "wear": ("wear-hotline", {}),
+    "cpu": ("instr-mix", {}),
+}
+
+
+@pytest.mark.parametrize("sink", sorted(SINKS))
+def test_a_zero_record_lane_is_a_typed_error(sink):
+    # Decoded or read back from bytes, an empty block leaves the lane
+    # with nothing to replay.
+    profile, params = _SINK_PROFILES[sink]
+    kind, arr = generate(profile, seed=1, n=20, **params)
+    empty = arr[:0]
+    buf = io.BytesIO()
+    with TraceWriter(buf) as w:
+        w.write_block(kind, empty)
+    for source in ([(kind, empty)], buf.getvalue()):
+        with pytest.raises(TraceFormatError, match="records to replay"):
+            replay(source, sink=sink)
 
 
 def _shuffled_noc_block() -> np.ndarray:
