@@ -8,12 +8,15 @@ differences between traffic patterns.
 
 :meth:`MeshNoC.run` has two paths with one event order.  The *kernel
 path* runs on the shared event kernel
-(:class:`repro.core.events.Simulator`): packet injections and link
-departures are scheduled events, so the kernel's fault hooks can stall
-links mid-flight (:meth:`MeshNoC.inject_fault`), checkpoints capture
-the run, and probes and span tracers see every hop.  The *walk* keeps
-the same ``(time, seq)`` order on a private per-cycle calendar without
-scheduling an event per hop.  A run walks exactly when
+(:class:`repro.core.events.Simulator`): one :class:`Packet` per
+injection, and packet injections and link departures are scheduled
+events, so the kernel's fault hooks can stall links mid-flight
+(:meth:`MeshNoC.inject_fault`), checkpoints capture the run, and probes
+and span tracers see every hop.  The *walk* keeps the same
+``(time, seq)`` order on a private ring of per-cycle departure lists,
+on packet indices and flat lists, without scheduling an event per hop
+or building a :class:`Packet`; its :attr:`NoCResult.delivered` is built
+from those lists the first time it is read.  A run walks exactly when
 :func:`repro.core.events.kernel_unobserved` holds (no ``sim`` passed,
 no init hook, no session tracer), when nothing could tell the paths
 apart.  Both report the same ``noc.*`` metrics on the session registry.
@@ -26,8 +29,10 @@ the NoC to the paper's "energy is largely spent moving data" argument
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +46,15 @@ Coord = Tuple[int, int]
 Link = Tuple[Coord, Coord]
 
 
+def _is_integer(value) -> bool:
+    """Python and numpy integers, not floats (even integral ones)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class NoCConfig:
     width: int = 8
@@ -51,6 +65,13 @@ class NoCConfig:
     energy_per_hop_link_j: float = 2e-12
 
     def __post_init__(self) -> None:
+        # The model runs on whole cycles: the walk's calendar is a ring
+        # indexed by integer cycle.
+        for name in ("width", "height", "router_delay_cycles",
+                     "link_delay_cycles"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.width < 1 or self.height < 1:
             raise ValueError("mesh dimensions must be >= 1")
         if self.router_delay_cycles < 1 or self.link_delay_cycles < 0:
@@ -83,63 +104,69 @@ class Packet:
         return len(self.route) - 1
 
 
-@dataclass
+@dataclass(eq=False)
 class NoCResult:
-    delivered: list[Packet]
+    """One run's outcome.
+
+    ``latencies`` and ``hops`` are float arrays with one entry per
+    delivered packet, in delivery order; the summary statistics read
+    them.  :attr:`delivered` lists the same packets as :class:`Packet`
+    objects, built on first read from ``_packets``.
+    """
+
+    latencies: np.ndarray
+    hops: np.ndarray
     dropped: int
     cycles: float
     ledger: EnergyLedger
+    _packets: Callable[[], list[Packet]] = field(repr=False)
+
+    @cached_property
+    def delivered(self) -> list[Packet]:
+        return self._packets()
 
     @property
     def mean_latency(self) -> float:
-        if not self.delivered:
+        if not len(self.latencies):
             return float("nan")
-        return float(np.mean(np.fromiter(
-            (p.latency for p in self.delivered), dtype=float,
-            count=len(self.delivered),
-        )))
+        return float(np.mean(self.latencies))
 
     @property
     def p99_latency(self) -> float:
-        if not self.delivered:
+        if not len(self.latencies):
             return float("nan")
-        return float(np.percentile(np.fromiter(
-            (p.latency for p in self.delivered), dtype=float,
-            count=len(self.delivered),
-        ), 99))
+        return float(np.percentile(self.latencies, 99))
 
     @property
     def throughput_packets_per_cycle(self) -> float:
         if self.cycles <= 0:
             return float("nan")
-        return len(self.delivered) / self.cycles
+        return len(self.latencies) / self.cycles
 
     @property
     def mean_hops(self) -> float:
-        if not self.delivered:
+        if not len(self.hops):
             return float("nan")
-        return float(np.mean(np.fromiter(
-            (p.hops for p in self.delivered), dtype=float,
-            count=len(self.delivered),
-        )))
+        return float(np.mean(self.hops))
 
     def energy_per_packet_j(self) -> float:
-        if not self.delivered:
+        if not len(self.latencies):
             return float("nan")
-        return self.ledger.total() / len(self.delivered)
+        return self.ledger.total() / len(self.latencies)
 
 
 class _LinkState:
     """FIFO queue plus serialization state for one directed link.
 
-    The walk (:meth:`MeshNoC._walk`) reads only ``queue`` and ``busy``:
-    without faults a link's next free cycle never decides a departure.
+    The walk (:meth:`MeshNoC._walk`) reads only ``queue``: without
+    faults a link's next free cycle never decides a departure, and a
+    link has a departure pending exactly when its queue is non-empty.
     """
 
     __slots__ = ("queue", "next_free", "busy")
 
     def __init__(self) -> None:
-        self.queue: Deque[tuple[float, Packet]] = deque()  # (ready, packet)
+        self.queue: Deque[tuple] = deque()  # (ready, packet, ...)
         self.next_free = 0.0  # earliest cycle the link may forward again
         self.busy = False  # a departure event is scheduled
 
@@ -154,8 +181,9 @@ class MeshNoC:
     departures are kernel events (one per hop), which is what lets the
     shared instrumentation/fault machinery observe the NoC like any
     other simulator.  When :func:`~repro.core.events.kernel_unobserved`
-    holds, :meth:`run` walks the same departures on a per-cycle calendar
-    instead (:meth:`_walk`); the kernel path is its differential
+    holds, :meth:`run` walks the same departures on a ring of per-cycle
+    lists instead (:meth:`_walk`), carrying packet indices rather than
+    :class:`Packet` objects; the kernel path is its differential
     reference.
     """
 
@@ -215,11 +243,11 @@ class MeshNoC:
         caller-owned kernel, and ``route_fn`` to swap the routing policy
         (default :func:`xy_route`; any ``(src, dst) -> [coords]`` path on
         mesh links works — the NoC routing championship plugs in here).
-        Injection times must be finite and non-negative and
-        ``max_cycles`` non-negative (``ValueError`` otherwise).  Without
-        ``sim`` the run walks its own event order when nothing observes
-        the kernel (see the class docstring)."""
-        cfg = self.config
+        Coordinates must be integers inside the mesh, injection times
+        finite and non-negative and ``max_cycles`` non-negative
+        (``ValueError`` otherwise).  Without ``sim`` the run walks its
+        own event order when nothing observes the kernel (see the class
+        docstring)."""
         if route_fn is None:
             route_fn = xy_route
         if max_cycles < 0:
@@ -239,31 +267,54 @@ class MeshNoC:
                     f"injection_times[{i}] = {injection_arr[i]} is not a "
                     "finite cycle >= 0"
                 )
-        packets: list[Packet] = []
-        route_cache: Dict[Tuple[Coord, Coord], list[Coord]] = {}
-        for (src, dst), t in zip(pairs, injection_arr.tolist()):
-            route = route_cache.get((src, dst))
-            if route is None:
+        # Each distinct (src, dst) is checked and routed once, in
+        # first-seen order; packet i takes route ``routes[route_ids[i]]``.
+        route_of: Dict[Tuple[Coord, Coord], int] = {}
+        routes: list[list[Coord]] = []
+        route_ids: list[int] = []
+        for src, dst in pairs:
+            r = route_of.get((src, dst))
+            if r is None:
                 self._check_coord(src)
                 self._check_coord(dst)
                 if src == dst:
                     raise ValueError("self-loop packet")
-                route = route_cache[(src, dst)] = route_fn(src, dst)
-            packets.append(
-                Packet(src=src, dst=dst, injected_at=t, route=route)
-            )
+                r = route_of[(src, dst)] = len(routes)
+                routes.append(route_fn(src, dst))
+            route_ids.append(r)
         # Injections align to the next cycle boundary (the model is
         # cycle-approximate even though the kernel clock is a float).
-        inject_at = np.ceil(injection_arr).tolist()
+        inject_at = np.ceil(injection_arr)
         until = float(max_cycles)
         if kernel_unobserved(sim):
             self._stats = default_registry().scoped("noc")
             self.reset()
-            injected, hops, delivered = self._walk(
-                packets, inject_at, until, route_cache
+            injected, hops, order, arrivals = self._walk(
+                routes, route_ids, inject_at, until
             )
-            return self._result(len(packets), injected, hops, delivered,
-                                until)
+            idx = np.array(order, dtype=np.intp)
+            injected_at = injection_arr[idx]
+            ends = list(route_of)
+
+            def packets() -> list[Packet]:
+                built = []
+                for i, t, at in zip(order, injected_at.tolist(), arrivals):
+                    r = route_ids[i]
+                    src, dst = ends[r]
+                    route = routes[r]
+                    built.append(Packet(
+                        src=src, dst=dst, injected_at=t, route=route,
+                        hop_index=len(route) - 1, delivered_at=float(at),
+                    ))
+                return built
+
+            route_hops = np.array([len(r) - 1 for r in routes], dtype=float)
+            return self._result(
+                len(route_ids), injected, hops,
+                np.array(arrivals, dtype=float), injected_at,
+                route_hops[np.array(route_ids, dtype=np.intp)[idx]],
+                packets, until,
+            )
 
         kernel = sim if sim is not None else Simulator()
         kernel.attach(self)
@@ -272,9 +323,14 @@ class MeshNoC:
         # completed at delivery (checkpoint-replay safe).
         tracer = getattr(kernel.metrics, "tracer", None)
 
+        packets = [
+            Packet(src=src, dst=dst, injected_at=t, route=routes[r])
+            for (src, dst), t, r in zip(pairs, injection_arr.tolist(),
+                                        route_ids)
+        ]
         links = self._links
         delivered: list[Packet] = []
-        hop_lat = cfg.hop_latency
+        hop_lat = self.config.hop_latency
         hops = 0
         injected = 0
 
@@ -333,7 +389,7 @@ class MeshNoC:
 
         # A time-sorted workload bulk-loads the kernel's in-order lane
         # in O(n), one seq per packet in injection order.
-        kernel.schedule_batch(inject_at, inject, payloads=packets)
+        kernel.schedule_batch(inject_at.tolist(), inject, payloads=packets)
 
         # Checkpoint support.  Pending departure events carry _LinkState
         # objects as payloads, so restore must roll the *same* state
@@ -377,18 +433,29 @@ class MeshNoC:
                 kernel.run(until=until)
         else:
             kernel.run(until=until)
-        return self._result(len(packets), injected, hops, delivered, until)
+        n = len(delivered)
+        return self._result(
+            len(packets), injected, hops,
+            np.fromiter((p.delivered_at for p in delivered), float, n),
+            np.fromiter((p.injected_at for p in delivered), float, n),
+            np.fromiter((p.hops for p in delivered), float, n),
+            lambda: delivered, until,
+        )
 
     def _result(
         self,
         n_packets: int,
         injected: int,
         hops: int,
-        delivered: list[Packet],
+        delivered_at: np.ndarray,
+        injected_at: np.ndarray,
+        hop_counts: np.ndarray,
+        packets: Callable[[], list[Packet]],
         until: float,
     ) -> NoCResult:
         """Metrics, energy, :meth:`finish` and the result, shared by both
-        paths."""
+        paths.  The arrays hold one entry per delivered packet, in
+        delivery order; ``packets`` builds the :class:`Packet` list."""
         cfg = self.config
         stats = self._stats
         # Per-hop/injection accounting batches exactly: the counts cover
@@ -401,123 +468,126 @@ class MeshNoC:
                 "noc.router", cfg.energy_per_hop_router_j * hops, ops=hops
             )
             ledger.charge("noc.link", cfg.energy_per_hop_link_j * hops)
-        stats.histogram("packet_latency_cycles").observe_many(
-            np.fromiter((p.latency for p in delivered), dtype=float,
-                        count=len(delivered))
-        )
+        latencies = delivered_at - injected_at
+        stats.histogram("packet_latency_cycles").observe_many(latencies)
         self.finish()
 
-        dropped = n_packets - len(delivered)
+        dropped = n_packets - len(latencies)
         # Deliveries run in time order, so the last one is the latest.
-        last_delivery = delivered[-1].delivered_at if delivered else 0.0
+        last_delivery = float(delivered_at[-1]) if len(latencies) else 0.0
         cycles = last_delivery if dropped == 0 else until
         return NoCResult(
-            delivered=delivered, dropped=dropped, cycles=cycles, ledger=ledger
+            latencies=latencies, hops=hop_counts, dropped=dropped,
+            cycles=cycles, ledger=ledger, _packets=packets,
         )
 
     def _walk(
         self,
-        packets: list[Packet],
-        inject_at: list[float],
+        routes: list[list[Coord]],
+        route_ids: list[int],
+        inject_at: np.ndarray,
         until: float,
-        route_cache: Dict[Tuple[Coord, Coord], list[Coord]],
-    ) -> tuple[int, int, list[Packet]]:
-        """The kernel path's event order on a per-cycle calendar.
+    ) -> tuple[int, int, list[int], list[int]]:
+        """The kernel path's event order on a ring of per-cycle lists.
 
-        ``calendar[t]`` lists the links departing at cycle ``t`` in the
-        order the kernel would have scheduled them, i.e. in seq order.
-        At each cycle the packets due then inject first, in input order
+        Each route becomes a chain ``(queue, rest)`` of the link queues
+        its hops cross, ending in ``None``; a queue entry is ``(ready,
+        packet index, rest of chain)``.  ``ring[t % (hop_latency + 1)]``
+        lists the link queues departing at cycle ``t`` in the order the
+        kernel would have scheduled them, i.e. in seq order: no
+        departure is ever scheduled more than ``hop_latency`` cycles
+        ahead, so the ring never wraps onto a pending cycle.  At each
+        cycle the packets due then inject first, in input order
         (bulk-loaded, they hold the lowest seqs), then that cycle's
-        departures run in list order.  Returns ``(injected, hops,
-        delivered)``.
+        departures run in list order.  A link has a departure pending
+        exactly when its queue is non-empty.  Returns ``(injected, hops,
+        order, arrivals)``: the delivered packets' indices and delivery
+        cycles, in delivery order.
         """
-        hop_lat = float(self.config.hop_latency)
+        hop_lat = int(self.config.hop_latency)
         links = self._links
-        # Each distinct route once, as the link states its hops cross.
-        paths: Dict[Tuple[Coord, Coord], list[_LinkState]] = {}
-        for key, route in route_cache.items():
-            path = paths[key] = []
-            for a, b in zip(route, route[1:]):
-                state = links.get((a, b))
+        chains: list = []
+        for route in routes:
+            queues = []
+            for link in zip(route, route[1:]):
+                state = links.get(link)
                 if state is None:
-                    state = links[(a, b)] = _LinkState()
-                path.append(state)
-        order = sorted(range(len(packets)), key=inject_at.__getitem__)
-        due = [inject_at[i] for i in order]
-        arrivals = [packets[i] for i in order]
-        n = len(order)
-        calendar: Dict[float, list[_LinkState]] = {}
-        delivered: list[Packet] = []
+                    state = links[link] = _LinkState()
+                queues.append(state.queue)
+            chain = None
+            for queue in reversed(queues):
+                chain = (queue, chain)
+            chains.append(chain)
+        order = np.argsort(inject_at, kind="stable")
+        due = inject_at[order].tolist()
+        index = order.tolist()
+        first = [chains[route_ids[i]] for i in index]
+        n = len(index)
+        size = hop_lat + 1
+        ring: list[list[Deque]] = [[] for _ in range(size)]
+        delivered: list[int] = []
+        arrivals: list[int] = []
         hops = 0
         j = 0
-        t = due[0] if n else math.inf
+        next_due = due[0] if n else math.inf
+        t = int(next_due) if n else 0
+        # No departure is pending after cycle ``last``.
+        last = -1
         # A link may forward again one cycle after it last did, so its
         # next free cycle is at most ``t + 1``: an idle link departs when
         # the packet is ready, and a backlogged one one cycle after its
         # departure (or when its next packet is ready, if later).
         while t <= until:
-            while j < n and due[j] == t:
-                packet = arrivals[j]
-                j += 1
-                path = paths[(packet.src, packet.dst)]
-                state = path[0]
-                ready = t + hop_lat - 1.0
-                state.queue.append((ready, packet, 0, path))
-                if not state.busy:
-                    state.busy = True
-                    # ``ready == t`` (only when ``hop_latency == 1``)
-                    # lands at the end of this cycle's list, after the
-                    # departures scheduled before it.
-                    bucket = calendar.get(ready)
-                    if bucket is None:
-                        calendar[ready] = [state]
+            if t == next_due:
+                ready = t + hop_lat - 1
+                # ``ready == t`` (only when ``hop_latency == 1``) lands
+                # at the end of this cycle's list, after the departures
+                # scheduled before it.
+                bucket = ring[ready % size]
+                while next_due == t:
+                    queue, rest = first[j]
+                    if not queue:
+                        bucket.append(queue)
+                    queue.append((ready, index[j], rest))
+                    j += 1
+                    next_due = due[j] if j < n else math.inf
+                if ready > last:
+                    last = ready
+            bucket = ring[t % size]
+            if bucket:
+                free = t + 1
+                ready = last = t + hop_lat
+                soon = ring[free % size]
+                later = ring[ready % size]
+                for queue in bucket:
+                    _, i, rest = queue.popleft()
+                    if rest is None:
+                        delivered.append(i)
+                        arrivals.append(free)
                     else:
-                        bucket.append(state)
-            bucket = calendar.get(t)
-            if bucket is not None:
-                free = t + 1.0
-                ready = t + hop_lat
-                for state in bucket:
-                    queue = state.queue
-                    _, packet, k, path = queue.popleft()
-                    k += 1
-                    if k == len(path):
-                        packet.hop_index = k
-                        packet.delivered_at = free
-                        delivered.append(packet)
-                    else:
-                        nxt = path[k]
-                        nxt.queue.append((ready, packet, k, path))
-                        if not nxt.busy:
-                            nxt.busy = True
-                            later = calendar.get(ready)
-                            if later is None:
-                                calendar[ready] = [nxt]
-                            else:
-                                later.append(nxt)
+                        nxt, rest = rest
+                        if not nxt:
+                            later.append(nxt)
+                        nxt.append((ready, i, rest))
                     if queue:
                         depart = queue[0][0]
-                        if free > depart:
-                            depart = free
-                        later = calendar.get(depart)
-                        if later is None:
-                            calendar[depart] = [state]
+                        if depart > free:
+                            ring[depart % size].append(queue)
                         else:
-                            later.append(state)
-                    else:
-                        state.busy = False
+                            soon.append(queue)
                 hops += len(bucket)
-                del calendar[t]
-            if calendar:
-                t += 1.0
+                bucket.clear()
+            if t < last:
+                t += 1
             elif j < n:
-                t = due[j]
+                t = int(next_due)
             else:
                 break
-        return j, hops, delivered
-
+        return j, hops, delivered, arrivals
 
     def _check_coord(self, c: Coord) -> None:
+        if not (_is_integer(c[0]) and _is_integer(c[1])):
+            raise ValueError(f"coordinate {c} is not a pair of integers")
         if not (0 <= c[0] < self.config.width and 0 <= c[1] < self.config.height):
             raise ValueError(f"coordinate {c} outside the mesh")
 

@@ -14,10 +14,12 @@ in-flight completions in a heap and retires those that finish strictly
 before each arrival: at a tie the kernel ran the bulk-loaded arrival
 first.  The ``noc`` sink passes no kernel to
 :meth:`repro.interconnect.noc.MeshNoC.run`, which therefore walks its
-per-cycle calendar unless an init hook or session tracer observes
-kernels.  The ``wear`` sink applies its write stream in closed form.
-``REPRO_FASTPATH=off|auto`` produce byte-identical results, which the
-golden suite pins per scenario.
+ring of per-cycle departure lists unless an init hook or session tracer
+observes kernels, and reads the per-packet ``latencies`` and ``hops``
+arrays of the result rather than its packets.  The ``wear`` sink
+applies its write stream in closed form.  ``REPRO_FASTPATH=off|auto``
+produce byte-identical results, which the golden suite pins per
+scenario.
 
 Sinks (:data:`SINKS`):
 
@@ -276,15 +278,16 @@ def _replay_noc(
         ) from None
     arr, _ = _time_ordered(blocks)
     nodes = width * height
-    src_ids = arr["client"] % nodes
-    dst_ids = arr["target"] % nodes
+    # int64 before the modulo: the record fields are uint16, too narrow
+    # for a node count above 65535.
+    src_ids = arr["client"].astype(np.int64) % nodes
+    dst_ids = arr["target"].astype(np.int64) % nodes
     same = src_ids == dst_ids
     dst_ids = np.where(same, (dst_ids + 1) % nodes, dst_ids)
-    pairs = [
-        ((int(s) % width, int(s) // width),
-         (int(d) % width, int(d) // width))
-        for s, d in zip(src_ids, dst_ids)
-    ]
+    pairs = list(zip(
+        zip((src_ids % width).tolist(), (src_ids // width).tolist()),
+        zip((dst_ids % width).tolist(), (dst_ids // width).tolist()),
+    ))
     # Trace timestamps are seconds; the NoC clock is cycles.  Scale so
     # the whole trace spans a workload-proportional cycle window and
     # quantize to integers (the model aligns to cycle boundaries).  The
@@ -300,22 +303,19 @@ def _replay_noc(
         max_cycles=max_cycles,
         route_fn=route_fn,
     )
-    delivered = result.delivered
-    lat = (
-        np.array([p.latency for p in delivered])
-        if delivered
-        else np.zeros(1)
-    )
+    # The per-packet arrays, never ``result.delivered``: on the walk
+    # that would build one Packet per delivery.
+    delivered = len(result.latencies)
     return {
         "routing": routing,
         "mesh": [width, height],
         "packets": len(pairs),
-        "delivered": len(delivered),
-        "dropped": len(pairs) - len(delivered),
-        "latency_cycles": _quantiles(lat),
-        "mean_hops": float(np.mean([p.hops for p in delivered]))
-        if delivered
-        else 0.0,
+        "delivered": delivered,
+        "dropped": result.dropped,
+        "latency_cycles": _quantiles(
+            result.latencies if delivered else np.zeros(1)
+        ),
+        "mean_hops": float(np.mean(result.hops)) if delivered else 0.0,
         "total_cycles": float(result.cycles),
     }
 

@@ -7,12 +7,18 @@ reference here.  Random meshes, delays (including ``hop_latency == 1``,
 where an injection can schedule a departure for its own cycle),
 tie-heavy, fractional and unsorted injection times, both dimension
 orders and horizons that cut the run mid-flight must give the same
-delivered packets in the same order, the same drops, cycles, energy and
+delivered packets in the same order, the same per-packet latency and
+hop arrays and summary statistics, the same drops, cycles, energy and
 ``noc.*`` metrics.  Bad inputs fail with the same ``ValueError`` on
-both paths.
+both paths, and a non-integer coordinate fails before routing instead
+of hanging.
 """
 
 from __future__ import annotations
+
+import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -73,7 +79,14 @@ def _run(cfg, pairs, times, max_cycles, route_fn, sim):
     delivered = [(p.src, p.dst, p.injected_at, p.delivered_at, p.hop_index)
                  for p in res.delivered]
     ledger = (res.ledger.total(), res.ledger.breakdown())
-    return delivered, res.dropped, res.cycles, ledger, metrics
+    # NaN (no deliveries) never equals itself; compare it as None.
+    summary = [None if math.isnan(x) else x
+               for x in (res.mean_latency, res.p99_latency, res.mean_hops)]
+    arrays = (res.latencies.tolist(), res.hops.tolist())
+    assert arrays == ([p.latency for p in res.delivered],
+                      [float(p.hops) for p in res.delivered])
+    return (delivered, res.dropped, res.cycles, ledger, metrics, arrays,
+            summary)
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,3 +139,63 @@ def test_horizon_is_inclusive():
     assert noc.run([((0, 0), (1, 0))], max_cycles=1).dropped == 1
     res = noc.run([((0, 0), (1, 0))], max_cycles=2)
     assert res.dropped == 0 and res.cycles == 3.0
+
+
+@pytest.mark.parametrize(
+    "field", ["width", "height", "router_delay_cycles", "link_delay_cycles"]
+)
+def test_config_rejects_non_integer_sizes_and_delays(field):
+    # A fractional delay puts departures off the integer cycle grid: the
+    # walk used to drop a packet the kernel delivered.
+    with pytest.raises(ValueError, match=field):
+        NoCConfig(**{field: 1.5})
+    with pytest.raises(ValueError, match=field):
+        NoCConfig(**{field: 2.0})
+    NoCConfig(**{field: np.int64(2)})
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise ``TimeoutError`` in the block after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("sim", [None, Simulator], ids=["walk", "kernel"])
+@pytest.mark.parametrize("pair", [((0.5, 0), (1, 1)), ((0, 0), (1, 1.0))],
+                         ids=["fractional", "integral-float"])
+def test_non_integer_coordinate_is_rejected(sim, pair):
+    # xy_route steps x by +-1, so from x = 0.5 it never reaches 1 and
+    # the run used to hang.
+    noc = MeshNoC(NoCConfig(width=2, height=2))
+    with _deadline(10), pytest.raises(ValueError, match="integers"):
+        noc.run([pair], sim=sim() if sim is not None else None)
+
+
+@pytest.mark.parametrize("sim", [None, Simulator], ids=["walk", "kernel"])
+def test_numpy_integer_coordinates_route(sim):
+    noc = MeshNoC(NoCConfig(width=np.int64(2), height=2))
+    src, dst = (np.int64(0), np.int32(0)), (np.int64(1), np.int64(1))
+    res = noc.run([(src, dst)], sim=sim() if sim is not None else None)
+    assert res.dropped == 0 and res.cycles == 6.0
+    assert res.latencies.tolist() == [6.0] and res.hops.tolist() == [2.0]
+
+
+def test_walk_builds_packets_once_on_first_read():
+    noc = MeshNoC(NoCConfig(width=3, height=2))
+    pairs = [((0, 0), (2, 1)), ((1, 1), (0, 0))]
+    res = noc.run(pairs, injection_times=[0.5, 0.0])
+    assert "delivered" not in vars(res)
+    first = res.delivered
+    assert res.delivered is first
+    assert [(p.src, p.injected_at, p.delivered_at) for p in first] == [
+        ((1, 1), 0.0, 6.0), ((0, 0), 0.5, 10.0),
+    ]
