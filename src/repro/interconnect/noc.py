@@ -32,7 +32,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -294,26 +294,14 @@ class MeshNoC:
             )
             idx = np.array(order, dtype=np.intp)
             injected_at = injection_arr[idx]
-            ends = list(route_of)
-
-            def packets() -> list[Packet]:
-                built = []
-                for i, t, at in zip(order, injected_at.tolist(), arrivals):
-                    r = route_ids[i]
-                    src, dst = ends[r]
-                    route = routes[r]
-                    built.append(Packet(
-                        src=src, dst=dst, injected_at=t, route=route,
-                        hop_index=len(route) - 1, delivered_at=float(at),
-                    ))
-                return built
-
             route_hops = np.array([len(r) - 1 for r in routes], dtype=float)
             return self._result(
                 len(route_ids), injected, hops,
                 np.array(arrivals, dtype=float), injected_at,
                 route_hops[np.array(route_ids, dtype=np.intp)[idx]],
-                packets, until,
+                partial(_walk_packets, list(route_of), routes, route_ids,
+                        order, injected_at, arrivals),
+                until,
             )
 
         kernel = sim if sim is not None else Simulator()
@@ -439,7 +427,7 @@ class MeshNoC:
             np.fromiter((p.delivered_at for p in delivered), float, n),
             np.fromiter((p.injected_at for p in delivered), float, n),
             np.fromiter((p.hops for p in delivered), float, n),
-            lambda: delivered, until,
+            delivered.copy, until,
         )
 
     def _result(
@@ -590,6 +578,29 @@ class MeshNoC:
             raise ValueError(f"coordinate {c} is not a pair of integers")
         if not (0 <= c[0] < self.config.width and 0 <= c[1] < self.config.height):
             raise ValueError(f"coordinate {c} outside the mesh")
+
+
+def _walk_packets(
+    ends: list[tuple[Coord, Coord]],
+    routes: list[list[Coord]],
+    route_ids: list[int],
+    order: list[int],
+    injected_at: np.ndarray,
+    arrivals: list[int],
+) -> list[Packet]:
+    """The walk's deliveries as :class:`Packet` objects, in delivery
+    order; ``order``, ``injected_at`` and ``arrivals`` run parallel.  A
+    module-level function, so a result stays picklable."""
+    built = []
+    for i, t, at in zip(order, injected_at.tolist(), arrivals):
+        r = route_ids[i]
+        src, dst = ends[r]
+        route = routes[r]
+        built.append(Packet(
+            src=src, dst=dst, injected_at=t, route=route,
+            hop_index=len(route) - 1, delivered_at=float(at),
+        ))
+    return built
 
 
 def latency_vs_load(

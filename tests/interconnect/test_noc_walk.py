@@ -17,6 +17,7 @@ of hanging.
 from __future__ import annotations
 
 import math
+import pickle
 import signal
 from contextlib import contextmanager
 
@@ -199,3 +200,18 @@ def test_walk_builds_packets_once_on_first_read():
     assert [(p.src, p.injected_at, p.delivered_at) for p in first] == [
         ((1, 1), 0.0, 6.0), ((0, 0), 0.5, 10.0),
     ]
+
+
+@pytest.mark.parametrize("sim", [None, Simulator], ids=["walk", "kernel"])
+def test_result_pickles_before_and_after_reading_delivered(sim):
+    noc = MeshNoC(NoCConfig(width=3, height=3))
+    pairs = [((0, 0), (2, 2)), ((2, 0), (0, 1)), ((1, 1), (1, 2))]
+    res = noc.run(pairs, injection_times=[0.0, 1.0, 1.0],
+                  sim=sim() if sim is not None else None)
+    fields = [(p.src, p.dst, p.injected_at, p.delivered_at, p.hop_index)
+              for p in pickle.loads(pickle.dumps(res)).delivered]
+    assert fields == [(p.src, p.dst, p.injected_at, p.delivered_at,
+                       p.hop_index) for p in res.delivered]
+    back = pickle.loads(pickle.dumps(res))
+    assert back.latencies.tolist() == res.latencies.tolist()
+    assert len(back.delivered) == 3
