@@ -52,25 +52,18 @@ workloads
     analytics graphs.
 analysis
     Experiment registry, table renderers, statistics helpers.
+
+``import repro`` loads none of these: each subpackage is imported the
+first time it is named (``repro.datacenter.ClusterSimulator`` works as
+before), and scipy and networkx are imported only by the models that
+use them.  Start-up then costs what the caller runs, not the toolkit.
 """
 
-__version__ = "1.6.0"
+import importlib
 
-from . import (  # noqa: E402 - __version__ must exist before subpackages load
-    accelerator,
-    analysis,
-    core,
-    crosscut,
-    datacenter,
-    exec,  # noqa: A004 - deliberate: the execution-engine subpackage
-    interconnect,
-    memory,
-    parallel,
-    processor,
-    sensor,
-    technology,
-    workloads,
-)
+# A literal: pyproject.toml reads it without importing the package, and
+# the exec result cache keys artifacts on it.
+__version__ = "1.6.0"
 
 __all__ = [
     "accelerator",
@@ -88,3 +81,17 @@ __all__ = [
     "workloads",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: a subpackage is imported on first access and then cached
+    # here, so later lookups never reach this hook.
+    if name in __all__:
+        module = importlib.import_module(f"{__name__}.{name}")
+        globals()[name] = module
+        return module
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 
 def _check_avail(a: float) -> None:
@@ -53,6 +52,8 @@ def k_of_n_availability(k: int, n: int, a: float) -> float:
     _check_avail(a)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
+    from scipy import stats
+
     return float(stats.binom.sf(k - 1, n, a))
 
 

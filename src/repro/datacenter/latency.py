@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats
 
 from ..core.rng import RngLike, resolve_rng
 
@@ -48,10 +47,16 @@ class LatencyDistribution:
 def exponential_latency(mean_ms: float = 10.0) -> LatencyDistribution:
     if mean_ms <= 0:
         raise ValueError("mean must be positive")
+
+    def quantile(q):
+        from scipy import stats
+
+        return stats.expon.ppf(q, scale=mean_ms)
+
     return LatencyDistribution(
         name=f"exponential(mean={mean_ms}ms)",
         sampler=lambda gen, n: gen.exponential(mean_ms, size=n),
-        quantile_fn=lambda q: stats.expon.ppf(q, scale=mean_ms),
+        quantile_fn=quantile,
     )
 
 
@@ -61,10 +66,16 @@ def lognormal_latency(
     if median_ms <= 0 or sigma <= 0:
         raise ValueError("median and sigma must be positive")
     mu = np.log(median_ms)
+
+    def quantile(q):
+        from scipy import stats
+
+        return stats.lognorm.ppf(q, sigma, scale=median_ms)
+
     return LatencyDistribution(
         name=f"lognormal(median={median_ms}ms, sigma={sigma})",
         sampler=lambda gen, n: gen.lognormal(mu, sigma, size=n),
-        quantile_fn=lambda q: stats.lognorm.ppf(q, sigma, scale=median_ms),
+        quantile_fn=quantile,
     )
 
 

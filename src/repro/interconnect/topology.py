@@ -11,16 +11,20 @@ datacenter models consume.
 from __future__ import annotations
 
 import itertools
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def mesh2d(width: int, height: int) -> nx.Graph:
     """2-D mesh — the canonical NoC topology."""
     if width < 1 or height < 1:
         raise ValueError("mesh dimensions must be >= 1")
+    import networkx as nx
+
     g = nx.grid_2d_graph(width, height)
     for node in g.nodes:
         g.nodes[node]["pos"] = node
@@ -31,6 +35,8 @@ def torus2d(width: int, height: int) -> nx.Graph:
     """2-D torus: mesh plus wraparound links."""
     if width < 3 or height < 3:
         raise ValueError("torus dimensions must be >= 3 for distinct wraps")
+    import networkx as nx
+
     g = nx.grid_2d_graph(width, height, periodic=True)
     for node in g.nodes:
         g.nodes[node]["pos"] = node
@@ -41,6 +47,8 @@ def ring(n: int) -> nx.Graph:
     """Ring — cheap wiring, O(n) diameter."""
     if n < 3:
         raise ValueError("ring needs >= 3 nodes")
+    import networkx as nx
+
     g = nx.cycle_graph(n)
     for node in g.nodes:
         g.nodes[node]["pos"] = (node, 0)
@@ -51,6 +59,8 @@ def crossbar(n: int) -> nx.Graph:
     """Full crossbar (complete graph) — one hop, O(n^2) wires."""
     if n < 2:
         raise ValueError("crossbar needs >= 2 nodes")
+    import networkx as nx
+
     g = nx.complete_graph(n)
     for node in g.nodes:
         g.nodes[node]["pos"] = (node, 0)
@@ -69,6 +79,8 @@ def fat_tree(leaves: int, arity: int = 2) -> nx.Graph:
         raise ValueError("need >= 2 leaves")
     if arity < 2:
         raise ValueError("arity must be >= 2")
+    import networkx as nx
+
     g = nx.Graph()
     level_nodes: list = list(range(leaves))
     for node in level_nodes:
@@ -91,11 +103,15 @@ def fat_tree(leaves: int, arity: int = 2) -> nx.Graph:
 
 def diameter(g: nx.Graph) -> int:
     """Longest shortest path (hops)."""
+    import networkx as nx
+
     return nx.diameter(g)
 
 
 def average_hops(g: nx.Graph) -> float:
     """Mean shortest-path length over all node pairs."""
+    import networkx as nx
+
     return nx.average_shortest_path_length(g)
 
 
@@ -119,6 +135,8 @@ def bisection_width(g: nx.Graph, trials: int = 1) -> int:
             cut = sum(1 for u, v in g.edges if (u in side) != (v in side))
             best = min(best, cut)
         return int(best)
+    import networkx as nx
+
     parts = nx.algorithms.community.kernighan_lin_bisection(g, seed=42)
     side = set(parts[0])
     return sum(1 for u, v in g.edges if (u in side) != (v in side))

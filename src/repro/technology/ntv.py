@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from ..core import units
 from .node import TechnologyNode, get_node
@@ -172,6 +171,8 @@ class NTVModel:
             raise ValueError("guardband must be non-negative")
         if paths <= 0:
             raise ValueError("paths must be positive")
+        from scipy import special
+
         sigma_vth = vth_sigma_mv(self.node, self.avt_mv_um) / 1000.0
         vth = self.node.vth_v
         # Delay sensitivity to Vth: d(ln delay)/dVth = alpha/(V - Vth),

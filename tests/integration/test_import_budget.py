@@ -1,0 +1,58 @@
+"""Start-up imports only what runs.
+
+``import repro`` loads no subpackage, and scipy and networkx load only
+inside the model functions that call them.  Each case runs in a fresh
+interpreter, because this test process has long since imported both.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+HEAVY = ("scipy", "networkx")
+
+NOC_REPLAY = """
+from repro.traces.generators import generate
+from repro.traces.replay import replay
+kind, arr = generate("noc-uniform", seed=3, n=300, nodes=16)
+out = replay([(kind, arr)], sink="noc", sink_params={"width": 4, "height": 4})
+assert out.outputs["delivered"] == 300, out.outputs
+"""
+
+CASES = {
+    "repro": "import repro",
+    "traces.replay": "import repro.traces.replay",
+    "serve.server": "import repro.serve.server",
+    "socket_worker": "import repro.exec.backends.socket_worker",
+    "interconnect.noc": "import repro.interconnect.noc",
+    "noc-replay": NOC_REPLAY,
+}
+
+
+def loaded_after(code: str) -> list:
+    """The heavy top-level packages in ``sys.modules`` after ``code``."""
+    probe = (code + "\nimport json, sys\n"
+             f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=SRC,
+                         env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("code", list(CASES.values()), ids=list(CASES))
+def test_entry_points_leave_scipy_and_networkx_unloaded(code):
+    assert loaded_after(code) == []
+
+
+def test_models_that_need_scipy_still_load_it():
+    code = ("import repro\n"
+            "repro.datacenter.lognormal_latency().quantile(0.99)")
+    assert loaded_after(code) == ["scipy"]
