@@ -3,9 +3,8 @@
 Measures raw events/second through :mod:`perf_harness` in two families:
 
 * **drain** — ``sim.run()`` over a pre-loaded 200k-event queue, for the
-  bare loop, the three instrumentation levels (null registry, live
-  counters+histogram, kernel probe), and — when the PR8 fast-path
-  kernel is present — the macro-batch configuration;
+  bare loop and the three instrumentation levels (null registry, live
+  counters+histogram, kernel probe);
 * **end-to-end** — scheduling plus drain, comparing the per-call token
   path against the PR3 ``cancellable=False`` and ``schedule_many``
   fast paths.
@@ -43,7 +42,6 @@ _DRAIN_LABELS = {
     "disabled_registry": "null registry (disabled)",
     "live_instruments": "live counters + histogram",
     "kernel_probe": "live registry + kernel probe",
-    "macro_drain": "macro batch twin (summing payloads)",
 }
 _E2E_LABELS = {
     "loop_token": "schedule_at loop (tokens)",
@@ -92,21 +90,15 @@ def test_kernel_throughput(benchmark):
         )
     )
 
-    # Since PR8 the bare drain is macro-batched, so it sits far above
-    # the scalar configurations rather than "in the same ballpark";
-    # the null-registry drain is the scalar reference the instrumented
-    # tiers are compared against (they pay real work per event, but
-    # not an order of magnitude).
+    # The null-registry drain is the reference the instrumented tiers
+    # are compared against (they pay real work per event, but not an
+    # order of magnitude); the bare drain dispatches the same events to
+    # a no-op handler.
     scalar = drain["disabled_registry"]
     assert bare > scalar * 0.9
     assert scalar > bare * 0.05
     assert drain["live_instruments"] > scalar * 0.1
     assert drain["kernel_probe"] > scalar * 0.1
-    # The macro family (feature-detected) does real per-event work in
-    # its twin, so it is slower than the no-op bare drain, but must
-    # stay within an order of magnitude of it.
-    if "macro_drain" in drain:
-        assert drain["macro_drain"] > bare * 0.1
     # The no-token and batch fast paths must never be slower than the
     # token path they bypass (generous margin for noisy runners).
     assert e2e["loop_no_token"] > loop * 0.9

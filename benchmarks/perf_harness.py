@@ -29,11 +29,6 @@ from typing import Callable, Dict, Iterable, Optional
 from repro.core.events import Simulator
 from repro.core.instrument import MetricsRegistry
 
-try:  # PR8 macro fast path; absent on older checkouts
-    from repro.core.macro import as_macro
-except ImportError:  # pragma: no cover - pre-PR8 checkout
-    as_macro = None
-
 N_EVENTS = 200_000
 DEFAULT_REPEATS = 5
 DEFAULT_EXPERIMENT_REPEATS = 3
@@ -73,18 +68,6 @@ def _noop(s: Simulator, payload) -> None:
     pass
 
 
-def _noop_batch(s: Simulator, run) -> None:
-    # Macro twin: observationally identical to len(run) scalar no-ops
-    # (both do nothing per event).  Returning None consumes the whole
-    # run, so the drain's residual per-event cost is the kernel's own
-    # bookkeeping — which is what "bare" measures.
-    return None
-
-
-if as_macro is not None:
-    as_macro(_noop, _noop_batch)
-
-
 # ---------------------------------------------------------------------------
 # Drain configurations: build() returns a loaded simulator; the timed
 # region is sim.run() only — raw event-dispatch throughput.
@@ -94,12 +77,9 @@ if as_macro is not None:
 def build_bare() -> Simulator:
     """The tentpole configuration: no instrumentation, bulk-loaded.
 
-    Since PR8 the train is loaded with ``schedule_many`` (the PR3 bulk
-    API, so pre-PR8 checkouts still run this config) and ``_noop``
-    carries a macro batch twin: under the default ``auto`` fast-path
-    mode the whole train executes as macro batches, which is the
-    configuration the PR8 drain targets.  ``REPRO_FASTPATH=off``
-    reproduces the PR3 scalar drain on the same build.
+    The train is loaded with ``schedule_many`` and every event is
+    dispatched to a no-op handler, so the drain rate is the kernel's own
+    per-event cost (the ``bare`` definition of ``BENCH_PR3.json``).
     """
     sim = Simulator()
     try:
@@ -111,23 +91,9 @@ def build_bare() -> Simulator:
     return sim
 
 
-def _scalar_sim() -> Simulator:
-    """A simulator pinned to the general drain (fast paths off).
-
-    The PR4 resilience criteria (checkpoint overhead as a fraction of
-    the drain, resume-vs-restart payoff) were calibrated against the
-    scalar drain; letting macro batches collapse the drain to near
-    zero would turn those ratios into snapshot-cost/epsilon noise.
-    """
-    try:
-        return Simulator(fastpath="off")
-    except TypeError:  # pragma: no cover - pre-PR8 kernel
-        return Simulator()
-
-
 def build_bare_scalar() -> Simulator:
-    """PR4 methodology: per-event ``schedule_at`` train, general drain."""
-    sim = _scalar_sim()
+    """PR4 methodology: per-event ``schedule_at`` train, no-op drain."""
+    sim = Simulator()
     sched = sim.schedule_at
     for t in _times():
         sched(t, _noop)
@@ -174,52 +140,12 @@ def build_kernel_probe() -> Simulator:
     return sim
 
 
-def build_macro_drain() -> Simulator:
-    """PR8 macro path with real per-event work, vectorized in the twin.
-
-    The scalar handler folds each payload into an accumulator; the
-    batch twin does the identical fold as one numpy reduction (exact:
-    integer payloads), so the config measures amortized-dispatch
-    throughput for a handler that actually consumes its events.
-    """
-    import numpy as np
-
-    sim = Simulator()
-    acc = [0]
-
-    def work(s: Simulator, payload) -> None:
-        acc[0] += payload
-
-    def work_batch(s: Simulator, run) -> None:
-        acc[0] += int(
-            np.asarray(run.payloads(), dtype=np.int64).sum()
-        )
-        return None
-
-    as_macro(work, work_batch)
-    sim.schedule_many(_times(), work, payloads=range(N_EVENTS))
-    return sim
-
-
-def _fastpath_supported() -> bool:
-    if as_macro is None:
-        return False
-    try:
-        Simulator(fastpath="auto")
-    except TypeError:  # pragma: no cover - pre-PR8 checkout
-        return False
-    return True
-
-
 DRAIN_CONFIGS: Dict[str, Callable[[], Simulator]] = {
     "bare": build_bare,
     "disabled_registry": build_disabled_registry,
     "live_instruments": build_live_instruments,
     "kernel_probe": build_kernel_probe,
 }
-
-if _fastpath_supported():
-    DRAIN_CONFIGS["macro_drain"] = build_macro_drain
 
 
 def measure_drain(

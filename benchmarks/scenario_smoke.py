@@ -11,9 +11,9 @@ noise.
 
 Gates:
 
-* peak replay throughput >= 1M records/s (the wear path, which drains
-  kernel-lessly; the queue/cpu paths replay through ``schedule_batch``
-  + macro twins and carry their own regression floors),
+* peak replay throughput >= 1M records/s (the wear path, which applies
+  its writes in closed form; the queue/cpu paths walk their records one
+  at a time and carry their own regression floors),
 * reader and online-stats throughput regression vs baseline,
 * leaderboard digest identical across two runs in-process,
 * leaderboard scores equal to the committed baseline.

@@ -6,10 +6,8 @@ These are the shared primitives every paper-facing model builds on:
   power/throughput targets.
 * :mod:`repro.core.rng` — seeded, stream-splitting RNG policy.
 * :mod:`repro.core.events` — deterministic discrete-event kernel, the
-  single simulation substrate every event-driven model runs on.
-* :mod:`repro.core.macro` / :mod:`repro.core.fastpath` — macro-event
-  batch twins for bulk-loaded trains and the mode policy behind the
-  kernel's fast-path drain (``REPRO_FASTPATH``).
+  single simulation substrate every event-driven model runs on, with
+  one drain loop and no mode switches.
 * :mod:`repro.core.instrument` — counters/gauges/quantile histograms and
   trace sinks threaded through the kernel and every migrated simulator.
 * :mod:`repro.core.energy` — hierarchical energy ledger ("energy first").
@@ -60,7 +58,6 @@ from .events import (
     Simulator,
     trace_events,
 )
-from .fastpath import FastPathStats
 from .instrument import (
     Counter,
     Gauge,
@@ -71,7 +68,6 @@ from .instrument import (
     disable_session,
     enable_session,
 )
-from .macro import MacroRun, as_macro
 from .rng import DEFAULT_SEED, resolve_rng, spawn_rngs, stream_for
 
 __all__ = [
@@ -87,12 +83,10 @@ __all__ = [
     "EnergyLedger",
     "Event",
     "Explorer",
-    "FastPathStats",
     "FunctionCheckpoint",
     "Gauge",
     "Histogram",
     "KernelSnapshot",
-    "MacroRun",
     "Metrics",
     "MetricsRegistry",
     "Objective",
@@ -103,7 +97,6 @@ __all__ = [
     "Simulator",
     "SweepResult",
     "TraceSink",
-    "as_macro",
     "best_under_budget",
     "combine_ledgers",
     "default_registry",

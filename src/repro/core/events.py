@@ -51,16 +51,10 @@ points:
   replays the identical event stream.  Snapshots cost nothing on the
   per-event hot path — mid-run accounting is derived structurally from
   the sequence counter (see :meth:`Simulator.snapshot`).
-* **Fast path** (:mod:`repro.core.fastpath`, :mod:`repro.core.macro`):
-  a bulk load (:meth:`Simulator.schedule_many` / :meth:`Simulator.
-  schedule_batch`) that extends the in-order lane with a train whose
-  callback carries a batch twin *declares* a span; the drain hands the
-  span to the twin as one *macro-event* batch.  Nothing else batches.
-  Guards keep the executed stream byte-identical to the general path:
-  batches are refused while kernel observers are active (probes, span
-  tracer, armed fault injector) and never cross an out-of-order (heap)
-  event or a ``run(until=)`` horizon.  ``REPRO_FASTPATH=off`` (or
-  ``Simulator(fastpath="off")``) disables it.
+* **Times are checked**: every scheduling entry point rejects a time
+  before the clock with :class:`ValueError`, NaN included (it compares
+  false both ways and would let the clock run backwards); so does
+  ``run(until=nan)``.
 
 Models plug in through the :class:`SimModel` protocol — ``bind(sim)``,
 ``reset()``, ``finish()`` — so generic machinery (fault injectors,
@@ -74,13 +68,10 @@ import itertools
 import math
 import weakref
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Protocol, Tuple, runtime_checkable
 
-from . import fastpath as _fastpath
 from .instrument import MetricsRegistry, default_registry
-from .macro import MACRO_ATTR, MacroRun
 
 EventCallback = Callable[["Simulator", Any], None]
 ProbeCallback = Callable[["Simulator", "Event"], None]
@@ -88,14 +79,6 @@ ProbeCallback = Callable[["Simulator", "Event"], None]
 #: Version tag written into every :class:`KernelSnapshot`; bump when the
 #: snapshot layout changes so stale snapshots are rejected loudly.
 SNAPSHOT_VERSION = 1
-
-#: Sentinel lane index meaning "no fast-path attempt pending".
-_FP_INF = float("inf")
-#: Shared frozen wake cell used when fast paths are disabled for a run;
-#: the drain gate reads it but nothing ever writes it.
-_FP_NEVER: list = [_FP_INF]
-_FP_MIN_RUN = _fastpath.MIN_RUN
-_FP_RETRY = _fastpath.RETRY_BACKOFF
 
 
 @dataclass(frozen=True, slots=True)
@@ -402,7 +385,6 @@ class Simulator:
         self,
         start_time: float = 0.0,
         metrics: Optional[MetricsRegistry] = None,
-        fastpath: Optional[str] = None,
     ) -> None:
         self._now = float(start_time)
         #: Out-of-order lane: a binary heap of (time, seq, token, cb, payload).
@@ -440,26 +422,6 @@ class Simulator:
         #: invalidates their indices.  Snapshots evicted from a bounded
         #: ring die here silently and never pay for the copy.
         self._lazy_snaps: list[weakref.ref[KernelSnapshot]] = []
-        # -- fast-path layer (see repro.core.fastpath) -----------------
-        #: Mode: "off" | "auto"; explicit arg wins over the
-        #: REPRO_FASTPATH environment variable, default "auto".
-        self._fp_mode = _fastpath.resolve_mode(fastpath)
-        #: True when bulk loads declare spans (mode "auto").
-        self._fp_record = self._fp_mode != "off"
-        #: Declared spans awaiting the drain cursor, FIFO by position:
-        #: ``[callback, start, end, batch]`` covering lane indices
-        #: ``[start, end)`` (see _fp_declare).
-        self._fp_runs: deque = deque()
-        #: One-cell list holding the lane index of the next position
-        #: worth a batch attempt (``_FP_INF`` = none).  The drain loop
-        #: ends each lane stretch at this index — the entire cost of
-        #: the fast-path layer while no span is pending.
-        self._fp_wake: list = [_FP_INF]
-        #: Count of active observers that must veto batching entirely
-        #: (armed KernelFaultInjector; see fastpath_block()).
-        self._fp_blockers = 0
-        #: Behavior counters (batches committed, aborts, deopts, …).
-        self.fastpath_stats = _fastpath.FastPathStats()
         if _INIT_HOOKS:
             for hook in list(_INIT_HOOKS):
                 hook(self)
@@ -484,8 +446,6 @@ class Simulator:
     def _drop_consumed(self, pos: int) -> None:
         """Compact the lane by dropping its consumed prefix ``[:pos]``."""
         self._flush_lazy_snapshots()
-        if self._fp_record:
-            self._fp_shift(pos)
         del self._lane[:pos]
 
     @property
@@ -578,125 +538,6 @@ class Simulator:
     def remove_probe(self, probe: ProbeCallback) -> None:
         self._probes.remove(probe)
 
-    # -- fast-path control (see repro.core.fastpath) -----------------------
-
-    @property
-    def fastpath_mode(self) -> str:
-        """Active fast-path mode: ``"off"`` or ``"auto"``."""
-        return self._fp_mode
-
-    def fastpath_block(self) -> None:
-        """Veto batching until :meth:`fastpath_unblock` (re-entrant).
-
-        Used by observers that need per-event visibility but don't hang
-        off the probe list — the armed :class:`~repro.crosscut.faults.
-        KernelFaultInjector` calls this so fault timing can never land
-        inside a committed batch.
-        """
-        self._fp_blockers += 1
-
-    def fastpath_unblock(self) -> None:
-        if self._fp_blockers > 0:
-            self._fp_blockers -= 1
-
-    def _fp_declare(self, callback: EventCallback, start: int, end: int) -> None:
-        """Declare ``lane[start:end)``, just bulk-loaded, as a span.
-
-        Only a callback carrying a batch twin declares anything.  A load
-        that directly follows a span of the same callback extends it;
-        otherwise a span shorter than ``MIN_RUN`` is not worth a record.
-        Arms the drain-gate wake cell at the span's start.
-        """
-        batch = getattr(callback, MACRO_ATTR, None)
-        if batch is None:
-            return
-        runs = self._fp_runs
-        if runs and runs[-1][0] is callback and runs[-1][2] == start:
-            runs[-1][2] = end
-        elif end - start >= _FP_MIN_RUN:
-            runs.append([callback, start, end, batch])
-            wake = self._fp_wake
-            if start < wake[0]:
-                wake[0] = start
-
-    def _fp_shift(self, n: int) -> None:
-        """Re-base span records after a lane compaction (``del lane[:n]``)."""
-        runs = self._fp_runs
-        while runs and runs[0][2] <= n:
-            runs.popleft()
-        for r in runs:
-            r[1] = r[1] - n if r[1] >= n else 0
-            r[2] -= n
-        wake = self._fp_wake
-        if wake[0] != _FP_INF:
-            wake[0] = wake[0] - n if wake[0] >= n else 0
-
-    def _fp_reset_records(self) -> None:
-        """Drop all span records (queue rebuilt or fully consumed)."""
-        self._fp_runs.clear()
-        self._fp_wake[0] = _FP_INF
-
-    def _fp_attempt(self, lane: list, pos: int, boundary: int) -> Tuple[int, int]:
-        """Try to execute a macro batch at ``lane[pos]``; ``(new_pos, n)``.
-
-        Called from the drain loop when the cursor reaches the wake
-        cell.  Finds the declared span covering ``pos``, clips it to
-        ``boundary`` (the first out-of-order event, the ``until``
-        horizon or the ``max_events`` budget), checks the observer
-        guards (no probes, no tracer, no blockers), hands the span to
-        the twin and commits the clock for what it consumed.  Every exit
-        re-arms ``_fp_wake`` so the per-stretch gate stays O(1) and
-        always makes progress.
-        """
-        wake = self._fp_wake
-        runs = self._fp_runs
-        while runs and runs[0][2] <= pos:
-            runs.popleft()
-        if not runs:
-            wake[0] = _FP_INF
-            return pos, 0
-        rec = runs[0]
-        if rec[1] > pos:  # scalar events before the next span
-            wake[0] = rec[1]
-            return pos, 0
-        end = rec[2] if rec[2] < boundary else boundary
-        if end - pos < _FP_MIN_RUN:
-            # Too short to pay for a batch (an out-of-order event or the
-            # horizon clips the span just ahead of the cursor): back off.
-            wake[0] = pos + _FP_RETRY
-            return pos, 0
-        stats = self.fastpath_stats
-        if (
-            self._probes
-            or self._fp_blockers
-            or getattr(self.metrics, "tracer", None) is not None
-        ):
-            stats.deopts += 1
-            wake[0] = rec[2]
-            return pos, 0
-        n = rec[3](self, MacroRun(lane, pos, end))
-        if n is None:
-            n = end - pos
-        elif not 0 <= n <= end - pos:
-            raise RuntimeError(
-                f"macro batch for {rec[0]!r} consumed {n} of {end - pos} "
-                "offered entries — batch twin violates its contract"
-            )
-        if n:
-            new_pos = pos + n
-            self._now = lane[new_pos - 1][0]
-            stats.batches += 1
-            stats.batched_events += n
-            if n < end - pos:
-                stats.aborts += 1
-            # Re-attempt as soon as the cursor returns (intervening
-            # heap events drain generally first).
-            wake[0] = new_pos
-            return new_pos, n
-        stats.declines += 1
-        wake[0] = pos + _FP_RETRY
-        return pos, 0
-
     def sample_every(
         self,
         period: float,
@@ -741,7 +582,7 @@ class Simulator:
         arrival trains, completions, self-rescheduling ticks) and
         returns ``None``.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         seq = next(self._seq)
         token = CancelToken(self._cancel_log, seq) if cancellable else None
@@ -765,7 +606,7 @@ class Simulator:
         ``cancellable=False`` skips token allocation and returns
         ``None`` (see :meth:`schedule`).
         """
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise ValueError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
@@ -794,7 +635,7 @@ class Simulator:
         and pending halves without any per-event bookkeeping.  This is
         how ``repro.resilience.CheckpointManager`` schedules its ticks.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         seq = next(self._seq)
         token = CancelToken(self._cancel_log, seq)
@@ -845,8 +686,8 @@ class Simulator:
             n = len(ts)
             if n == 0:
                 return 0
-            if ts.min() < now:
-                bad = float(ts[ts < now][0])
+            if not ts.min() >= now:  # min() propagates NaN
+                bad = float(ts[~(ts >= now)][0])
                 raise ValueError(
                     f"cannot schedule at {bad} before current time {now}"
                 )
@@ -870,10 +711,7 @@ class Simulator:
             ))
             lane = self._lane
             if in_order and (not lane or entries[0][0] >= lane[-1][0]):
-                start = len(lane)
                 lane.extend(entries)
-                if self._fp_record:
-                    self._fp_declare(callback, start, len(lane))
             elif len(entries) * 4 > len(heap):
                 heap.extend(entries)
                 heapq.heapify(heap)
@@ -890,7 +728,7 @@ class Simulator:
         if payloads is None:
             for t in times:
                 t = float(t)
-                if t < now:
+                if not t >= now:
                     raise ValueError(
                         f"cannot schedule at {t} before current time {now}"
                     )
@@ -901,7 +739,7 @@ class Simulator:
         else:
             for t, payload in zip(times, payloads, strict=True):
                 t = float(t)
-                if t < now:
+                if not t >= now:
                     raise ValueError(
                         f"cannot schedule at {t} before current time {now}"
                     )
@@ -913,10 +751,7 @@ class Simulator:
             return 0
         lane = self._lane
         if in_order and (not lane or entries[0][0] >= lane[-1][0]):
-            start = len(lane)
             lane.extend(entries)  # stays sorted: O(n) load, O(1) pops
-            if self._fp_record:
-                self._fp_declare(callback, start, len(lane))
         elif len(entries) * 4 > len(heap):
             heap.extend(entries)
             heapq.heapify(heap)  # O(n+m) beats m pushes for large m
@@ -926,23 +761,10 @@ class Simulator:
                 push(heap, entry)
         return len(entries)
 
-    def schedule_batch(
-        self,
-        times,
-        callback: EventCallback,
-        payloads=None,
-    ) -> int:
-        """Bulk-load a train intended for macro-batch execution.
-
-        Identical scheduling semantics to :meth:`schedule_many`; the
-        name declares intent.  An in-order train whose ``callback``
-        carries a batch twin (:func:`repro.core.macro.as_macro`) lands
-        in the sorted lane as one declared span, which the drain's
-        macro fast path consumes in one shot.  Works — just without
-        batching — when fast paths are off; the executed stream is
-        identical either way.
-        """
-        return self.schedule_many(times, callback, payloads)
+    #: The cluster, hedging, NoC and harvest models bulk-load their
+    #: arrival, injection and tick trains through this name, so a
+    #: wrapper can time those loads apart from other bulk schedules.
+    schedule_batch = schedule_many
 
     def _next_entry(self, pop: bool):
         """The next live event across both lanes (or ``None`` if drained).
@@ -970,8 +792,6 @@ class Simulator:
             else:
                 if pos and not self._running:
                     self._flush_lazy_snapshots()
-                    if self._fp_record:
-                        self._fp_reset_records()
                     lane.clear()  # fully consumed: reclaim
                     self._lane_pos = 0
                 return None
@@ -1026,7 +846,7 @@ class Simulator:
         head precedes), or drains a stretch ``lane[pos:boundary]`` of
         the in-order lane, where ``boundary`` is the first lane entry
         behind the heap head, the ``until`` horizon, the ``max_events``
-        budget or the fast-path wake index, whichever comes first.
+        budget, whichever comes first.
         Inside a stretch an event costs one callback plus a cancel-log,
         a probe and a heap-length check; a callback that pushes onto the
         heap ends the stretch, so the next pass re-merges at the exact
@@ -1037,6 +857,10 @@ class Simulator:
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run)")
+        if until is not None and math.isnan(until):
+            # NaN compares false against every timestamp, so the horizon
+            # checks below would never stop the drain.
+            raise ValueError("run(until=nan): the horizon must be a number")
         self._running = True
         heap = self._heap
         lane = self._lane
@@ -1052,18 +876,6 @@ class Simulator:
         run_span = (
             tracer.begin("kernel.run", sim_time=self._now, category="kernel")
             if tracer is not None else None
-        )
-        # Fast-path gate: one `pos >= fpw[0]` compare per stretch.  A run
-        # that starts with observers attached (probes, tracer) never
-        # batches, so it aliases the frozen never-wakes cell; observers
-        # arriving mid-run are caught by the per-attempt guards instead.
-        fpw = (
-            self._fp_wake
-            if self._fp_record
-            and not probes
-            and not self._fp_blockers
-            and tracer is None
-            else _FP_NEVER
         )
         completed = False
         try:
@@ -1108,19 +920,11 @@ class Simulator:
                             # Entries at exactly ``until`` run; seqs are
                             # finite, so they all sort before the probe.
                             boundary = bisect_left(
-                                lane, (until, _FP_INF), pos + 1, boundary
+                                lane, (until, math.inf), pos + 1, boundary
                             )
                         if (max_events is not None
                                 and boundary - pos > max_events - executed):
                             boundary = pos + (max_events - executed)
-                        if fpw[0] < boundary:
-                            if fpw[0] <= pos:
-                                pos, n = self._fp_attempt(lane, pos, boundary)
-                                if n:
-                                    executed += n
-                                    continue
-                            if fpw[0] < boundary:
-                                boundary = fpw[0]
                         while pos < boundary:
                             entry = lane[pos]
                             pos += 1
@@ -1329,11 +1133,6 @@ class Simulator:
         self._heap = []
         self._lane = sorted(snap.entries)
         self._lane_pos = 0
-        # A restore drops the span records: the rebuilt lane's indices
-        # have nothing to do with the records' positions.  Replay
-        # therefore drains on the general path until a new bulk load
-        # declares a span — determinism is unconditional either way.
-        self._fp_reset_records()
         self.stats.events_executed = snap.events_executed
         self.stats.events_cancelled = snap.events_cancelled
         self.stats.end_time = snap.now

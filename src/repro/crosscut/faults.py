@@ -238,7 +238,6 @@ class KernelFaultInjector:
         self.injected = 0
         self._tokens: list = []
         self._armed = False
-        self._armed_sim = None
 
     @property
     def armed(self) -> bool:
@@ -298,13 +297,6 @@ class KernelFaultInjector:
                 "duplicate fault train)"
             )
         self._armed = True
-        # An armed injector is a kernel observer: it must see (and be
-        # able to perturb) model state between any two events, so the
-        # kernel's macro fast path stands down until disarm.
-        block = getattr(sim, "fastpath_block", None)
-        if block is not None:
-            block()
-            self._armed_sim = sim
         sim.register_checkpointable(self)
         t = sim.now
         scheduled = 0
@@ -329,7 +321,4 @@ class KernelFaultInjector:
                 cancelled += 1
         self._tokens.clear()
         self._armed = False
-        if self._armed_sim is not None:
-            self._armed_sim.fastpath_unblock()
-            self._armed_sim = None
         return cancelled

@@ -18,7 +18,7 @@ scenario's trace and varies exactly one policy axis:
 
 Scores are deterministic simulation outputs — the leaderboard is an
 *artifact*: :func:`run_all` produces a canonical dict whose sha256
-digest is stable across runs, fastpath modes, and backends, and CI
+digest is stable across runs and backends, and CI
 diffs fresh scores against the committed baseline so a policy change
 that silently reshuffles a board fails the build.
 """
@@ -52,14 +52,14 @@ class Championship:
     name: str
     scenario: str  # shipped scenario id whose trace is the fixture
     metric: str  # what the score is, for humans
-    #: policy name -> runner(kind, arr, fastpath) -> (score, metrics)
+    #: policy name -> runner(kind, arr) -> (score, metrics)
     entries: Dict[str, Callable[..., Tuple[float, Dict[str, Any]]]]
 
-    def run(self, fastpath: Optional[str] = None) -> Dict[str, Any]:
+    def run(self) -> Dict[str, Any]:
         kind, arr = build_trace(self.scenario)
         rows = []
         for policy in sorted(self.entries):
-            score, metrics = self.entries[policy](kind, arr, fastpath)
+            score, metrics = self.entries[policy](kind, arr)
             rows.append(
                 {"policy": policy, "score": float(score),
                  "metrics": metrics}
@@ -78,12 +78,11 @@ class Championship:
 
 
 def _queue_entry(policy: str):
-    def _run(kind, arr, fastpath):
+    def _run(kind, arr):
         r = replay(
             [(kind, arr)],
             sink="queue",
             sink_params={"n_servers": 8, "policy": policy},
-            fastpath=fastpath,
         )
         lat = r.outputs["latency_s"]
         return lat["p99"], {
@@ -96,12 +95,11 @@ def _queue_entry(policy: str):
 
 
 def _routing_entry(routing: str):
-    def _run(kind, arr, fastpath):
+    def _run(kind, arr):
         r = replay(
             [(kind, arr)],
             sink="noc",
             sink_params={"width": 4, "height": 4, "routing": routing},
-            fastpath=fastpath,
         )
         lat = r.outputs["latency_cycles"]
         return lat["p99"], {
@@ -115,7 +113,7 @@ def _routing_entry(routing: str):
 
 
 def _wear_entry(leveler: str):
-    def _run(kind, arr, fastpath):
+    def _run(kind, arr):
         # 256 lines + a fast gap: small enough that the rotation-based
         # levelers complete several laps within the 10k-write fixture,
         # so the board separates policies instead of measuring warm-up.
@@ -124,7 +122,6 @@ def _wear_entry(leveler: str):
             sink="wear",
             sink_params={"leveler": leveler, "n_lines": 256,
                          "gap_interval": 8},
-            fastpath=fastpath,
         )
         return r.outputs["max_wear"], {
             "mean_wear": r.outputs["mean_wear"],
@@ -136,7 +133,7 @@ def _wear_entry(leveler: str):
 
 
 def _hedge_entry(trigger: Optional[str]):
-    def _run(kind, arr, fastpath):
+    def _run(kind, arr):
         # Hedging is modeled directly on the service-demand stream (no
         # queueing): the primary runs; if it is still in flight at the
         # trigger latency, a backup of the *mirrored* request (index
@@ -215,9 +212,7 @@ def leaderboard_digest(board: Dict[str, Any]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def run_championship(
-    name: str, fastpath: Optional[str] = None
-) -> Dict[str, Any]:
+def run_championship(name: str) -> Dict[str, Any]:
     try:
         champ = COMPETITIONS[name]
     except KeyError:
@@ -225,14 +220,14 @@ def run_championship(
             f"unknown championship {name!r}; choose from "
             f"{', '.join(sorted(COMPETITIONS))}"
         ) from None
-    return champ.run(fastpath=fastpath)
+    return champ.run()
 
 
-def run_all(fastpath: Optional[str] = None) -> Dict[str, Any]:
+def run_all() -> Dict[str, Any]:
     """The leaderboard artifact: every championship, one digest."""
     board: Dict[str, Any] = {
         "championships": {
-            name: run_championship(name, fastpath=fastpath)
+            name: run_championship(name)
             for name in sorted(COMPETITIONS)
         },
     }

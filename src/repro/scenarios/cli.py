@@ -4,10 +4,10 @@ Subcommands::
 
     python -m repro scenarios list [--tag TAG]
     python -m repro scenarios show <id>
-    python -m repro scenarios replay <id> [--fastpath M] [--json]
+    python -m repro scenarios replay <id> [--json]
     python -m repro scenarios gen <profile> -o FILE [--seed S] [--n N]
     python -m repro scenarios info <trace-file> [--interval N]
-    python -m repro scenarios champ [NAME] [--fastpath M] [--output F]
+    python -m repro scenarios champ [NAME] [--output F]
 
 ``replay`` prints the scenario's deterministic digest — the same value
 the golden suite pins — so "did my change alter simulation behavior?"
@@ -23,7 +23,6 @@ import json
 import sys
 from typing import Optional
 
-from ..core.fastpath import MODES
 from . import championship, library
 
 __all__ = ["main"]
@@ -54,7 +53,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     try:
-        result = library.run(args.id, fastpath=args.fastpath)
+        result = library.run(args.id)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -64,7 +63,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print(f"scenario : {library.get(args.id).id}")
     print(f"sink     : {result.sink}")
     print(f"records  : {result.records}")
-    print(f"fastpath : {result.fastpath}")
     print(f"digest   : sha256:{result.digest()}")
     for key in sorted(result.outputs):
         print(f"  {key}: {result.outputs[key]}")
@@ -119,14 +117,12 @@ def _cmd_champ(args: argparse.Namespace) -> int:
     if args.name:
         board = {
             "championships": {
-                args.name: championship.run_championship(
-                    args.name, fastpath=args.fastpath
-                )
+                args.name: championship.run_championship(args.name)
             }
         }
         board["digest"] = championship.leaderboard_digest(board)
     else:
-        board = championship.run_all(fastpath=args.fastpath)
+        board = championship.run_all()
     for name in sorted(board["championships"]):
         comp = board["championships"][name]
         print(f"== {name} — {comp['metric']}")
@@ -164,10 +160,6 @@ def main(argv: Optional[list] = None) -> int:
     )
     p_replay.add_argument("id")
     p_replay.add_argument(
-        "--fastpath", choices=MODES, default=None,
-        help="pin the kernel fast-path mode (default: REPRO_FASTPATH)",
-    )
-    p_replay.add_argument(
         "--json", action="store_true", help="full result as JSON"
     )
     p_replay.set_defaults(func=_cmd_replay)
@@ -196,9 +188,6 @@ def main(argv: Optional[list] = None) -> int:
         "name", nargs="?", default=None,
         help=f"one of: {', '.join(sorted(championship.COMPETITIONS))} "
              "(default: all)",
-    )
-    p_champ.add_argument(
-        "--fastpath", choices=MODES, default=None,
     )
     p_champ.add_argument(
         "--output", default=None, help="write the JSON leaderboard here"

@@ -149,10 +149,7 @@ def write_trace_file(
         return w.records_written
 
 
-def run(
-    scenario: Union[str, Scenario],
-    fastpath: Optional[str] = None,
-) -> ReplayResult:
+def run(scenario: Union[str, Scenario]) -> ReplayResult:
     """Generate + replay one scenario; the library's one-call form."""
     s = get(scenario) if isinstance(scenario, str) else scenario
     kind, arr = build_trace(s)
@@ -160,7 +157,6 @@ def run(
         [(kind, arr)],
         sink=s.sink,
         sink_params=s.sink_params,
-        fastpath=fastpath,
         stats_interval=s.stats_interval,
     )
 
@@ -172,10 +168,10 @@ def replay_scenario(config: Dict[str, Any]) -> Dict[str, Any]:
     Top-level and JSON-in/JSON-out, so an exec :class:`Job` can carry it
     through serial, process-pool, and socket backends alike —
     ``run_jobs`` digest parity across backends is gated on exactly this
-    function.  ``config`` may set ``fastpath`` to pin a kernel mode.
+    function.
     """
     scenario_id = config["scenario"]
-    result = run(scenario_id, fastpath=config.get("fastpath"))
+    result = run(scenario_id)
     out = result.to_dict()
     out["scenario"] = get(scenario_id).id
     return out
@@ -183,7 +179,7 @@ def replay_scenario(config: Dict[str, Any]) -> Dict[str, Any]:
 
 # -- the shipped library ---------------------------------------------------
 # Sizes are deliberately modest (a few thousand records): every id is
-# replayed in CI across both fastpath modes and three backends, and
+# replayed in CI across three backends, and
 # golden digests make byte-level drift loud, not slow tests.
 
 register(Scenario(

@@ -17,9 +17,8 @@ tick event on a :class:`repro.core.events.Simulator`, bulk-loaded as a
 pre-computed train via :meth:`~repro.core.events.Simulator.
 schedule_batch`, so the node's charge state, checkpoints, and power
 failures are observable through the kernel's instrumentation like every
-other simulator in the library — and the whole train executes as one
-macro-batch (:func:`repro.core.macro.as_macro`) when the kernel's fast
-paths are enabled and no observers are attached.
+other simulator in the library.  The kernel dispatches one event per
+tick.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.events import Simulator
-from ..core.macro import as_macro
 from ..core.rng import RngLike, resolve_rng
 
 
@@ -254,74 +252,6 @@ class IntermittentNode:
             else:
                 self._brown_out(sim.now)
 
-    def tick_batch(self, sim: Simulator, run) -> int:
-        """Macro twin of :meth:`tick`: consume a whole tick span at once.
-
-        Sound because a tick never schedules, cancels, or observes
-        ``sim.now`` — except to stamp tracer spans, which is exactly
-        why an attached model tracer declines the batch (per-event
-        spans need the kernel clock committed per event).  State
-        accumulates in locals and writes back only after the loop, so
-        an exception leaves zero entries applied (the atomic half of
-        the macro contract in ``repro.core.macro``).
-        """
-        if self._tracer is not None:
-            return 0
-        config = self.config
-        cap = config.capacitor_j
-        turn_on = config.turn_on_j
-        floor = config.brown_out_j
-        work = config.work_per_interval_j
-        ckpt_cost = config.checkpoint_cost_j
-        ckpt_every = self.checkpoint_interval_quanta
-        harvest_j = self._harvest_j
-        stored = self.stored_j
-        executing = self.executing
-        uncommitted = self.uncommitted
-        committed = self.committed
-        total_done = self.total_done
-        re_executed = self.re_executed
-        checkpoints = self.checkpoints
-        failures = self.failures
-        ticks = self.ticks
-        for _ in range(len(run)):
-            stored = min(stored + harvest_j[ticks], cap)
-            ticks += 1
-            if not executing:
-                if stored < turn_on:
-                    continue
-                executing = True
-            if stored - work < floor:
-                executing = False  # brown-out: lose uncommitted work
-                failures += 1
-                re_executed += uncommitted
-                uncommitted = 0
-                continue
-            stored -= work
-            uncommitted += 1
-            total_done += 1
-            if uncommitted >= ckpt_every:
-                if stored - ckpt_cost >= floor:
-                    stored -= ckpt_cost
-                    committed += uncommitted
-                    uncommitted = 0
-                    checkpoints += 1
-                else:
-                    executing = False
-                    failures += 1
-                    re_executed += uncommitted
-                    uncommitted = 0
-        self.stored_j = stored
-        self.executing = executing
-        self.uncommitted = uncommitted
-        self.committed = committed
-        self.total_done = total_done
-        self.re_executed = re_executed
-        self.checkpoints = checkpoints
-        self.failures = failures
-        self.ticks = ticks
-        return len(run)
-
     def result(self, n_intervals: int) -> IntermittentResult:
         return IntermittentResult(
             total_quanta_completed=self.total_done,
@@ -361,19 +291,15 @@ def simulate_intermittent(
     )
     kernel.attach(node)
 
+    # A closure, not the bound method: the harvest stream golden pins
+    # the callback qualname ``simulate_intermittent.<locals>.tick``.
     def tick(s: Simulator, _payload=None) -> None:
         node.tick(s, _payload)
 
-    def tick_batch(s: Simulator, run) -> int:
-        return node.tick_batch(s, run)
-
-    as_macro(tick, tick_batch)
-    # Pre-scheduled tick train.  A self-chaining periodic source stays
-    # one event ahead of the clock and can never form a macro run;
-    # bulk-loading the train gives the kernel one contiguous
-    # same-handler span to batch.  The timestamps accumulate
-    # (t_{i+1} = t_i + interval_s) exactly as the self-chaining source
-    # accumulated them, so tick times are bit-identical floats.
+    # Pre-scheduled tick train, bulk-loaded into the kernel's in-order
+    # lane in O(n).  The timestamps accumulate (t_{i+1} = t_i +
+    # interval_s) exactly as a self-chaining periodic source would, so
+    # tick times are bit-identical floats.
     times = []
     t = kernel.now
     for _ in range(n_intervals):

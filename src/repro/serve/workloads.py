@@ -38,7 +38,6 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from ..core.fastpath import MODES
 from ..exec.cache import canonicalize
 
 __all__ = [
@@ -231,10 +230,12 @@ def design_point(
             ).id
         except KeyError as exc:
             raise ValueError(str(exc.args[0])) from None
-        fastpath = config.get("fastpath")
-        if fastpath is not None and fastpath not in MODES:
+        if "fastpath" in config:
+            # The kernel has one drain path; a client still pinning a
+            # mode learns so instead of having the key silently ignored.
             raise ValueError(
-                f"fastpath must be one of {'/'.join(MODES)}, got {fastpath!r}"
+                "scenario config key 'fastpath' is retired: the event "
+                "kernel has a single drain path"
             )
     body = json.dumps(config, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(f"{workload}:{body}".encode()).hexdigest()[:16]

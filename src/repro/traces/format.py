@@ -54,9 +54,8 @@ Three kinds, mirroring the paper's emerging-apps tables (A.1/A.2):
   immediate.
 
 Timestamps must be nondecreasing across the whole file (enforced at
-write time): replay walks each block in timestamp order, and the NoC
-sink bulk-loads it with :meth:`~repro.core.events.Simulator.
-schedule_batch` into the kernel's in-order lane in O(n).
+write time): replay walks each block in timestamp order, so no sink
+pays for a sort on a well-formed trace.
 
 Two read paths share one validation layer: :meth:`TraceReader.blocks`
 yields ``(kind, numpy structured array)`` per block — the fast path

@@ -17,9 +17,7 @@ first.  The ``noc`` sink passes no kernel to
 ring of per-cycle departure lists unless an init hook or session tracer
 observes kernels, and reads the per-packet ``latencies`` and ``hops``
 arrays of the result rather than its packets.  The ``wear`` sink
-applies its write stream in closed form.  ``REPRO_FASTPATH=off|auto``
-produce byte-identical results, which the golden suite pins per
-scenario.
+applies its write stream in closed form.
 
 Sinks (:data:`SINKS`):
 
@@ -44,8 +42,8 @@ Sinks (:data:`SINKS`):
 Every sink returns a :class:`ReplayResult` whose :meth:`digest` covers
 only deterministic simulation outputs — latencies, counts, cycle
 totals, wear profiles, interval statistics — never wall-clock, so the
-same trace + sink + params digests identically across fastpath modes
-and across serial/pool/socket exec backends.
+same trace + sink + params digests identically across serial/pool/socket
+exec backends.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.events import Simulator
 from ..exec.cache import canonicalize
 from .format import (
     KIND_INSTRUCTION,
@@ -87,14 +84,12 @@ class ReplayResult:
     records: int
     outputs: Dict[str, Any]
     stats: Dict[str, Any] = field(default_factory=dict)
-    fastpath: str = "off"
 
     def digest(self) -> str:
         """sha256 over the canonical deterministic payload.
 
-        ``fastpath`` is deliberately excluded: the digest is the
-        cross-mode, cross-backend parity check, so only simulation
-        outputs may contribute.
+        The digest is the cross-backend parity check, so only
+        simulation outputs contribute.
         """
         payload = canonicalize(
             {
@@ -115,7 +110,6 @@ class ReplayResult:
             "records": self.records,
             "outputs": canonicalize(self.outputs),
             "stats": canonicalize(self.stats),
-            "fastpath": self.fastpath,
             "digest": self.digest(),
         }
 
@@ -190,7 +184,6 @@ QUEUE_POLICIES = ("rr", "target", "client", "jsq")
 
 def _replay_queue(
     blocks: List[np.ndarray],
-    sim: Simulator,
     n_servers: int = 8,
     policy: str = "rr",
 ) -> Dict[str, Any]:
@@ -259,7 +252,6 @@ def _replay_queue(
 
 def _replay_noc(
     blocks: List[np.ndarray],
-    sim: Simulator,
     width: int = 8,
     height: int = 8,
     routing: str = "xy",
@@ -325,7 +317,6 @@ def _replay_noc(
 
 def _replay_memory(
     blocks: List[np.ndarray],
-    sim: Simulator,
 ) -> Dict[str, Any]:
     """Memory records through the default three-level hierarchy.
 
@@ -371,7 +362,6 @@ def _replay_memory(
 
 def _replay_wear(
     blocks: List[np.ndarray],
-    sim: Simulator,
     leveler: str = "none",
     n_lines: int = 4096,
     endurance: float = 1e6,
@@ -423,7 +413,6 @@ def _replay_wear(
 
 def _replay_cpu(
     blocks: List[np.ndarray],
-    sim: Simulator,
     load_latency: int = 3,
     branch_penalty: int = 2,
 ) -> Dict[str, Any]:
@@ -487,18 +476,15 @@ def replay(
     source: Union[str, bytes, BinaryIO, Iterable[Tuple[int, np.ndarray]]],
     sink: str = "queue",
     sink_params: Optional[Dict[str, Any]] = None,
-    fastpath: Optional[str] = None,
     stats_interval: int = 0,
 ) -> ReplayResult:
     """Replay one trace through one sink.
 
     ``source`` is a trace path, raw bytes, an open binary file, or an
-    already-decoded iterable of ``(kind, array)`` blocks.  ``fastpath``
-    selects the kernel mode explicitly (default: the
-    ``REPRO_FASTPATH`` environment resolution).  ``stats_interval > 0``
-    attaches an :class:`IntervalStats` pass over every record in the
-    trace (all kinds, not just the replayed lane) and embeds its
-    summary in the result — and therefore in the digest.
+    already-decoded iterable of ``(kind, array)`` blocks.
+    ``stats_interval > 0`` attaches an :class:`IntervalStats` pass over
+    every record in the trace (all kinds, not just the replayed lane)
+    and embeds its summary in the result — and therefore in the digest.
     """
     try:
         want_kind, impl = SINKS[sink]
@@ -509,13 +495,11 @@ def replay(
         ) from None
     stats = IntervalStats(stats_interval) if stats_interval > 0 else None
     blocks = _gather(source, want_kind, stats)
-    sim = Simulator(fastpath=fastpath)
-    outputs = impl(blocks, sim, **(sink_params or {}))
+    outputs = impl(blocks, **(sink_params or {}))
     n = int(sum(len(b) for b in blocks))
     return ReplayResult(
         sink=sink,
         records=n,
         outputs=outputs,
         stats=stats.finish() if stats is not None else {},
-        fastpath=sim.fastpath_mode,
     )

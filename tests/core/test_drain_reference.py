@@ -1,13 +1,13 @@
 """Differential test: ``Simulator.run`` against a one-heap reference kernel.
 
-The kernel drains two lanes (an in-order list and a heap) in stretches,
-with macro batches for declared spans.  None of that may show: the
-executed ``(time, payload)`` stream, the clock and the exact stats must
-equal what a plain binary heap of ``(time, seq)`` entries with lazy
-cancellation produces.  Hypothesis draws programs that mix the patterns
-the drain has special cases for: bulk-loaded trains with and without a
-batch twin, callbacks that push events earlier than the lane tail onto
-the heap mid-stretch (the cluster pattern), one far-off self-rearming
+The kernel drains two lanes (an in-order list and a heap) in stretches.
+None of that may show: the executed ``(time, payload)`` stream, the
+clock and the exact stats must equal what a plain binary heap of
+``(time, seq)`` entries with lazy cancellation produces.  Hypothesis
+draws programs that mix the patterns the drain has special cases for:
+bulk-loaded trains of several handlers, callbacks that push events
+earlier than the lane tail onto the heap mid-stretch (the cluster
+pattern), one far-off self-rearming
 heap entry (the checkpoint-tick pattern), cancellations before and
 during the run, and chained ``run(until=)`` / ``max_events`` calls.
 """
@@ -20,7 +20,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import CancelToken, Simulator, SimStats
-from repro.core.macro import as_macro
 
 
 class _Reference:
@@ -66,7 +65,7 @@ _STEPS = [0.0, 0.25, 0.5, 1.0]
 
 @st.composite
 def _programs(draw):
-    # Trains: (handler, length); handler 0 and 2 carry a twin, 1 not.
+    # Trains: (handler, length).
     segments = draw(st.lists(
         st.tuples(st.integers(0, 2), st.integers(1, 40)),
         min_size=1, max_size=5,
@@ -89,7 +88,6 @@ def _programs(draw):
         st.sampled_from([0.0, 0.25, 0.75, 3.0, 100.0]),
         max_size=8,
     ))
-    budgets = draw(st.lists(st.integers(0, 24), min_size=1, max_size=6))
     tick = draw(st.one_of(
         st.none(),
         st.tuples(st.floats(0.0, span, allow_nan=False),
@@ -105,62 +103,37 @@ def _programs(draw):
         max_size=4,
     ))
     return (segments, steps, stragglers, cancel_first, cancels, spawns,
-            budgets, tick, runs)
+            tick, runs)
 
 
 def _execute(sim, program):
     """Load ``program`` onto ``sim``, run it; return the observations."""
-    (segments, steps, stragglers, cancel_first, cancels, spawns, budgets,
+    (segments, steps, stragglers, cancel_first, cancels, spawns,
      tick, runs) = program
     log = []
     tokens = []
-    attempts = [0]
 
-    def act(s, name, t, i):
-        """Scalar effects of entry ``i``; True if it scheduled an event."""
-        log.append((name, t, i))
+    def act(s, name, i):
+        log.append((name, s.now, i))
         target = cancels.get(i)
         if target is not None and target < len(tokens):
             tokens[target].cancel()
         delay = spawns.get(i)
         if delay is not None:
-            s.schedule_at(t + delay, spawned, 1000 + i, cancellable=False)
-            return True
-        return False
+            s.schedule_at(s.now + delay, spawned, 1000 + i, cancellable=False)
 
     def h0(s, i):
-        act(s, "h0", s.now, i)
-
-    def h0_batch(s, run):
-        # Partial consumption: stop at the drawn budget or a spawn.
-        budget = budgets[attempts[0] % len(budgets)]
-        attempts[0] += 1
-        k = 0
-        for t, i in run:
-            if k == budget:
-                break
-            k += 1
-            if act(s, "h0", t, i):
-                break
-        return k
+        act(s, "h0", i)
 
     def h1(s, i):
-        act(s, "h1", s.now, i)
+        act(s, "h1", i)
 
     def h2(s, i):
-        act(s, "h2", s.now, i)
-
-    def h2_batch(s, run):
-        for k, (t, i) in enumerate(run):
-            if act(s, "h2", t, i):
-                return k + 1
-        return None
+        act(s, "h2", i)
 
     def spawned(s, i):
         log.append(("spawned", s.now, i))
 
-    as_macro(h0, h0_batch)
-    as_macro(h2, h2_batch)
     handlers = (h0, h1, h2)
 
     t = 0.0
@@ -214,10 +187,9 @@ def _execute(sim, program):
 @given(_programs())
 def test_drain_matches_one_heap_reference(program):
     expected = _execute(_Reference(), program)
-    for mode in ("off", "auto"):
-        got = _execute(Simulator(fastpath=mode), program)
-        assert got[0] == expected[0], f"{mode}: executed stream diverged"
-        assert got[1] == expected[1], f"{mode}: clock or stats diverged"
+    got = _execute(Simulator(), program)
+    assert got[0] == expected[0], "executed stream diverged"
+    assert got[1] == expected[1], "clock or stats diverged"
 
 
 def test_horizon_stop_advances_clock_only_when_an_event_lies_beyond():

@@ -1,5 +1,8 @@
 """Tests for the discrete-event simulation kernel."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -236,6 +239,45 @@ class TestFastPaths:
         sim.run()
         assert [(t, p) for t, p in log] == [(2.0, "a"), (3.0, "b")]
 
+    def test_schedule_batch_is_schedule_many(self):
+        log = []
+        sim = Simulator()
+        assert sim.schedule_batch([0.0, 1.0, 2.0], record(log),
+                                  payloads="abc") == 3
+        assert len(sim) == 3
+        sim.run()
+        assert log == [(0.0, "a"), (1.0, "b"), (2.0, "c")]
+
+    def test_until_horizon_is_inclusive_on_a_bulk_loaded_train(self):
+        log = []
+        sim = Simulator()
+        sim.schedule_batch([float(i) for i in range(100)], record(log),
+                           payloads=range(100))
+        expected = [(float(i), i) for i in range(100)]
+        sim.run(until=49.0)
+        # The event at exactly 49.0 ran; the clock stops on it.
+        assert log == expected[:50]
+        assert sim.now == 49.0
+        sim.run()
+        assert log == expected
+
+    def test_probe_added_mid_run_sees_every_later_event(self):
+        seen = []
+        log = []
+        sim = Simulator()
+        sim.schedule_batch([float(i) for i in range(100)], record(log),
+                           payloads=range(100))
+        sim.schedule_at(
+            40.5,
+            lambda s, _p: s.add_probe(lambda _s, e: seen.append(e.payload)),
+            -1,
+        )
+        sim.run()
+        assert log == [(float(i), i) for i in range(100)]
+        # The probe sees the event that installed it and every later
+        # event, each exactly once.
+        assert seen == [-1] + list(range(41, 100))
+
 
 class TestPendingCounts:
     """__len__ over-counts cancelled entries by design; pending_live is exact."""
@@ -266,6 +308,35 @@ class TestPendingCounts:
         assert stats.events_executed == 1
         assert stats.events_cancelled == 2
         assert len(sim) == 0 and sim.pending_live() == 0
+
+
+#: Every way to hand the kernel a time: one NaN must be refused by each.
+_NAN_ENTRY_POINTS = {
+    "schedule_at": lambda sim, cb: sim.schedule_at(math.nan, cb),
+    "schedule": lambda sim, cb: sim.schedule(math.nan, cb),
+    "schedule_tagged": lambda sim, cb: sim.schedule_tagged(math.nan, cb),
+    "schedule_many-list": lambda sim, cb: sim.schedule_many([2.0, math.nan], cb),
+    "schedule_many-numpy": lambda sim, cb: sim.schedule_many(
+        np.array([2.0, math.nan]), cb),
+    "run-until": lambda sim, cb: sim.run(until=math.nan),
+}
+
+
+class TestNanTimes:
+    """NaN compares false both ways, so a ``t < now`` guard lets it
+    through and the clock then runs backwards (5.0 -> nan -> 1.0)."""
+
+    @pytest.mark.parametrize("entry", sorted(_NAN_ENTRY_POINTS))
+    def test_nan_time_is_rejected(self, entry):
+        sim = Simulator()
+        log = []
+        sim.schedule_at(5.0, record(log), "a")
+        sim.schedule_at(1.0, record(log), "b")
+        with pytest.raises(ValueError):
+            _NAN_ENTRY_POINTS[entry](sim, record(log))
+        assert len(sim) == 2
+        sim.run()
+        assert log == [(1.0, "b"), (5.0, "a")]
 
 
 class TestRunGuards:

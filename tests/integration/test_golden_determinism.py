@@ -1,4 +1,4 @@
-"""Golden determinism suite (PR3; fast-path modes since PR8).
+"""Golden determinism suite.
 
 The PR3 kernel overhaul (two-lane queue, token-free scheduling,
 ``schedule_many``) and the vectorized model fast paths are pure
@@ -13,15 +13,6 @@ observable scheduling behaviour, not just speed; that is either a bug
 or a semantic change that must be called out (and these constants
 re-recorded) explicitly.
 
-Every golden runs under both fast-path modes (``off``/``auto``).  A
-probed run never batches — the probe is a kernel observer, so the macro
-layer stands down — which makes the probed goldens a direct check that
-observation forces the general path.
-The real fast paths are exercised by the **no-probe** cross-mode test
-at the bottom: same models, no observer, modes compared against
-``off`` on model results and SimStats (and the harvest train must
-actually have batched in ``auto``).
-
 The hashes deliberately cover only the kernel-visible stream (times,
 sequence numbers, callback identities) and SimStats — not histogram or
 reservoir internals, which may legitimately differ in iteration detail.
@@ -33,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.core.events import Simulator
-from repro.core.fastpath import MODES
 from repro.datacenter.cluster import Balancer, ClusterConfig, ClusterSimulator
 from repro.datacenter.hedging import kernel_hedged_latencies
 from repro.datacenter.latency import lognormal_latency
@@ -46,9 +36,9 @@ from repro.sensor.harvest import (
 )
 
 
-def _probed_sim(mode: str) -> tuple[Simulator, "hashlib._Hash"]:
+def _probed_sim() -> tuple[Simulator, "hashlib._Hash"]:
     """A simulator whose executed event stream feeds a sha256."""
-    sim = Simulator(fastpath=mode)
+    sim = Simulator()
     digest = hashlib.sha256()
 
     def probe(s: Simulator, event) -> None:
@@ -123,8 +113,8 @@ _DRIVERS = {
 }
 
 
-def _run_probed(name: str, mode: str = "auto") -> tuple[str, int, int, float]:
-    sim, digest = _probed_sim(mode)
+def _run_probed(name: str) -> tuple[str, int, int, float]:
+    sim, digest = _probed_sim()
     _DRIVERS[name](sim)
     s = sim.stats
     return digest.hexdigest(), s.events_executed, s.events_cancelled, s.end_time
@@ -178,10 +168,9 @@ GOLDENS = {
 }
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", sorted(GOLDENS))
-def test_stream_matches_golden(name: str, mode: str):
-    assert _run_probed(name, mode) == GOLDENS[name]
+def test_stream_matches_golden(name: str):
+    assert _run_probed(name) == GOLDENS[name]
 
 
 def test_streams_reproducible_run_to_run():
@@ -190,29 +179,6 @@ def test_streams_reproducible_run_to_run():
         assert _run_probed(name) == _run_probed(name), (
             f"{name} stream not reproducible"
         )
-
-
-@pytest.mark.parametrize("name", sorted(_DRIVERS))
-def test_modes_agree_without_observers(name: str):
-    """No probe attached: the macro fast path genuinely engages, and
-    every mode must still produce the off-mode result and stats."""
-    outcomes = {}
-    for mode in MODES:
-        sim = Simulator(fastpath=mode)
-        summary = _DRIVERS[name](sim)
-        s = sim.stats
-        outcomes[mode] = (
-            summary,
-            s.events_executed,
-            s.events_cancelled,
-            s.end_time,
-        )
-        if name == "harvest" and mode == "auto":
-            # The whole tick train is one homogeneous run with a batch
-            # twin; if this stops batching, the no-probe leg of this
-            # test has silently stopped covering the fast path.
-            assert sim.fastpath_stats.batched_events > 0
-    assert outcomes["auto"] == outcomes["off"], f"{name}: auto diverged"
 
 
 if __name__ == "__main__":

@@ -20,13 +20,6 @@ re-executes as a no-op, exactly like any other replayed event.
 import pytest
 
 from repro.core.events import FunctionCheckpoint, Simulator
-from repro.core.fastpath import MODES
-
-# Every crash-resume golden runs under both fast-path modes.  The probe
-# keeps the drain on the general path (observation vetoes batching), so
-# what the parametrization actually pins is the fast-path *bookkeeping*
-# riding through snapshot()/restore(): span records dropped by a
-# restore, and the replay still byte-identical to the straight run.
 from repro.datacenter.cluster import Balancer, ClusterConfig, ClusterSimulator
 from repro.datacenter.hedging import kernel_hedged_latencies
 from repro.datacenter.latency import lognormal_latency
@@ -48,9 +41,9 @@ def _crash_once(sim: Simulator, box: dict) -> None:
         raise SimulatedCrash(f"injected crash at t={sim.now:g}")
 
 
-def _recorded_sim(mode: str):
+def _recorded_sim():
     """Simulator whose executed stream is a checkpointable line list."""
-    sim = Simulator(fastpath=mode)
+    sim = Simulator()
     lines: list[str] = []
 
     def probe(s: Simulator, event) -> None:
@@ -75,11 +68,11 @@ def _stats(sim: Simulator):
     return (s.events_executed, s.events_cancelled, s.end_time, sim.now)
 
 
-def _run(model_fn, period, crash_at, armed, resume_until, mode):
+def _run(model_fn, period, crash_at, armed, resume_until):
     """One run; ``armed=False`` is the straight-through reference (the
     crash event is still scheduled, disarmed, so both runs issue the
     identical sequence-number stream)."""
-    sim, lines = _recorded_sim(mode)
+    sim, lines = _recorded_sim()
     mgr = CheckpointManager(period=period, keep=2)
     mgr.arm(sim)
     sim.schedule_at(crash_at, _crash_once, {"armed": armed})
@@ -97,21 +90,18 @@ def _run(model_fn, period, crash_at, armed, resume_until, mode):
     return lines, _stats(sim)
 
 
-def _assert_resume_matches(
-    model_fn, period, crash_at, resume_until=None, mode="auto"
-):
+def _assert_resume_matches(model_fn, period, crash_at, resume_until=None):
     straight_lines, straight_stats = _run(
-        model_fn, period, crash_at, False, resume_until, mode
+        model_fn, period, crash_at, False, resume_until
     )
     resumed_lines, resumed_stats = _run(
-        model_fn, period, crash_at, True, resume_until, mode
+        model_fn, period, crash_at, True, resume_until
     )
     assert resumed_lines == straight_lines
     assert resumed_stats == straight_stats
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_cluster_crash_resume_is_deterministic(mode):
+def test_cluster_crash_resume_is_deterministic():
     def run(sim):
         ClusterSimulator(ClusterConfig(
             n_servers=8,
@@ -121,21 +111,19 @@ def test_cluster_crash_resume_is_deterministic(mode):
         )).run(arrival_rate=6.0, n_requests=400, rng=123, sim=sim)
 
     # Straight run ends ~66.7s; checkpoint every 10, crash at 35.
-    _assert_resume_matches(run, period=10.0, crash_at=35.0, mode=mode)
+    _assert_resume_matches(run, period=10.0, crash_at=35.0)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_hedging_crash_resume_is_deterministic(mode):
+def test_hedging_crash_resume_is_deterministic():
     def run(sim):
         dist = lognormal_latency(median_ms=10.0, sigma=0.8)
         kernel_hedged_latencies(dist, 300, trigger_quantile=0.9, rng=7, sim=sim)
 
     # Straight run ends ~8346ms; checkpoint every 1000, crash at 4500.
-    _assert_resume_matches(run, period=1000.0, crash_at=4500.0, mode=mode)
+    _assert_resume_matches(run, period=1000.0, crash_at=4500.0)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_noc_crash_resume_is_deterministic(mode):
+def test_noc_crash_resume_is_deterministic():
     cfg = NoCConfig(width=4, height=4)
     pairs = make_pattern("uniform", 300, cfg.width, cfg.height, rng=5)
     times = poisson_injection_times(300, rate_per_cycle=0.8, rng=5)
@@ -145,12 +133,11 @@ def test_noc_crash_resume_is_deterministic(mode):
 
     # Straight run drains ~cycle 379; checkpoint every 60, crash at 210.
     _assert_resume_matches(
-        run, period=60.0, crash_at=210.0, resume_until=200_000.0, mode=mode
+        run, period=60.0, crash_at=210.0, resume_until=200_000.0
     )
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_harvest_crash_resume_is_deterministic(mode):
+def test_harvest_crash_resume_is_deterministic():
     def run(sim):
         simulate_intermittent(
             Harvester(),
@@ -163,6 +150,5 @@ def test_harvest_crash_resume_is_deterministic(mode):
 
     # Straight run ends at 19.995s; checkpoint every 3, crash at 11.
     _assert_resume_matches(
-        run, period=3.0, crash_at=11.0, resume_until=(2_000 - 0.5) * 0.01,
-        mode=mode,
+        run, period=3.0, crash_at=11.0, resume_until=(2_000 - 0.5) * 0.01
     )

@@ -50,20 +50,21 @@ class TestReplay:
         assert doc["digest"] == GOLDEN_DIGESTS["wear-hotline@1"]
 
     @pytest.mark.parametrize("mode", ("off", "auto"))
-    def test_replay_fastpath_flag_does_not_move_the_digest(
-        self, capsys, mode
-    ):
-        assert main([
-            "scenarios", "replay", "cpu-mix@1", "--fastpath", mode,
-        ]) == 0
-        out = capsys.readouterr().out
-        assert GOLDEN_DIGESTS["cpu-mix@1"] in out
+    @pytest.mark.parametrize("command", (
+        ["replay", "cpu-mix@1"], ["champ", "hedging"],
+    ), ids=("replay", "champ"))
+    def test_retired_fastpath_flag_exits_two(self, capsys, command, mode):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", *command, "--fastpath", mode])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fastpath" in capsys.readouterr().err
 
     def test_replay_rejects_the_retired_on_mode(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["scenarios", "replay", "cpu-mix@1", "--fastpath", "on"])
         assert exc.value.code == 2
-        assert "invalid choice: 'on'" in capsys.readouterr().err
+        assert "unrecognized arguments: --fastpath on" in (
+            capsys.readouterr().err)
 
 
 class TestGenInfo:

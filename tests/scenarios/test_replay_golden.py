@@ -1,10 +1,9 @@
-"""Golden replay digests: every scenario, every mode, every backend.
+"""Golden replay digests: every scenario, every backend.
 
 The acceptance bar for the trace front end: replaying a shipped
 scenario id yields a **byte-identical digest** no matter which
-fast-path mode the kernel runs in (``off``/``auto``) and no
-matter which execution backend carries the job (serial, process pool,
-socket cluster).  The digests below are recorded constants; if a code
+execution backend carries the job (serial, process pool, socket
+cluster).  The digests below are recorded constants; if a code
 change alters one, it changed simulated behaviour — either a bug, or a
 semantic change that must be called out and these constants
 re-recorded (run this file as a script to regenerate).
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.fastpath import MODES
 from repro.scenarios.library import get, list_ids, replay_scenario, run
 
 # sha256 of the canonicalized replay result (sink, records, outputs,
@@ -47,17 +45,12 @@ def test_golden_table_covers_every_shipped_scenario():
 
 
 @pytest.mark.parametrize("sid", sorted(GOLDEN_DIGESTS))
-@pytest.mark.parametrize("mode", MODES)
-def test_replay_digest_matches_golden_in_every_mode(sid, mode):
-    result = run(get(sid), fastpath=mode)
-    assert result.digest() == GOLDEN_DIGESTS[sid], (
-        f"{sid} digest drifted under fastpath={mode}"
-    )
+def test_replay_digest_matches_golden(sid):
+    result = run(get(sid))
+    assert result.digest() == GOLDEN_DIGESTS[sid], f"{sid} digest drifted"
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_env_var_mode_resolution_matches_explicit(monkeypatch, mode):
-    monkeypatch.setenv("REPRO_FASTPATH", mode)
+def test_engine_entry_point_matches_golden():
     out = replay_scenario({"scenario": "web-steady-rr@1"})
     assert out["digest"] == GOLDEN_DIGESTS["web-steady-rr@1"]
 

@@ -80,56 +80,23 @@ class TestDefaultHierarchy:
         assert res.level_hits["l1"] == 3  # one cold miss
 
 
-class TestMacroTwins:
-    """repro.core.macro — the PR8 scalar/batch pairing contract."""
+class TestRetiredFastPathKnobs:
+    """The kernel has one drain path and no mode to select."""
 
-    def test_as_macro_attaches_twin_and_returns_scalar(self):
-        from repro.core.macro import MACRO_ATTR, as_macro
-
-        def scalar(sim, payload):
-            return None
-
-        def batch(sim, run):
-            return 0
-
-        out = as_macro(scalar, batch)
-        assert out is scalar
-        assert getattr(out, MACRO_ATTR) is batch
-
-    def test_plain_callable_has_no_twin(self):
-        from repro.core.macro import MACRO_ATTR
-
-        assert not hasattr(lambda: None, MACRO_ATTR)
-
-
-class TestFastPathMode:
-    """repro.core.fastpath — mode resolution precedence + validation."""
-
-    def test_explicit_beats_environment(self, monkeypatch):
-        from repro.core.fastpath import ENV_VAR, resolve_mode
-
-        monkeypatch.setenv(ENV_VAR, "off")
-        assert resolve_mode("auto") == "auto"
-        assert resolve_mode() == "off"
-
-    def test_defaults_to_auto_and_normalizes(self, monkeypatch):
-        from repro.core.fastpath import ENV_VAR, resolve_mode
-
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_mode() == "auto"
-        assert resolve_mode(" OFF ") == "off"
-
-    def test_invalid_mode_is_a_value_error_naming_choices(self):
-        from repro.core.fastpath import resolve_mode
-
-        for bad in ("fast", "on"):  # "on" was the retired trace-JIT mode
-            with pytest.raises(ValueError, match="auto"):
-                resolve_mode(bad)
-
-    def test_simulator_exposes_resolved_mode(self):
+    def test_simulator_rejects_the_fastpath_argument(self):
         from repro.core.events import Simulator
 
-        assert Simulator(fastpath="off").fastpath_mode == "off"
+        for mode in ("off", "auto"):
+            with pytest.raises(TypeError):
+                Simulator(fastpath=mode)
+
+    def test_environment_variable_is_not_read(self, monkeypatch):
+        from repro.core.events import Simulator
+
+        monkeypatch.setenv("REPRO_FASTPATH", "bogus")
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda s, p: None)
+        assert sim.run().events_executed == 1
 
 
 class TestTransportChaosConfig:

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fastpath import MODES
 from repro.memory.hierarchy import MemoryHierarchy, default_hierarchy
 from repro.traces.format import KIND_MEMORY, TraceFormatError
 from repro.traces.generators import generate
@@ -88,9 +87,8 @@ def _shuffled_block() -> np.ndarray:
     return arr[perm]
 
 
-def _digest(arr: np.ndarray, fastpath=None) -> str:
-    return replay([(KIND_MEMORY, arr)], sink="memory",
-                  fastpath=fastpath).digest()
+def _digest(arr: np.ndarray) -> str:
+    return replay([(KIND_MEMORY, arr)], sink="memory").digest()
 
 
 def test_shuffled_block_replays_like_its_stable_sorted_copy():
@@ -109,14 +107,6 @@ def test_negative_timestamp_is_rejected():
     arr["ts"][3] = -1.0
     with pytest.raises(ValueError, match="before time 0"):
         _digest(arr)
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_every_fastpath_mode_is_accepted_and_agrees(mode):
-    arr = _shuffled_block()
-    result = replay([(KIND_MEMORY, arr)], sink="memory", fastpath=mode)
-    assert result.fastpath == mode
-    assert result.digest() == _digest(arr, "off")
 
 
 @st.composite

@@ -32,7 +32,6 @@ from repro.traces.replay import SINKS, _quantiles, _time_ordered, replay
 
 def reference_noc(
     blocks: List[np.ndarray],
-    sim: Simulator,
     width: int = 8,
     height: int = 8,
     routing: str = "xy",
@@ -59,7 +58,7 @@ def reference_noc(
         pairs,
         injection_times=cycles,
         max_cycles=max_cycles,
-        sim=sim,
+        sim=Simulator(),
         route_fn=route_fn,
     )
     delivered = result.delivered
@@ -116,8 +115,8 @@ def noc_cases(draw):
 @given(noc_cases())
 def test_noc_sink_matches_the_packet_reading_reference(case):
     arr, params = case
-    got = SINKS["noc"][1]([arr], Simulator(), **params)
-    want = reference_noc([arr], Simulator(), **params)
+    got = SINKS["noc"][1]([arr], **params)
+    want = reference_noc([arr], **params)
     assert got == want
     source = [(KIND_REQUEST, arr)]
     digest = replay(source, sink="noc", sink_params=params).digest()
@@ -158,5 +157,5 @@ def test_ledger_sized_blocks_match_the_reference(routing):
         _, arr = generate(profile, seed=11, n=3000, nodes=nodes,
                           rate=2500.0)
         params = {"width": width, "height": width, "routing": routing}
-        assert (SINKS["noc"][1]([arr], Simulator(), **params)
-                == reference_noc([arr], Simulator(), **params))
+        assert (SINKS["noc"][1]([arr], **params)
+                == reference_noc([arr], **params))

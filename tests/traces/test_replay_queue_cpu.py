@@ -3,9 +3,9 @@
 Both sinks walk their records in one loop, without the event kernel.
 The references below are the kernel-driven handlers they replaced: one
 bulk-loaded event per record through :meth:`Simulator.schedule_batch`,
-with a macro twin, and ``jsq`` completions scheduled mid-run.  Random
-blocks with tied timestamps, zero service times and shuffled order must
-give equal outputs under both fastpath modes.  The same boundary holds
+and ``jsq`` completions scheduled mid-run.  Random blocks with tied
+timestamps, zero service times and shuffled order must give equal
+outputs.  The same boundary holds
 for the ``noc`` sink: a negative timestamp is a ``ValueError`` and a
 shuffled block replays like its stable-sorted copy.  Every sink,
 these three and ``memory`` and ``wear``, rejects a lane with no records
@@ -23,8 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import Simulator
-from repro.core.fastpath import MODES
-from repro.core.macro import as_macro
 from repro.traces.format import (
     KIND_INSTRUCTION,
     KIND_REQUEST,
@@ -73,8 +71,9 @@ def reference_queue(
             return clients[i] % n_servers
         return qlen.index(min(qlen))
 
-    def serve(s: Simulator, t: float, i: int) -> float:
+    def arrive(s: Simulator, i: int) -> None:
         nonlocal busy
+        t = s.now
         srv = pick(i)
         f = free_at[srv]
         finish = (t if t > f else f) + service[i]
@@ -85,25 +84,7 @@ def reference_queue(
         if need_qlen:
             qlen[srv] += 1
             s.schedule_at(finish, complete, srv, cancellable=False)
-        return finish
 
-    def arrive(s: Simulator, i: int) -> None:
-        serve(s, s.now, i)
-
-    def arrive_batch(s: Simulator, run) -> int:
-        # jsq stops at the earliest completion it scheduled.
-        horizon = float("inf")
-        k = 0
-        for t, i in run:
-            if t > horizon:
-                break
-            finish = serve(s, t, i)
-            if need_qlen and finish < horizon:
-                horizon = finish
-            k += 1
-        return k
-
-    as_macro(arrive, arrive_batch)
     sim.schedule_batch(arr["ts"], arrive, payloads=range(n))
     sim.run()
 
@@ -157,14 +138,6 @@ def reference_cpu(
     def retire(s: Simulator, i: int) -> None:
         step(i)
 
-    def retire_batch(s: Simulator, run) -> int:
-        k = 0
-        for _t, i in run:
-            step(i)
-            k += 1
-        return k
-
-    as_macro(retire, retire_batch)
     sim.schedule_batch(arr["ts"], retire, payloads=range(n))
     sim.run()
 
@@ -226,25 +199,21 @@ def instruction_blocks(draw) -> np.ndarray:
 @settings(max_examples=200)
 def test_queue_sink_matches_the_kernel_reference(arr, n_servers):
     for policy in QUEUE_POLICIES:
-        got = _sink("queue")([arr], Simulator(), n_servers=n_servers,
-                             policy=policy)
-        for mode in MODES:
-            want = reference_queue([arr], Simulator(fastpath=mode),
-                                   n_servers=n_servers, policy=policy)
-            assert got == want, (policy, mode)
+        got = _sink("queue")([arr], n_servers=n_servers, policy=policy)
+        want = reference_queue([arr], Simulator(), n_servers=n_servers,
+                               policy=policy)
+        assert got == want, policy
 
 
 @given(instruction_blocks(), st.integers(1, 5), st.integers(0, 4))
 @settings(max_examples=200)
 def test_cpu_sink_matches_the_kernel_reference(arr, load_latency,
                                                branch_penalty):
-    got = _sink("cpu")([arr], Simulator(), load_latency=load_latency,
+    got = _sink("cpu")([arr], load_latency=load_latency,
                        branch_penalty=branch_penalty)
-    for mode in MODES:
-        want = reference_cpu([arr], Simulator(fastpath=mode),
-                             load_latency=load_latency,
-                             branch_penalty=branch_penalty)
-        assert got == want, mode
+    want = reference_cpu([arr], Simulator(), load_latency=load_latency,
+                         branch_penalty=branch_penalty)
+    assert got == want
 
 
 def test_a_completion_tied_with_an_arrival_retires_after_it():
@@ -253,7 +222,7 @@ def test_a_completion_tied_with_an_arrival_retires_after_it():
     # sends it to server 1.
     arr = np.zeros(3, dtype=dtype_for(KIND_REQUEST))
     arr["ts"] = [0.0, 0.0, 1.0]
-    out = _sink("queue")([arr], Simulator(), n_servers=2, policy="jsq")
+    out = _sink("queue")([arr], n_servers=2, policy="jsq")
     assert out["served_per_server"] == [2, 1]
     assert out == reference_queue([arr], Simulator(), n_servers=2,
                                   policy="jsq")
@@ -264,7 +233,7 @@ def test_multiple_blocks_match_the_kernel_reference():
     parts = [arr[:150], arr[150:]]
     for policy in QUEUE_POLICIES:
         params = {"n_servers": 3, "policy": policy}
-        assert (_sink("queue")(parts, Simulator(), **params)
+        assert (_sink("queue")(parts, **params)
                 == reference_queue(parts, Simulator(), **params))
 
 
@@ -318,15 +287,13 @@ def _shuffled_noc_block() -> np.ndarray:
     return arr[np.random.default_rng(9).permutation(len(arr))]
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_shuffled_noc_block_replays_like_its_stable_sorted_copy(mode):
+def test_shuffled_noc_block_replays_like_its_stable_sorted_copy():
     arr = _shuffled_noc_block()
     assert (np.diff(arr["ts"]) < 0).any()
     in_order = arr[np.argsort(arr["ts"], kind="stable")]
     params = {"width": 4, "height": 4}
-    got = replay([(KIND_REQUEST, arr)], sink="noc", sink_params=params,
-                 fastpath=mode)
+    got = replay([(KIND_REQUEST, arr)], sink="noc", sink_params=params)
     want = replay([(KIND_REQUEST, in_order)], sink="noc",
-                  sink_params=params, fastpath=mode)
+                  sink_params=params)
     assert got.outputs["delivered"] == len(arr)
     assert got.digest() == want.digest()
