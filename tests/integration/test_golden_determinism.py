@@ -16,6 +16,11 @@ re-recorded) explicitly.
 The hashes deliberately cover only the kernel-visible stream (times,
 sequence numbers, callback identities) and SimStats — not histogram or
 reservoir internals, which may legitimately differ in iteration detail.
+
+Every golden runs once per retired ``REPRO_FASTPATH`` value (``off``,
+``auto``) left set in the environment.  The kernel has one drain path
+and reads no mode, so a stale setting from an old shell must leave
+every stream unchanged.
 """
 
 import hashlib
@@ -34,6 +39,9 @@ from repro.sensor.harvest import (
     IntermittentConfig,
     simulate_intermittent,
 )
+
+# Values the retired REPRO_FASTPATH variable used to accept.
+RETIRED_MODES = ("off", "auto")
 
 
 def _probed_sim() -> tuple[Simulator, "hashlib._Hash"]:
@@ -168,8 +176,10 @@ GOLDENS = {
 }
 
 
+@pytest.mark.parametrize("mode", RETIRED_MODES)
 @pytest.mark.parametrize("name", sorted(GOLDENS))
-def test_stream_matches_golden(name: str):
+def test_stream_matches_golden(name: str, mode: str, monkeypatch):
+    monkeypatch.setenv("REPRO_FASTPATH", mode)
     assert _run_probed(name) == GOLDENS[name]
 
 

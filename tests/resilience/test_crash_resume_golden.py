@@ -15,6 +15,10 @@ discards post-snapshot events.  The crash is a ``_CrashOnce`` event
 scheduled in **both** runs (disarmed in the straight run) so the two
 runs issue identical sequence numbers; on replay after the restore it
 re-executes as a no-op, exactly like any other replayed event.
+
+Each model runs once per retired ``REPRO_FASTPATH`` value (``off``,
+``auto``) left set in the environment; the kernel reads no mode, so a
+stale setting must not change the straight run or the resumed one.
 """
 
 import pytest
@@ -31,6 +35,9 @@ from repro.sensor.harvest import (
     IntermittentConfig,
     simulate_intermittent,
 )
+
+# Values the retired REPRO_FASTPATH variable used to accept.
+RETIRED_MODES = ("off", "auto")
 
 
 def _crash_once(sim: Simulator, box: dict) -> None:
@@ -101,7 +108,9 @@ def _assert_resume_matches(model_fn, period, crash_at, resume_until=None):
     assert resumed_stats == straight_stats
 
 
-def test_cluster_crash_resume_is_deterministic():
+@pytest.mark.parametrize("mode", RETIRED_MODES)
+def test_cluster_crash_resume_is_deterministic(mode, monkeypatch):
+    monkeypatch.setenv("REPRO_FASTPATH", mode)
     def run(sim):
         ClusterSimulator(ClusterConfig(
             n_servers=8,
@@ -114,7 +123,9 @@ def test_cluster_crash_resume_is_deterministic():
     _assert_resume_matches(run, period=10.0, crash_at=35.0)
 
 
-def test_hedging_crash_resume_is_deterministic():
+@pytest.mark.parametrize("mode", RETIRED_MODES)
+def test_hedging_crash_resume_is_deterministic(mode, monkeypatch):
+    monkeypatch.setenv("REPRO_FASTPATH", mode)
     def run(sim):
         dist = lognormal_latency(median_ms=10.0, sigma=0.8)
         kernel_hedged_latencies(dist, 300, trigger_quantile=0.9, rng=7, sim=sim)
@@ -123,7 +134,9 @@ def test_hedging_crash_resume_is_deterministic():
     _assert_resume_matches(run, period=1000.0, crash_at=4500.0)
 
 
-def test_noc_crash_resume_is_deterministic():
+@pytest.mark.parametrize("mode", RETIRED_MODES)
+def test_noc_crash_resume_is_deterministic(mode, monkeypatch):
+    monkeypatch.setenv("REPRO_FASTPATH", mode)
     cfg = NoCConfig(width=4, height=4)
     pairs = make_pattern("uniform", 300, cfg.width, cfg.height, rng=5)
     times = poisson_injection_times(300, rate_per_cycle=0.8, rng=5)
@@ -137,7 +150,9 @@ def test_noc_crash_resume_is_deterministic():
     )
 
 
-def test_harvest_crash_resume_is_deterministic():
+@pytest.mark.parametrize("mode", RETIRED_MODES)
+def test_harvest_crash_resume_is_deterministic(mode, monkeypatch):
+    monkeypatch.setenv("REPRO_FASTPATH", mode)
     def run(sim):
         simulate_intermittent(
             Harvester(),

@@ -7,6 +7,9 @@ cluster).  The digests below are recorded constants; if a code
 change alters one, it changed simulated behaviour — either a bug, or a
 semantic change that must be called out and these constants
 re-recorded (run this file as a script to regenerate).
+
+The digests also hold with a retired ``REPRO_FASTPATH`` value (``off``,
+``auto``) left set in the environment: replay reads no kernel mode.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ from __future__ import annotations
 import pytest
 
 from repro.scenarios.library import get, list_ids, replay_scenario, run
+
+# Values the retired REPRO_FASTPATH variable used to accept.
+RETIRED_MODES = ("off", "auto")
 
 # sha256 of the canonicalized replay result (sink, records, outputs,
 # interval stats) per shipped scenario id.  Regenerate with:
@@ -45,12 +51,19 @@ def test_golden_table_covers_every_shipped_scenario():
 
 
 @pytest.mark.parametrize("sid", sorted(GOLDEN_DIGESTS))
-def test_replay_digest_matches_golden(sid):
+@pytest.mark.parametrize("mode", RETIRED_MODES)
+def test_replay_digest_matches_golden_in_every_mode(sid, mode, monkeypatch):
+    monkeypatch.setenv("REPRO_FASTPATH", mode)
     result = run(get(sid))
-    assert result.digest() == GOLDEN_DIGESTS[sid], f"{sid} digest drifted"
+    assert result.digest() == GOLDEN_DIGESTS[sid], (
+        f"{sid} digest drifted with REPRO_FASTPATH={mode}"
+    )
 
 
-def test_engine_entry_point_matches_golden():
+@pytest.mark.parametrize("mode", RETIRED_MODES)
+def test_env_var_mode_resolution_matches_explicit(monkeypatch, mode):
+    """The engine entry point ignores a stale REPRO_FASTPATH."""
+    monkeypatch.setenv("REPRO_FASTPATH", mode)
     out = replay_scenario({"scenario": "web-steady-rr@1"})
     assert out["digest"] == GOLDEN_DIGESTS["web-steady-rr@1"]
 

@@ -33,6 +33,9 @@ from repro.traces.format import (
 from repro.traces.generators import generate
 from repro.traces.replay import QUEUE_POLICIES, SINKS, _quantiles, replay
 
+# Values the retired REPRO_FASTPATH variable used to accept.
+RETIRED_MODES = ("off", "auto")
+
 
 def reference_queue(
     blocks: List[np.ndarray],
@@ -287,7 +290,11 @@ def _shuffled_noc_block() -> np.ndarray:
     return arr[np.random.default_rng(9).permutation(len(arr))]
 
 
-def test_shuffled_noc_block_replays_like_its_stable_sorted_copy():
+@pytest.mark.parametrize("mode", RETIRED_MODES)
+def test_shuffled_noc_block_replays_like_its_stable_sorted_copy(
+    mode, monkeypatch
+):
+    monkeypatch.setenv("REPRO_FASTPATH", mode)
     arr = _shuffled_noc_block()
     assert (np.diff(arr["ts"]) < 0).any()
     in_order = arr[np.argsort(arr["ts"], kind="stable")]
