@@ -59,7 +59,7 @@ before), and scipy and networkx are imported only by the models that
 use them.  Start-up then costs what the caller runs, not the toolkit.
 """
 
-import importlib
+from ._lazy import lazy_exports
 
 # A literal: pyproject.toml reads it without importing the package, and
 # the exec result cache keys artifacts on it.
@@ -82,16 +82,5 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    # PEP 562: a subpackage is imported on first access and then cached
-    # here, so later lookups never reach this hook.
-    if name in __all__:
-        module = importlib.import_module(f"{__name__}.{name}")
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+# Every name in __all__ but the version (a global) is a subpackage.
+__getattr__, __dir__ = lazy_exports(globals(), {}, submodules=__all__)

@@ -16,103 +16,32 @@ These are the shared primitives every paper-facing model builds on:
 * :mod:`repro.core.agenda` — the full-system, energy-first design-space
   model that ties the substrates together (the paper's agenda rendered
   executable).
+
+Each public name loads its module on first access (:mod:`repro._lazy`):
+a caller of the energy ledger does not load the event kernel or the
+design-space tools.
 """
 
-from .design import (
-    DesignPoint,
-    Direction,
-    Metrics,
-    Objective,
-    best_under_budget,
-    dominated_fraction,
-    knee_point,
-    pareto_front,
-    pareto_mask,
-)
-from .dse import (
-    ContinuousParam,
-    DiscreteParam,
-    Explorer,
-    SweepResult,
-    grid_configs,
-    local_search,
-    random_configs,
-)
-from .energy import (
-    EnergyCost,
-    EnergyLedger,
-    combine_ledgers,
-    energy_delay_product,
-    energy_delay_squared,
-)
-from .events import (
-    SNAPSHOT_VERSION,
-    CancelToken,
-    Checkpointable,
-    Event,
-    FunctionCheckpoint,
-    KernelSnapshot,
-    PeriodicSource,
-    SimModel,
-    SimStats,
-    Simulator,
-    trace_events,
-)
-from .instrument import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    TraceSink,
-    default_registry,
-    disable_session,
-    enable_session,
-)
-from .rng import DEFAULT_SEED, resolve_rng, spawn_rngs, stream_for
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CancelToken",
-    "Checkpointable",
-    "ContinuousParam",
-    "Counter",
-    "DEFAULT_SEED",
-    "DesignPoint",
-    "Direction",
-    "DiscreteParam",
-    "EnergyCost",
-    "EnergyLedger",
-    "Event",
-    "Explorer",
-    "FunctionCheckpoint",
-    "Gauge",
-    "Histogram",
-    "KernelSnapshot",
-    "Metrics",
-    "MetricsRegistry",
-    "Objective",
-    "PeriodicSource",
-    "SNAPSHOT_VERSION",
-    "SimModel",
-    "SimStats",
-    "Simulator",
-    "SweepResult",
-    "TraceSink",
-    "best_under_budget",
-    "combine_ledgers",
-    "default_registry",
-    "disable_session",
-    "dominated_fraction",
-    "enable_session",
-    "energy_delay_product",
-    "energy_delay_squared",
-    "grid_configs",
-    "knee_point",
-    "local_search",
-    "pareto_front",
-    "pareto_mask",
-    "random_configs",
-    "resolve_rng",
-    "spawn_rngs",
-    "stream_for",
-    "trace_events",
-]
+_EXPORTS = {
+    "design": ("DesignPoint", "Direction", "Metrics", "Objective",
+               "best_under_budget", "dominated_fraction", "knee_point",
+               "pareto_front", "pareto_mask"),
+    "dse": ("ContinuousParam", "DiscreteParam", "Explorer", "SweepResult",
+            "grid_configs", "local_search", "random_configs"),
+    "energy": ("EnergyCost", "EnergyLedger", "combine_ledgers",
+               "energy_delay_product", "energy_delay_squared"),
+    "events": ("SNAPSHOT_VERSION", "CancelToken", "Checkpointable", "Event",
+               "FunctionCheckpoint", "KernelSnapshot", "PeriodicSource",
+               "SimModel", "SimStats", "Simulator", "trace_events"),
+    "instrument": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                   "TraceSink", "default_registry", "disable_session",
+                   "enable_session"),
+    "rng": ("DEFAULT_SEED", "resolve_rng", "spawn_rngs", "stream_for"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS,
+                                    submodules=("agenda", "units"))

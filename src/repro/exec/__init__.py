@@ -32,54 +32,28 @@ library sits on:
 Consumers: ``ExperimentRegistry.run_all`` (the CLI's ``--jobs/--cache/
 --retries`` flags), ``Explorer.run`` for DSE sweeps, and
 ``benchmarks/bench_exec_engine.py``.
+
+Importing the package loads none of these modules: each public name
+loads its module on first access (:mod:`repro._lazy`), so a caller that
+needs only :func:`canonicalize` or :func:`derive_seed` never starts
+``multiprocessing``, the backends or the event kernel.
 """
 
-from .backends import (
-    ArrayBackend,
-    Backend,
-    BackendCapabilities,
-    BackendRouter,
-    RoutingError,
-    RoutingPolicy,
-    SocketWorkerBackend,
-    available_backends,
-    capabilities_of,
-    make_backend,
-)
-from .cache import ResultCache, cache_key, canonicalize, repro_version
-from .engine import ExecutionEngine, JobRecord, JobStatus, RunReport, run_jobs
-from .heartbeat import emit_sim_heartbeats, heartbeat
-from .job import Job, JobGraph, callable_name, derive_seed
-from .runners import Attempt, ProcessPoolRunner, Runner, SerialRunner
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArrayBackend",
-    "Attempt",
-    "Backend",
-    "BackendCapabilities",
-    "BackendRouter",
-    "ExecutionEngine",
-    "Job",
-    "JobGraph",
-    "JobRecord",
-    "JobStatus",
-    "ProcessPoolRunner",
-    "ResultCache",
-    "RoutingError",
-    "RoutingPolicy",
-    "RunReport",
-    "Runner",
-    "SerialRunner",
-    "SocketWorkerBackend",
-    "available_backends",
-    "cache_key",
-    "callable_name",
-    "canonicalize",
-    "capabilities_of",
-    "derive_seed",
-    "emit_sim_heartbeats",
-    "heartbeat",
-    "make_backend",
-    "repro_version",
-    "run_jobs",
-]
+_EXPORTS = {
+    "backends": ("ArrayBackend", "Backend", "BackendCapabilities",
+                 "BackendRouter", "RoutingError", "RoutingPolicy",
+                 "SocketWorkerBackend", "available_backends",
+                 "capabilities_of", "make_backend"),
+    "cache": ("ResultCache", "cache_key", "canonicalize", "repro_version"),
+    "engine": ("ExecutionEngine", "JobRecord", "JobStatus", "RunReport",
+               "run_jobs"),
+    "heartbeat": ("emit_sim_heartbeats", "heartbeat"),
+    "job": ("Job", "JobGraph", "callable_name", "derive_seed"),
+    "runners": ("Attempt", "ProcessPoolRunner", "Runner", "SerialRunner"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,8 +1,7 @@
 """repro.exec.backends — routed multi-backend execution.
 
 The execution layer's backend seam, grown out of the hardwired
-serial/process-pool pair (ROADMAP item 1: ``repro.exec`` goes
-multi-host):
+serial/process-pool pair when ``repro.exec`` went multi-host:
 
 * :mod:`~repro.exec.backends.base` — the :class:`Backend` protocol:
   a :class:`~repro.exec.runners.Runner` that describes itself via
@@ -22,69 +21,41 @@ multi-host):
 
 :func:`make_backend` is the one-string factory the CLI and
 ``run_jobs`` share: ``"serial"``, ``"pool"``, ``"socket"``,
-``"array"`` (workers/shard counts from the caller's ``jobs``).
+``"array"`` (workers/shard counts from the caller's ``jobs``).  Each
+public name loads its module on first access (:mod:`repro._lazy`), and
+:func:`make_backend` imports only the backend it builds.
 """
 
 from __future__ import annotations
 
-import tempfile
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from ..runners import ProcessPoolRunner, Runner, SerialRunner
-from .array import ArrayBackend, collect, emit_submit_script, plan_array, run_array_task
-from .base import Backend, BackendCapabilities, capabilities_of
-from .chaos import ChaosConfig, ChaosSocket, chaos_from_env, wrap_socket
-from .frames import (
-    FRAME_TAGS,
-    PROTOCOL_VERSION,
-    FrameCorruptError,
-    FrameError,
-    FrameProtocolError,
-    FrameVersionError,
-    recv_frame,
-    send_frame,
-)
-from .router import (
-    BackendRouter,
-    HedgePolicy,
-    RoutingError,
-    RoutingPolicy,
-    VerifyPolicy,
-)
-from .socket_worker import SocketWorkerBackend, spawn_local_worker, worker_main
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "ArrayBackend",
-    "Backend",
-    "BackendCapabilities",
-    "BackendRouter",
-    "ChaosConfig",
-    "ChaosSocket",
-    "FRAME_TAGS",
-    "FrameCorruptError",
-    "FrameError",
-    "FrameProtocolError",
-    "FrameVersionError",
-    "HedgePolicy",
-    "PROTOCOL_VERSION",
-    "RoutingError",
-    "RoutingPolicy",
-    "SocketWorkerBackend",
-    "VerifyPolicy",
-    "available_backends",
-    "capabilities_of",
-    "chaos_from_env",
-    "collect",
-    "emit_submit_script",
-    "make_backend",
-    "plan_array",
-    "recv_frame",
-    "run_array_task",
-    "send_frame",
-    "spawn_local_worker",
-    "worker_main",
-    "wrap_socket",
-]
+if TYPE_CHECKING:
+    from ..runners import Runner
+    from .chaos import ChaosConfig
+
+_EXPORTS = {
+    "array": ("ArrayBackend", "collect", "emit_submit_script", "plan_array",
+              "run_array_task"),
+    "base": ("Backend", "BackendCapabilities", "capabilities_of"),
+    "chaos": ("ChaosConfig", "ChaosSocket", "chaos_from_env", "wrap_socket"),
+    "frames": ("FRAME_TAGS", "PROTOCOL_VERSION", "FrameCorruptError",
+               "FrameError", "FrameProtocolError", "FrameVersionError",
+               "recv_frame", "send_frame"),
+    "router": ("BackendRouter", "HedgePolicy", "RoutingError",
+               "RoutingPolicy", "VerifyPolicy"),
+    "socket_worker": ("SocketWorkerBackend", "spawn_local_worker",
+                      "worker_main"),
+}
+
+__all__ = sorted(
+    [name for names in _EXPORTS.values() for name in names]
+    + ["available_backends", "make_backend"]
+)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 #: Backend names ``make_backend`` understands (the CLI's ``--backend``).
 BACKEND_NAMES = ("serial", "pool", "socket", "array")
@@ -125,11 +96,18 @@ def make_backend(
     loopback roster alive under that abuse.
     """
     name = (name or "").strip().lower()
+    # Each branch imports only the backend it builds.
     if name == "serial":
+        from ..runners import SerialRunner
+
         return SerialRunner()
     if name == "pool":
+        from ..runners import ProcessPoolRunner
+
         return ProcessPoolRunner(max(1, jobs))
     if name == "socket":
+        from .socket_worker import SocketWorkerBackend
+
         n = jobs if spawn is None else spawn
         return SocketWorkerBackend(
             spawn=max(0, n),
@@ -140,6 +118,10 @@ def make_backend(
             respawn=respawn,
         )
     if name == "array":
+        import tempfile
+
+        from .array import ArrayBackend
+
         root = array_root or tempfile.mkdtemp(prefix="repro-array-")
         return ArrayBackend(
             root,

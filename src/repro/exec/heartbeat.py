@@ -28,9 +28,10 @@ event loop stops beating even though the process is alive.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from ..core.events import CancelToken, Simulator
+if TYPE_CHECKING:
+    from ..core.events import CancelToken, Simulator
 
 _emitter: Optional[Callable[[float], None]] = None
 

@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Protocol, runtime_checkable
 
-from . import heartbeat as _heartbeat
+from .heartbeat import clear_emitter, install_emitter
 from .job import Job, invoke
 
 __all__ = ["Attempt", "ProcessPoolRunner", "Runner", "SerialRunner"]
@@ -195,7 +195,7 @@ class SerialRunner:
             tel_scope = _obs_telemetry.begin_worker(telemetry)
         tel_payload = None
         start = time.perf_counter()
-        _heartbeat.install_emitter(_record)
+        install_emitter(_record)
         try:
             result = invoke(job.fn, config)
             status: str = ATTEMPT_OK
@@ -205,7 +205,7 @@ class SerialRunner:
             status = ATTEMPT_ERROR
             error = f"{type(exc).__name__}: {exc}"
         finally:
-            _heartbeat.clear_emitter()
+            clear_emitter()
             if tel_scope is not None:
                 tel_payload = tel_scope.finish()
         duration = time.perf_counter() - start
@@ -249,7 +249,7 @@ def _child_main(conn, fn, config, telemetry=None) -> None:
     captured metrics/spans/profile precedes the terminal
     ``("res", status, result, error)`` message.
     """
-    _heartbeat.install_emitter(
+    install_emitter(
         lambda progress: conn.send((_MSG_HEARTBEAT, progress))
     )
     tel_scope = None

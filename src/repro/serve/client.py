@@ -9,7 +9,6 @@ discipline, so concurrency is bounded only by sockets.
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import random
@@ -147,6 +146,9 @@ async def arequest(
     timeout_s: float = 60.0,
 ) -> tuple[int, dict, Any]:
     """Async one-shot HTTP/1.1 exchange (connection per request)."""
+    # Imported here: blocking ServeClient users never pay for asyncio.
+    import asyncio
+
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(host, port), timeout_s
     )

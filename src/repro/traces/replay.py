@@ -3,9 +3,10 @@
 The second input mode for every simulator family: instead of drawing a
 synthetic workload at run time, a *sink* replays a trace
 (:mod:`repro.traces.format`).  No sink starts the event kernel.  The
-``queue`` and ``cpu`` sinks walk their records in one loop, and the
-``memory`` sink runs its cache hierarchy one level at a time, each
-level filtering the whole ordered stream.  All three keep the order
+``queue`` sink walks its records in one loop, the ``cpu`` sink counts
+its hazards and op classes over whole arrays, and the ``memory`` sink
+runs its cache hierarchy one level at a time, each level filtering the
+whole ordered stream.  All three keep the order
 the kernel would run the records in: stable by timestamp, with a
 timestamp before 0 a ``ValueError`` (the ``noc`` sink shares that
 boundary).  A lane with no records is a ``TraceFormatError`` for every
@@ -36,8 +37,7 @@ Sinks (:data:`SINKS`):
   :class:`repro.memory.wear.WearLeveler` (the wear championship's plug
   point).
 * ``cpu``     — instruction records through a small in-order scoreboard
-  (load-use hazards, branch bubbles), one record at a time in stable
-  timestamp order.
+  (load-use hazards, branch bubbles) in stable timestamp order.
 
 Every sink returns a :class:`ReplayResult` whose :meth:`digest` covers
 only deterministic simulation outputs — latencies, counts, cycle
@@ -426,28 +426,14 @@ def _replay_cpu(
     """
     arr, _ = _time_ordered(blocks)
     n = len(arr)
-    stall = load_latency - 1
-    stalls = loads = stores = branches = 0
-    # Register ids are unsigned, so -1 ("the previous op was not a
-    # load") never matches a source.
-    last_load_dst = -1
-    for op, dst, src1, src2 in zip(
-        arr["op"].tolist(),
-        arr["dst"].tolist(),
-        arr["src1"].tolist(),
-        arr["src2"].tolist(),
-    ):
-        if src1 == last_load_dst or src2 == last_load_dst:
-            stalls += stall
-        if op == 1:
-            loads += 1
-            last_load_dst = dst
-        else:
-            last_load_dst = -1
-            if op == 2:
-                stores += 1
-            elif op == 3:
-                branches += 1
+    op = arr["op"]
+    # An op stalls when the op before it is a load and it reads that
+    # load's destination register.
+    dst = arr["dst"][:-1]
+    after_load = (op[:-1] == 1) & (
+        (arr["src1"][1:] == dst) | (arr["src2"][1:] == dst))
+    stalls = int(np.count_nonzero(after_load)) * (load_latency - 1)
+    loads, stores, branches = np.bincount(op, minlength=4)[1:4].tolist()
 
     # One cycle per op, plus the stalls and the branch bubbles.
     cycles = n + stalls + branches * branch_penalty

@@ -1,8 +1,10 @@
 """Start-up imports only what runs.
 
 ``import repro`` loads no subpackage, and scipy and networkx load only
-inside the model functions that call them.  Each case runs in a fresh
-interpreter, because this test process has long since imported both.
+inside the model functions that call them.  The package inits below it
+are lazy too, so a path loads the modules it uses and not their
+siblings.  Each case runs in a fresh interpreter, because this test
+process has long since imported everything.
 """
 
 import json
@@ -17,6 +19,14 @@ import repro
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 HEAVY = ("scipy", "networkx")
+
+MEMORY_REPLAY = """
+from repro.traces.generators import generate
+from repro.traces.replay import replay
+kind, arr = generate("kv-zipf", seed=3, n=300)
+out = replay([(kind, arr)], sink="memory")
+assert out.records == 300, out
+"""
 
 NOC_REPLAY = """
 from repro.traces.generators import generate
@@ -36,10 +46,11 @@ CASES = {
 }
 
 
-def loaded_after(code: str) -> list:
-    """The heavy top-level packages in ``sys.modules`` after ``code``."""
+def loaded_after(code: str, watched=HEAVY) -> list:
+    """The ``watched`` modules in ``sys.modules`` after ``code``."""
     probe = (code + "\nimport json, sys\n"
-             f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n")
+             f"print(json.dumps([m for m in {tuple(watched)!r} "
+             "if m in sys.modules]))\n")
     out = subprocess.run([sys.executable, "-c", probe], cwd=SRC,
                          env=dict(os.environ, PYTHONPATH=SRC),
                          capture_output=True, text=True, timeout=120)
@@ -56,3 +67,34 @@ def test_models_that_need_scipy_still_load_it():
     code = ("import repro\n"
             "repro.datacenter.lognormal_latency().quantile(0.99)")
     assert loaded_after(code) == ["scipy"]
+
+
+#: What a memory replay needs of ``repro.exec`` is ``canonicalize``, and
+#: of ``repro.core`` the energy ledger and the instruments.  (The memory
+#: package still imports ``repro.core.rng`` at module level.)
+REPLAY_SKIPS = (
+    "repro.exec.backends", "repro.exec.runners", "repro.exec.engine",
+    "repro.exec.heartbeat", "multiprocessing", "repro.core.design",
+    "repro.core.dse", "repro.core.events",
+)
+
+#: The socket backend's modules, and the chaos and router layers.
+BACKEND_MODULES = tuple(f"repro.exec.backends.{name}" for name in (
+    "socket_worker", "array", "chaos", "frames", "router"))
+
+BUDGETS = {
+    "memory-replay": (MEMORY_REPLAY, REPLAY_SKIPS),
+    "serve-client": ("from repro.serve.client import ServeClient",
+                     ("numpy", "asyncio", "repro.core", "repro.exec")),
+    "serial-backend": (
+        "from repro.exec.backends import make_backend\n"
+        "assert type(make_backend('serial')).__name__ == 'SerialRunner'",
+        BACKEND_MODULES),
+}
+
+
+@pytest.mark.parametrize("code, skipped", list(BUDGETS.values()),
+                         ids=list(BUDGETS))
+def test_a_path_loads_none_of_the_modules_it_does_not_use(code, skipped):
+    assert loaded_after(code, skipped) == []
+

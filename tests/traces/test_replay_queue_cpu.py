@@ -1,11 +1,12 @@
 """Differential tests for the ``queue`` and ``cpu`` replay sinks.
 
-Both sinks walk their records in one loop, without the event kernel.
-The references below are the kernel-driven handlers they replaced: one
-bulk-loaded event per record through :meth:`Simulator.schedule_batch`,
-and ``jsq`` completions scheduled mid-run.  Random blocks with tied
-timestamps, zero service times and shuffled order must give equal
-outputs.  The same boundary holds
+Neither sink starts the event kernel: the queue sink walks its records
+in one loop, and the cpu sink counts over whole arrays.  The references
+below are the kernel-driven handlers they replaced (one bulk-loaded
+event per record through :meth:`Simulator.schedule_batch`, and ``jsq``
+completions scheduled mid-run) and the cpu sink's own per-record loop.
+Random blocks with tied timestamps, zero service times and shuffled
+order must give equal outputs.  The same boundary holds
 for the ``noc`` sink: a negative timestamp is a ``ValueError`` and a
 shuffled block replays like its stable-sorted copy.  Every sink,
 these three and ``memory`` and ``wear``, rejects a lane with no records
@@ -156,6 +157,47 @@ def reference_cpu(
     }
 
 
+def loop_cpu(
+    blocks: List[np.ndarray],
+    load_latency: int = 3,
+    branch_penalty: int = 2,
+) -> Dict[str, Any]:
+    """The cpu sink's per-record scoreboard loop, before numpy."""
+    arr = np.concatenate(blocks)
+    arr = arr[np.argsort(arr["ts"], kind="stable")]
+    n = len(arr)
+    stall = load_latency - 1
+    stalls = loads = stores = branches = 0
+    last_load_dst = -1
+    for op, dst, src1, src2 in zip(
+        arr["op"].tolist(),
+        arr["dst"].tolist(),
+        arr["src1"].tolist(),
+        arr["src2"].tolist(),
+    ):
+        if src1 == last_load_dst or src2 == last_load_dst:
+            stalls += stall
+        if op == 1:
+            loads += 1
+            last_load_dst = dst
+        else:
+            last_load_dst = -1
+            if op == 2:
+                stores += 1
+            elif op == 3:
+                branches += 1
+    cycles = n + stalls + branches * branch_penalty
+    return {
+        "instructions": n,
+        "cycles": cycles,
+        "ipc": n / cycles if cycles else 0.0,
+        "stall_cycles": stalls,
+        "loads": loads,
+        "stores": stores,
+        "branches": branches,
+    }
+
+
 def _sink(name: str):
     return SINKS[name][1]
 
@@ -217,6 +259,50 @@ def test_cpu_sink_matches_the_kernel_reference(arr, load_latency,
     want = reference_cpu([arr], Simulator(), load_latency=load_latency,
                          branch_penalty=branch_penalty)
     assert got == want
+
+
+# Loads and few registers make back-to-back loads and load-use
+# matches common; ops up to 255 cover the classes the sink ignores.
+_ops = st.one_of(st.sampled_from([1, 1, 1, 0, 2, 3]), st.integers(0, 255))
+_regs = st.one_of(st.integers(0, 3), st.integers(0, 255))
+_instructions = st.tuples(_times, _ops, _regs, _regs, _regs)
+
+
+@st.composite
+def instruction_lanes(draw) -> List[np.ndarray]:
+    """A lane of 1..3 blocks; timestamps tied, shuffled or in order."""
+    records = draw(st.one_of(
+        st.lists(_instructions, min_size=1, max_size=1),
+        st.lists(_instructions, min_size=1, max_size=80),
+    ))
+    arr = np.zeros(len(records), dtype=dtype_for(KIND_INSTRUCTION))
+    for i, name in enumerate(("ts", "op", "dst", "src1", "src2")):
+        arr[name] = [record[i] for record in records]
+    if draw(st.booleans()):
+        arr = arr[np.argsort(arr["ts"], kind="stable")]
+    cuts = []
+    if len(arr) > 1:
+        cuts = draw(st.lists(st.integers(1, len(arr) - 1), max_size=2,
+                             unique=True))
+    return np.split(arr, sorted(cuts))
+
+
+@given(instruction_lanes(), st.integers(0, 6), st.integers(0, 4))
+@settings(max_examples=300)
+def test_cpu_sink_matches_the_loop(blocks, load_latency, branch_penalty):
+    got = _sink("cpu")(blocks, load_latency=load_latency,
+                       branch_penalty=branch_penalty)
+    want = loop_cpu(blocks, load_latency=load_latency,
+                    branch_penalty=branch_penalty)
+    assert got == want
+    assert all(type(v) is int for k, v in got.items() if k != "ipc")
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_cpu_sink_matches_the_loop_on_instr_mix(seed):
+    _, arr = generate("instr-mix", seed=seed, n=5000)
+    blocks = [arr[:1700], arr[1700:]]
+    assert _sink("cpu")(blocks) == loop_cpu(blocks)
 
 
 def test_a_completion_tied_with_an_arrival_retires_after_it():
