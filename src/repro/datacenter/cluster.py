@@ -20,10 +20,11 @@ queueing tail, E22's analytics cluster).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import cycle, repeat
+from itertools import cycle
 from typing import Optional
 
 import numpy as np
@@ -320,10 +321,14 @@ class ClusterSimulator:
         """The kernel path's event order in one loop over the arrivals.
 
         ``random`` and ``round_robin`` never read queue lengths, so their
-        completions need not run at all.  ``jsq`` and ``power_of_two``
-        keep in-flight ``(finish, server)`` completions in a heap and
-        retire those finishing strictly before each arrival: at a tie
-        the kernel ran the bulk-loaded arrival first.  Needs the server
+        completions need not run at all.  A completion retires when it
+        finishes strictly before an arrival: at a tie the kernel ran the
+        bulk-loaded arrival first.  ``jsq`` reads every queue length, so
+        it keeps its in-flight ``(finish, server)`` completions in one
+        heap.  ``power_of_two`` reads only its two candidates' lengths:
+        each server keeps its pending finishes in a FIFO (an FCFS
+        server's finish times never decrease), and only the two
+        candidates' FIFOs are trimmed at each arrival.  Needs the server
         state :meth:`reset` sets up; returns ``(latencies, busy
         seconds)``.
         """
@@ -347,17 +352,31 @@ class ClusterSimulator:
                 latencies.append(finish - t)
                 busy += service
             return np.array(latencies), busy
-        jsq = balancer is Balancer.JSQ
-        pairs = repeat(None) if jsq else picks
+        if balancer is Balancer.POWER_OF_TWO:
+            # Each server's pending finishes, oldest first: a server's
+            # finish times never decrease, so those before ``t`` lead.
+            pending = [deque() for _ in range(n_servers)]
+            for t, unit, (a, b) in zip(arrival_times, service_units, picks):
+                qa = pending[a]
+                while qa and qa[0] < t:
+                    qa.popleft()
+                qb = pending[b]
+                while qb and qb[0] < t:
+                    qb.popleft()
+                srv = a if len(qa) <= len(qb) else b
+                service = unit / rates[srv]
+                f = free_at[srv]
+                finish = (t if t > f else f) + service
+                free_at[srv] = finish
+                pending[srv].append(finish)
+                latencies.append(finish - t)
+                busy += service
+            return np.array(latencies), busy
         inflight: list[tuple[float, int]] = []
-        for t, unit, pair in zip(arrival_times, service_units, pairs):
+        for t, unit in zip(arrival_times, service_units):
             while inflight and inflight[0][0] < t:
                 qlen[heappop(inflight)[1]] -= 1
-            if jsq:
-                srv = qlen.index(min(qlen))
-            else:
-                a, b = pair
-                srv = a if qlen[a] <= qlen[b] else b
+            srv = qlen.index(min(qlen))
             service = unit / rates[srv]
             f = free_at[srv]
             finish = (t if t > f else f) + service

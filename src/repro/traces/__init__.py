@@ -15,9 +15,9 @@ replay-a-workload tools (ROADMAP item 5):
 * :mod:`repro.traces.stats` — drmemtrace-style online interval
   statistics, chunk-size invariant by construction.
 * :mod:`repro.traces.replay` — sinks that feed traces into the
-  existing simulators (the NoC through the event kernel, the others in
-  one plain loop each), with a deterministic
-  :meth:`ReplayResult.digest` for cross-mode/cross-backend parity.
+  existing simulators without starting the event kernel, with a
+  deterministic :meth:`ReplayResult.digest` for cross-mode/cross-backend
+  parity.
 
 The scenario library (:mod:`repro.scenarios`) names bundles of
 generator + sink + params and pins their digests.

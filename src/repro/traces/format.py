@@ -494,9 +494,10 @@ class TraceReader:
     def blocks(self) -> Iterator[Tuple[int, np.ndarray]]:
         """Yield ``(kind, structured array)`` per block until EOF.
 
-        The returned arrays are copies (safe to keep); timestamps are
-        additionally checked nondecreasing across blocks so a replayer
-        can bulk-load them without re-sorting.
+        Each returned array is writable and has a private buffer (safe
+        to keep); timestamps are additionally checked nondecreasing
+        across blocks so a replayer can bulk-load them without
+        re-sorting.
         """
         last_ts = float("-inf")
         while True:
@@ -528,7 +529,9 @@ class TraceReader:
             actual = zlib.crc32(body, actual) & 0xFFFFFFFF
             if actual != crc:
                 raise TraceCorruptError("block checksum mismatch")
-            arr = np.frombuffer(body, dtype=dtype).copy()
+            # One flat copy of the body: ``.copy()`` of the packed
+            # record view would copy it field by field.
+            arr = np.frombuffer(bytearray(body), dtype=dtype)
             if len(arr):
                 ts = arr["ts"]
                 if float(ts[0]) < last_ts or bool(np.any(np.diff(ts) < 0)):

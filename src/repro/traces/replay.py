@@ -3,9 +3,11 @@
 The second input mode for every simulator family: instead of drawing a
 synthetic workload at run time, a *sink* replays a trace
 (:mod:`repro.traces.format`).  No sink starts the event kernel.  The
-``queue`` sink walks its records in one loop, the ``cpu`` sink counts
-its hazards and op classes over whole arrays, and the ``memory`` sink
-runs its cache hierarchy one level at a time, each level filtering the
+``queue`` sink runs one FCFS recursion per server under the policies
+that never read queue depths (``rr``, ``target``, ``client``), and one
+loop over the records under ``jsq``; the ``cpu`` sink counts its
+hazards and op classes over whole arrays, and the ``memory`` sink runs
+its cache hierarchy one level at a time, each level filtering the
 whole ordered stream.  All three keep the order
 the kernel would run the records in: stable by timestamp, with a
 timestamp before 0 a ``ValueError`` (the ``noc`` sink shares that
@@ -24,8 +26,8 @@ Sinks (:data:`SINKS`):
 
 * ``queue``   — request records into an FCFS multi-server queue with a
   pluggable, deterministic scheduling policy (the scheduling
-  championship's plug point), one record at a time in stable timestamp
-  order.
+  championship's plug point), each server taking its records in stable
+  timestamp order.
 * ``noc``     — request records as node-to-node packets through
   :class:`repro.interconnect.noc.MeshNoC` with a pluggable route
   function (the routing championship's plug point).
@@ -50,8 +52,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from heapq import heappop, heappush
-from itertools import cycle, repeat
+from itertools import islice
 from dataclasses import dataclass, field
 from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -166,10 +169,11 @@ def _time_ordered(
 
 
 def _quantiles(values: np.ndarray) -> Dict[str, float]:
+    p50, p99 = np.percentile(values, [50, 99]).tolist()
     return {
         "mean": float(np.mean(values)),
-        "p50": float(np.percentile(values, 50)),
-        "p99": float(np.percentile(values, 99)),
+        "p50": p50,
+        "p99": p99,
         "max": float(np.max(values)),
     }
 
@@ -192,59 +196,115 @@ def _replay_queue(
             f"unknown queue policy {policy!r}; choose from "
             f"{', '.join(QUEUE_POLICIES)}"
         )
+    if (isinstance(n_servers, bool)
+            or not isinstance(n_servers, numbers.Integral)):
+        raise ValueError(f"n_servers must be an integer, got {n_servers!r}")
+    n_servers = int(n_servers)
     if n_servers < 1:
         raise ValueError("need at least one server")
     arr, order = _time_ordered(blocks)
     n = len(arr)
-    times = arr["ts"].tolist()
-    service = (arr["service_us"] * 1e-6).tolist()
-    # Latencies are filed under each record's original position: their
+    times = arr["ts"]
+    service_us = arr["service_us"]
+    # The busy time is summed strictly in time order, as the kernel's
+    # handlers added it (``np.sum`` would sum pairwise).  ``0.0 +`` is
+    # their starting value: it turns a sum of ``-0.0``s into ``0.0``.
+    busy = 0.0 + float(np.add.accumulate(service_us * 1e-6)[-1])
+    if policy == "jsq":
+        finish, served, free_at = _jsq_walk(
+            times.tolist(), (service_us * 1e-6).tolist(), n_servers)
+        where = order
+    else:
+        if policy == "rr":
+            # Record j goes to server j % n_servers: read down the
+            # columns of a row-major grid of record indices.
+            by_server = np.arange(-(-n // n_servers) * n_servers).reshape(
+                -1, n_servers).T.ravel()
+            by_server = by_server[by_server < n]
+            served = [len(range(s, n, n_servers)) for s in range(n_servers)]
+        else:
+            picks = arr[policy].astype(np.int64) % n_servers
+            served = np.bincount(picks, minlength=n_servers).tolist()
+            by_server = np.argsort(picks, kind="stable")
+        times = times[by_server]
+        finish, free_at = _fcfs_walk(
+            times.tolist(), (service_us[by_server] * 1e-6).tolist(), served)
+        where = by_server if order is None else order[by_server]
+    # ``finish`` and ``times`` are in walk order.
+    walked = np.fromiter(finish, float, n) - times
+    # Each latency is filed under its record's original position: their
     # mean sums them in that order.
-    index = range(n) if order is None else order.tolist()
-    jsq = policy == "jsq"
-    if policy == "rr":
-        picks = cycle(range(n_servers))
-    elif policy == "target":
-        picks = (arr["target"].astype(np.int64) % n_servers).tolist()
-    elif policy == "client":
-        picks = (arr["client"].astype(np.int64) % n_servers).tolist()
-    else:  # jsq picks from live queue depths
-        picks = repeat(0)
-
-    free_at = [0.0] * n_servers
-    qlen = [0] * n_servers
-    served = [0] * n_servers
-    latencies = [0.0] * n
-    busy = 0.0
-    # jsq's in-flight (finish, server) completions.  Those finishing
-    # strictly before an arrival retire first; at a tie the arrival
-    # goes first, as in the kernel, where the bulk-loaded arrivals carry
-    # older sequence numbers than any completion scheduled mid-run.
-    inflight: List[Tuple[float, int]] = []
-    for i, t, svc, srv in zip(index, times, service, picks):
-        if jsq:
-            while inflight and inflight[0][0] < t:
-                qlen[heappop(inflight)[1]] -= 1
-            srv = qlen.index(min(qlen))
-        f = free_at[srv]
-        finish = (t if t > f else f) + svc
-        free_at[srv] = finish
-        served[srv] += 1
-        busy += svc
-        latencies[i] = finish - t
-        if jsq:
-            qlen[srv] += 1
-            heappush(inflight, (finish, srv))
-
-    makespan = max(max(free_at), times[-1]) if n else 0.0
+    if where is None:
+        latencies = walked
+    else:
+        latencies = np.empty(n)
+        latencies[where] = walked
+    makespan = max(max(free_at), float(arr["ts"][-1]))
     return {
         "policy": policy,
         "n_servers": n_servers,
         "requests": n,
-        "latency_s": _quantiles(np.array(latencies)),
+        "latency_s": _quantiles(latencies),
         "served_per_server": served,
         "utilization": (busy / (n_servers * makespan)) if makespan else 0.0,
     }
+
+
+def _fcfs_walk(
+    times: List[float],
+    service: List[float],
+    counts: List[int],
+) -> Tuple[List[float], List[float]]:
+    """Finish times of FCFS servers that each see only their own records.
+
+    ``times`` and ``service`` hold server 0's records in time order,
+    then server 1's, and so on, ``counts[s]`` of them for server ``s``.
+    A server's finish time depends only on its own earlier records, so
+    each runs its own Lindley recursion.  Returns the finish times in
+    the input order and every server's last finish (0.0 when idle).
+    """
+    finish: List[float] = []
+    free_at: List[float] = []
+    records = zip(times, service)
+    for count in counts:
+        f = 0.0
+        finish += [f := (t if t > f else f) + s
+                   for t, s in islice(records, count)]
+        free_at.append(f)
+    return finish, free_at
+
+
+def _jsq_walk(
+    times: List[float],
+    service: List[float],
+    n_servers: int,
+) -> Tuple[List[float], List[int], List[float]]:
+    """Join-shortest-queue over records in time order.
+
+    Returns the finish times in time order, the requests each server
+    served, and every server's last finish.  In-flight ``(finish,
+    server)`` completions sit in a heap; those finishing strictly
+    before an arrival retire first.  At a tie the arrival goes first,
+    as in the kernel, where the bulk-loaded arrivals carry older
+    sequence numbers than any completion scheduled mid-run.
+    """
+    free_at = [0.0] * n_servers
+    qlen = [0] * n_servers
+    served = [0] * n_servers
+    finish = [0.0] * len(times)
+    inflight: List[Tuple[float, int]] = []
+    for i, t, svc in zip(range(len(times)), times, service):
+        while inflight and inflight[0][0] < t:
+            qlen[heappop(inflight)[1]] -= 1
+        srv = qlen.index(min(qlen))
+        f = free_at[srv]
+        f = (t if t > f else f) + svc
+        free_at[srv] = f
+        served[srv] += 1
+        qlen[srv] += 1
+        heappush(inflight, (f, srv))
+        finish[i] = f
+    return finish, served, free_at
 
 
 # -- noc sink --------------------------------------------------------------

@@ -88,7 +88,7 @@ def workloads(draw):
         slow_server_fraction=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
         slow_factor=2.0,
     )
-    n = draw(st.integers(1, 80))
+    n = draw(st.one_of(st.integers(1, 80), st.integers(81, 400)))
     gaps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     arrival_times = (1.0 + np.cumsum(gaps)).tolist()
     service_units = [float(u) for u in draw(
@@ -98,8 +98,10 @@ def workloads(draw):
     if balancer is Balancer.RANDOM:
         picks = draw(st.lists(server, min_size=n, max_size=n))
     elif balancer is Balancer.POWER_OF_TWO:
-        picks = draw(st.lists(st.lists(server, min_size=2, max_size=2),
-                              min_size=n, max_size=n))
+        # Some pairs name one server twice.
+        pair = st.one_of(st.lists(server, min_size=2, max_size=2),
+                         server.map(lambda s: [s, s]))
+        picks = draw(st.lists(pair, min_size=n, max_size=n))
     return cfg, arrival_times, service_units, picks
 
 

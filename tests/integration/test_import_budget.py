@@ -69,14 +69,19 @@ def test_models_that_need_scipy_still_load_it():
     assert loaded_after(code) == ["scipy"]
 
 
-#: What a memory replay needs of ``repro.exec`` is ``canonicalize``, and
-#: of ``repro.core`` the energy ledger and the instruments.  (The memory
-#: package still imports ``repro.core.rng`` at module level.)
+#: What a memory replay needs of ``repro.exec`` is ``canonicalize``, of
+#: ``repro.core`` the energy ledger and the instruments, and of
+#: ``repro.memory`` the hierarchy and its caches.
 REPLAY_SKIPS = (
     "repro.exec.backends", "repro.exec.runners", "repro.exec.engine",
     "repro.exec.heartbeat", "multiprocessing", "repro.core.design",
-    "repro.core.dse", "repro.core.events",
+    "repro.core.dse", "repro.core.events", "repro.core.rng",
+    "repro.memory.wear", "repro.memory.energy", "repro.technology",
 )
+
+#: A NoC replay runs the mesh and its routes: no link or traffic model.
+NOC_SKIPS = ("repro.interconnect.links", "repro.interconnect.traffic",
+             "repro.core.rng", "repro.memory")
 
 #: The socket backend's modules, and the chaos and router layers.
 BACKEND_MODULES = tuple(f"repro.exec.backends.{name}" for name in (
@@ -84,6 +89,7 @@ BACKEND_MODULES = tuple(f"repro.exec.backends.{name}" for name in (
 
 BUDGETS = {
     "memory-replay": (MEMORY_REPLAY, REPLAY_SKIPS),
+    "noc-replay": (NOC_REPLAY, NOC_SKIPS),
     "serve-client": ("from repro.serve.client import ServeClient",
                      ("numpy", "asyncio", "repro.core", "repro.exec")),
     "serial-backend": (

@@ -1,5 +1,6 @@
 """The lazy package surfaces of ``repro.core``, ``repro.exec``,
-``repro.exec.backends`` and ``repro.serve``.
+``repro.exec.backends``, ``repro.serve``, ``repro.memory``,
+``repro.technology`` and ``repro.interconnect``.
 
 Each ``__init__`` loads a public name's submodule on first access.  The
 contract is the one the eager inits kept: the same ``__all__``, every
@@ -29,6 +30,9 @@ PACKAGES = {
     "repro.exec": 29,
     "repro.exec.backends": 30,
     "repro.serve": 13,
+    "repro.memory": 75,
+    "repro.technology": 50,
+    "repro.interconnect": 29,
 }
 
 

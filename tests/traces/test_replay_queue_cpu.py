@@ -1,12 +1,14 @@
 """Differential tests for the ``queue`` and ``cpu`` replay sinks.
 
-Neither sink starts the event kernel: the queue sink walks its records
-in one loop, and the cpu sink counts over whole arrays.  The references
+Neither sink starts the event kernel: the queue sink runs one FCFS
+recursion per server (one loop over the records under ``jsq``), and
+the cpu sink counts over whole arrays.  The references
 below are the kernel-driven handlers they replaced (one bulk-loaded
 event per record through :meth:`Simulator.schedule_batch`, and ``jsq``
 completions scheduled mid-run) and the cpu sink's own per-record loop.
 Random blocks with tied timestamps, zero service times and shuffled
-order must give equal outputs.  The same boundary holds
+order must give equal outputs.  A queue sink ``n_servers`` that is
+not an integer is a ``ValueError``.  The same boundary holds
 for the ``noc`` sink: a negative timestamp is a ``ValueError`` and a
 shuffled block replays like its stable-sorted copy.  Every sink,
 these three and ``memory`` and ``wear``, rejects a lane with no records
@@ -214,7 +216,10 @@ _service_us = st.one_of(
 
 @st.composite
 def request_blocks(draw) -> np.ndarray:
-    n = draw(st.integers(1, 40))
+    # Up to 400 records: a server's slice then holds long busy periods,
+    # where a pairwise or compensated busy-time sum rounds differently
+    # from the kernel's running sum.
+    n = draw(st.one_of(st.integers(1, 40), st.integers(41, 400)))
     arr = np.zeros(n, dtype=dtype_for(KIND_REQUEST))
     arr["ts"] = draw(st.lists(_times, min_size=n, max_size=n))
     arr["service_us"] = draw(st.lists(_service_us, min_size=n, max_size=n))
@@ -324,6 +329,36 @@ def test_multiple_blocks_match_the_kernel_reference():
         params = {"n_servers": 3, "policy": policy}
         assert (_sink("queue")(parts, **params)
                 == reference_queue(parts, Simulator(), **params))
+
+
+@pytest.mark.parametrize("n_servers, match", [
+    *((bad, "n_servers must be an integer")
+      for bad in (2.5, 2.0, True, False, "8", None)),
+    *((few, "at least one server") for few in (0, -1, np.int64(0))),
+])
+def test_a_bad_server_count_is_a_value_error(n_servers, match):
+    kind, arr = generate("steady-requests", seed=1, n=20)
+    with pytest.raises(ValueError, match=match):
+        replay([(kind, arr)], sink="queue",
+               sink_params={"n_servers": n_servers})
+
+
+def test_a_numpy_server_count_replays_like_an_int():
+    kind, arr = generate("steady-requests", seed=1, n=200)
+    for policy in QUEUE_POLICIES:
+        got = replay([(kind, arr)], sink="queue",
+                     sink_params={"n_servers": np.int64(3),
+                                  "policy": policy})
+        want = replay([(kind, arr)], sink="queue",
+                      sink_params={"n_servers": 3, "policy": policy})
+        assert got.outputs == want.outputs
+        assert type(got.outputs["n_servers"]) is int
+
+
+def test_an_unknown_queue_policy_is_a_value_error():
+    kind, arr = generate("steady-requests", seed=1, n=20)
+    with pytest.raises(ValueError, match="unknown queue policy"):
+        replay([(kind, arr)], sink="queue", sink_params={"policy": "lifo"})
 
 
 @pytest.mark.parametrize(
