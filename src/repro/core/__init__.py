@@ -16,6 +16,8 @@ These are the shared primitives every paper-facing model builds on:
 * :mod:`repro.core.agenda` — the full-system, energy-first design-space
   model that ties the substrates together (the paper's agenda rendered
   executable).
+* :mod:`repro.core.queueing` — the join-shortest-queue walk the cluster
+  model and the ``queue`` trace-replay sink share.
 
 Each public name loads its module on first access (:mod:`repro._lazy`):
 a caller of the energy ledger does not load the event kernel or the
@@ -44,4 +46,5 @@ _EXPORTS = {
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS,
-                                    submodules=("agenda", "units"))
+                                    submodules=("agenda", "queueing",
+                                                "units"))

@@ -23,7 +23,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush
 from itertools import cycle
 from typing import Optional
 
@@ -31,6 +30,7 @@ import numpy as np
 
 from ..core.events import FunctionCheckpoint, Simulator, kernel_unobserved
 from ..core.instrument import default_registry
+from ..core.queueing import jsq_walk
 from ..core.rng import RngLike, resolve_rng
 
 
@@ -323,20 +323,20 @@ class ClusterSimulator:
         ``random`` and ``round_robin`` never read queue lengths, so their
         completions need not run at all.  A completion retires when it
         finishes strictly before an arrival: at a tie the kernel ran the
-        bulk-loaded arrival first.  ``jsq`` reads every queue length, so
-        it keeps its in-flight ``(finish, server)`` completions in one
-        heap.  ``power_of_two`` reads only its two candidates' lengths:
-        each server keeps its pending finishes in a FIFO (an FCFS
-        server's finish times never decrease), and only the two
-        candidates' FIFOs are trimmed at each arrival.  Needs the server
-        state :meth:`reset` sets up; returns ``(latencies, busy
-        seconds)``.
+        bulk-loaded arrival first.  ``jsq`` reads every queue length: it
+        runs :func:`repro.core.queueing.jsq_walk`, as the ``queue``
+        replay sink does, which keeps a heap of each server's earliest
+        pending finish only while no server is idle.  ``power_of_two``
+        reads only its two candidates' lengths: each server keeps its
+        pending finishes in a FIFO (an FCFS server's finish times never
+        decrease), and only the two candidates' FIFOs are trimmed at
+        each arrival.  Needs the server state :meth:`reset` sets up;
+        returns ``(latencies, busy seconds)``.
         """
         balancer = self.config.balancer
         n_servers = self.config.n_servers
         rates = self._rates
         free_at = self._free_at
-        qlen = self._qlen
         latencies = []
         busy = 0.0
         if balancer is Balancer.RANDOM or balancer is Balancer.ROUND_ROBIN:
@@ -372,23 +372,10 @@ class ClusterSimulator:
                 latencies.append(finish - t)
                 busy += service
             return np.array(latencies), busy
-        inflight: list[tuple[float, int]] = []
-        for t, unit in zip(arrival_times, service_units):
-            while inflight and inflight[0][0] < t:
-                qlen[heappop(inflight)[1]] -= 1
-            srv = qlen.index(min(qlen))
-            service = unit / rates[srv]
-            f = free_at[srv]
-            finish = (t if t > f else f) + service
-            free_at[srv] = finish
-            qlen[srv] += 1
-            heappush(inflight, (finish, srv))
-            latencies.append(finish - t)
-            busy += service
-        # The kernel drains: every completion runs in the end.
-        for _, srv in inflight:
-            qlen[srv] -= 1
-        return np.array(latencies), busy
+        # jsq; ``free_at`` takes each server's last finish.
+        finish, _, free_at[:], busy = jsq_walk(
+            arrival_times, service_units, rates)
+        return np.array(finish) - np.array(arrival_times), busy
 
 
 # ---------------------------------------------------------------------------

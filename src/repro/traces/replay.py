@@ -4,18 +4,19 @@ The second input mode for every simulator family: instead of drawing a
 synthetic workload at run time, a *sink* replays a trace
 (:mod:`repro.traces.format`).  No sink starts the event kernel.  The
 ``queue`` sink runs one FCFS recursion per server under the policies
-that never read queue depths (``rr``, ``target``, ``client``), and one
-loop over the records under ``jsq``; the ``cpu`` sink counts its
-hazards and op classes over whole arrays, and the ``memory`` sink runs
-its cache hierarchy one level at a time, each level filtering the
-whole ordered stream.  All three keep the order
-the kernel would run the records in: stable by timestamp, with a
-timestamp before 0 a ``ValueError`` (the ``noc`` sink shares that
-boundary).  A lane with no records is a ``TraceFormatError`` for every
-sink.  The ``queue`` sink's ``jsq`` policy keeps its
-in-flight completions in a heap and retires those that finish strictly
-before each arrival: at a tie the kernel ran the bulk-loaded arrival
-first.  The ``noc`` sink passes no kernel to
+that never read queue depths (``rr``, ``target``, ``client``), and
+:func:`repro.core.queueing.jsq_walk`, the cluster model's ``jsq`` walk,
+under ``jsq``; the ``cpu`` sink counts its hazards and op classes over
+whole arrays, and the ``memory`` sink runs its cache hierarchy one
+level at a time, each level filtering the whole ordered stream.  All
+three keep the order the kernel would run the records in: stable by
+timestamp, with a timestamp before 0 or not finite a ``ValueError``
+(the ``noc`` sink shares that boundary), as is a ``queue`` service time
+that is negative or not finite.  A lane with no records is a
+``TraceFormatError`` for every sink.  Under ``jsq`` the walk keeps a
+heap only while every server is busy, and a request finishing at an
+arrival's time is still in flight then: the kernel ran the bulk-loaded
+arrival first.  The ``noc`` sink passes no kernel to
 :meth:`repro.interconnect.noc.MeshNoC.run`, which therefore walks its
 ring of per-cycle departure lists unless an init hook or session tracer
 observes kernels, and reads the per-packet ``latencies`` and ``hops``
@@ -53,13 +54,13 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from heapq import heappop, heappush
 from itertools import islice
 from dataclasses import dataclass, field
 from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.queueing import jsq_walk
 from ..exec.cache import canonicalize
 from .format import (
     KIND_INSTRUCTION,
@@ -152,20 +153,28 @@ def _time_ordered(
     """The blocks as one record array in the order the kernel runs them.
 
     A bulk-loaded train runs stable by timestamp, and the kernel refuses
-    a timestamp before time 0; a decoded iterable may be out of order.
-    Returns the ordered array and the stable sort permutation, or
-    ``None`` for it when the records were already in order.
+    a timestamp before time 0 or one that is not finite; a decoded
+    iterable may be out of order.  Returns the ordered array and the
+    stable sort permutation, or ``None`` for it when the records were
+    already in order.
     """
     arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    order = None
+    # A NaN fails ``>=`` too: a lane holding one is sorted, NaNs last.
+    if not (np.diff(arr["ts"]) >= 0).all():
+        order = np.argsort(arr["ts"], kind="stable")
+        arr = arr[order]
     ts = arr["ts"]
-    if (ts < 0).any():
-        raise ValueError(
-            f"record timestamp {float(ts[ts < 0][0])} is before time 0"
-        )
-    if not (np.diff(ts) < 0).any():
-        return arr, None
-    order = np.argsort(ts, kind="stable")
-    return arr[order], order
+    # In order, the ends bound every timestamp.
+    if not (ts[0] >= 0 and ts[-1] < np.inf):
+        raise ValueError(f"record timestamp {_out_of_range(ts)} is "
+                         "before time 0 or not finite")
+    return arr, order
+
+
+def _out_of_range(values: np.ndarray) -> float:
+    """The first of ``values`` that is negative or not finite."""
+    return float(values[~((values >= 0) & (values < np.inf))][0])
 
 
 def _quantiles(values: np.ndarray) -> Dict[str, float]:
@@ -191,6 +200,8 @@ def _replay_queue(
     n_servers: int = 8,
     policy: str = "rr",
 ) -> Dict[str, Any]:
+    """FCFS servers: :func:`_fcfs_walk` per server, or under ``jsq`` the
+    cluster model's :func:`jsq_walk` at rate 1.0 (``s / 1.0`` is exact)."""
     if policy not in QUEUE_POLICIES:
         raise ValueError(
             f"unknown queue policy {policy!r}; choose from "
@@ -206,13 +217,10 @@ def _replay_queue(
     n = len(arr)
     times = arr["ts"]
     service_us = arr["service_us"]
-    # The busy time is summed strictly in time order, as the kernel's
-    # handlers added it (``np.sum`` would sum pairwise).  ``0.0 +`` is
-    # their starting value: it turns a sum of ``-0.0``s into ``0.0``.
-    busy = 0.0 + float(np.add.accumulate(service_us * 1e-6)[-1])
+    busy = _busy_seconds(service_us)
     if policy == "jsq":
-        finish, served, free_at = _jsq_walk(
-            times.tolist(), (service_us * 1e-6).tolist(), n_servers)
+        finish, served, free_at, _ = jsq_walk(
+            times.tolist(), (service_us * 1e-6).tolist(), [1.0] * n_servers)
         where = order
     else:
         if policy == "rr":
@@ -250,6 +258,17 @@ def _replay_queue(
     }
 
 
+def _busy_seconds(service_us: np.ndarray) -> float:
+    """Total service in seconds, summed in time order as the kernel's
+    handlers did (not pairwise, as ``np.sum``) from their 0.0, which
+    turns a sum of ``-0.0``s into ``0.0``; rejects a bad service time."""
+    service = service_us * 1e-6
+    if not (service.min() >= 0 and service.max() < np.inf):
+        raise ValueError(f"record service_us {_out_of_range(service_us)} "
+                         "is negative or not finite")
+    return 0.0 + float(np.add.accumulate(service)[-1])
+
+
 def _fcfs_walk(
     times: List[float],
     service: List[float],
@@ -272,39 +291,6 @@ def _fcfs_walk(
                    for t, s in islice(records, count)]
         free_at.append(f)
     return finish, free_at
-
-
-def _jsq_walk(
-    times: List[float],
-    service: List[float],
-    n_servers: int,
-) -> Tuple[List[float], List[int], List[float]]:
-    """Join-shortest-queue over records in time order.
-
-    Returns the finish times in time order, the requests each server
-    served, and every server's last finish.  In-flight ``(finish,
-    server)`` completions sit in a heap; those finishing strictly
-    before an arrival retire first.  At a tie the arrival goes first,
-    as in the kernel, where the bulk-loaded arrivals carry older
-    sequence numbers than any completion scheduled mid-run.
-    """
-    free_at = [0.0] * n_servers
-    qlen = [0] * n_servers
-    served = [0] * n_servers
-    finish = [0.0] * len(times)
-    inflight: List[Tuple[float, int]] = []
-    for i, t, svc in zip(range(len(times)), times, service):
-        while inflight and inflight[0][0] < t:
-            qlen[heappop(inflight)[1]] -= 1
-        srv = qlen.index(min(qlen))
-        f = free_at[srv]
-        f = (t if t > f else f) + svc
-        free_at[srv] = f
-        served[srv] += 1
-        qlen[srv] += 1
-        heappush(inflight, (f, srv))
-        finish[i] = f
-    return finish, served, free_at
 
 
 # -- noc sink --------------------------------------------------------------

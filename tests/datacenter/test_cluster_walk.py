@@ -6,17 +6,23 @@ event per request.  The reference below is the kernel-driven
 ``arrive``/``complete`` pair the kernel path still runs: arrivals
 bulk-loaded as one train, completions scheduled mid-run.  Both are fed
 the same pre-drawn arrays.  Arrival times and service units are whole
-numbers, so completions tie with arrivals, where the kernel runs the
-arrival first; every balancer, slow servers and 1–8 servers must give
-equal latencies and utilization.  ``run(rng=seed)`` must also match
-``run(rng=seed, sim=Simulator())``, ``cluster.*`` metrics included.
+numbers starting at 0.0, so completions tie with arrivals, where the
+kernel runs the arrival first, and an arrival can meet never-used
+servers at time 0.0; every balancer, slow servers and 1–8 servers must
+give equal latencies and utilization.  A second strategy keeps ``jsq``
+flipping between every server busy and some server idle: 1–3 servers
+and service much longer than the gaps between arrivals.
+``run(rng=seed)`` must also match ``run(rng=seed, sim=Simulator())``,
+``cluster.*`` metrics included.  Neither hypothesis test shrinks a
+failure: each shrink step reruns the kernel on up to 400 arrivals, so
+shrinking would take minutes to report one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core import instrument
@@ -64,8 +70,7 @@ def reference(cfg, arrival_times, service_units, picks):
     sim.schedule_batch(arrival_times, arrive, payloads=range(n))
     sim.run()
     assert qlen == [0] * cfg.n_servers
-    makespan = max(max(free_at), arrival_times[-1])
-    return latencies, busy / (makespan * cfg.n_servers)
+    return latencies, utilization(cfg, busy, free_at, arrival_times)
 
 
 def walk(cfg, arrival_times, service_units, picks):
@@ -74,8 +79,14 @@ def walk(cfg, arrival_times, service_units, picks):
     model.reset()
     latencies, busy = model._walk(arrival_times, service_units, picks)
     assert model._qlen == [0] * cfg.n_servers
-    makespan = max(max(model._free_at), arrival_times[-1])
-    return latencies, busy / (makespan * cfg.n_servers)
+    return latencies, utilization(cfg, busy, model._free_at, arrival_times)
+
+
+def utilization(cfg, busy, free_at, arrival_times):
+    """The model's utilization; 0.0 when every arrival and finish is at
+    time 0, which ``run`` never draws but the strategies do."""
+    makespan = max(max(free_at), arrival_times[-1])
+    return busy / (makespan * cfg.n_servers) if makespan else 0.0
 
 
 @st.composite
@@ -90,7 +101,7 @@ def workloads(draw):
     )
     n = draw(st.one_of(st.integers(1, 80), st.integers(81, 400)))
     gaps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    arrival_times = (1.0 + np.cumsum(gaps)).tolist()
+    arrival_times = (np.cumsum(gaps) - gaps[0]).astype(float).tolist()
     service_units = [float(u) for u in draw(
         st.lists(st.integers(0, 5), min_size=n, max_size=n))]
     server = st.integers(0, n_servers - 1)
@@ -105,9 +116,61 @@ def workloads(draw):
     return cfg, arrival_times, service_units, picks
 
 
-@settings(max_examples=300, deadline=None)
+#: Every phase but ``shrink``: a failure is reported as generated.
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(workloads())
 def test_walk_matches_kernel_handlers(case):
+    ref_lat, ref_util = reference(*case)
+    lat, util = walk(*case)
+    assert np.array_equal(lat, ref_lat)
+    assert util == ref_util
+
+
+@st.composite
+def flipping_jsq(draw):
+    """``jsq`` on 1–3 servers whose service outlasts most gaps.
+
+    Runs of back-to-back arrivals fill every server, and the odd long
+    gap drains some: the walk keeps leaving and re-entering its
+    every-server-busy state.
+    """
+    cfg = ClusterConfig(
+        n_servers=draw(st.integers(1, 3)),
+        balancer=Balancer.JSQ,
+        slow_server_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        slow_factor=2.0,
+    )
+    n = draw(st.integers(1, 200))
+    gaps = draw(st.lists(st.sampled_from([0, 0, 0, 1, 1, 2, 12, 40]),
+                         min_size=n, max_size=n))
+    arrival_times = (np.cumsum(gaps) - gaps[0]).astype(float).tolist()
+    service_units = [float(u) for u in draw(
+        st.lists(st.sampled_from([0, 4, 6, 8, 10, 16]), min_size=n,
+                 max_size=n))]
+    return cfg, arrival_times, service_units, None
+
+
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+@given(flipping_jsq())
+def test_jsq_walk_flipping_between_busy_and_idle(case):
+    ref_lat, ref_util = reference(*case)
+    lat, util = walk(*case)
+    assert np.array_equal(lat, ref_lat)
+    assert util == ref_util
+
+
+@pytest.mark.parametrize("n_servers", [1, 2, 5])
+def test_jsq_arrivals_at_time_zero_on_never_used_servers(n_servers):
+    # The first arrivals find servers never used: each is idle at
+    # t == 0.0, so they spread one per server before any queues.
+    cfg = ClusterConfig(n_servers=n_servers, balancer=Balancer.JSQ)
+    arrival_times = [0.0] * (n_servers + 2) + [0.5, 3.0]
+    service_units = [1.0, 0.0, 2.0, 1.0, 0.0, 4.0, 1.0, 2.0, 0.5][
+        :len(arrival_times)]
+    case = (cfg, arrival_times, service_units, None)
     ref_lat, ref_util = reference(*case)
     lat, util = walk(*case)
     assert np.array_equal(lat, ref_lat)

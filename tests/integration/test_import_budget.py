@@ -36,6 +36,22 @@ out = replay([(kind, arr)], sink="noc", sink_params={"width": 4, "height": 4})
 assert out.outputs["delivered"] == 300, out.outputs
 """
 
+JSQ_REPLAY = """
+from repro.traces.generators import generate
+from repro.traces.replay import replay
+kind, arr = generate("bursty-requests", seed=3, n=300)
+out = replay([(kind, arr)], sink="queue",
+             sink_params={"policy": "jsq", "n_servers": 4})
+assert out.outputs["requests"] == 300, out.outputs
+"""
+
+CLUSTER_POINT = """
+from repro.serve.workloads import run_cluster
+out = run_cluster({"n_servers": 8, "arrival_rate": 6.0, "n_requests": 400,
+                   "balancer": "join_shortest_queue", "seed": 3})
+assert out["requests"] == 400, out
+"""
+
 CASES = {
     "repro": "import repro",
     "traces.replay": "import repro.traces.replay",
@@ -83,6 +99,15 @@ REPLAY_SKIPS = (
 NOC_SKIPS = ("repro.interconnect.links", "repro.interconnect.traffic",
              "repro.core.rng", "repro.memory")
 
+#: A ``jsq`` replay shares its walk with the cluster model, but loads
+#: neither the model nor the kernel.
+JSQ_SKIPS = ("repro.core.events", "repro.core.rng", "repro.datacenter")
+
+#: A ``cluster`` serve point runs the cluster model alone.
+CLUSTER_SKIPS = tuple(f"repro.datacenter.{name}" for name in (
+    "autoscale", "availability", "hedging", "latency", "power", "tail",
+    "tco"))
+
 #: The socket backend's modules, and the chaos and router layers.
 BACKEND_MODULES = tuple(f"repro.exec.backends.{name}" for name in (
     "socket_worker", "array", "chaos", "frames", "router"))
@@ -90,6 +115,8 @@ BACKEND_MODULES = tuple(f"repro.exec.backends.{name}" for name in (
 BUDGETS = {
     "memory-replay": (MEMORY_REPLAY, REPLAY_SKIPS),
     "noc-replay": (NOC_REPLAY, NOC_SKIPS),
+    "jsq-replay": (JSQ_REPLAY, JSQ_SKIPS),
+    "cluster-point": (CLUSTER_POINT, CLUSTER_SKIPS),
     "serve-client": ("from repro.serve.client import ServeClient",
                      ("numpy", "asyncio", "repro.core", "repro.exec")),
     "serial-backend": (

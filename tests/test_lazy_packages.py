@@ -1,6 +1,6 @@
 """The lazy package surfaces of ``repro.core``, ``repro.exec``,
 ``repro.exec.backends``, ``repro.serve``, ``repro.memory``,
-``repro.technology`` and ``repro.interconnect``.
+``repro.technology``, ``repro.interconnect`` and ``repro.datacenter``.
 
 Each ``__init__`` loads a public name's submodule on first access.  The
 contract is the one the eager inits kept: the same ``__all__``, every
@@ -33,6 +33,7 @@ PACKAGES = {
     "repro.memory": 75,
     "repro.technology": 50,
     "repro.interconnect": 29,
+    "repro.datacenter": 41,
 }
 
 

@@ -7,25 +7,31 @@ below are the kernel-driven handlers they replaced (one bulk-loaded
 event per record through :meth:`Simulator.schedule_batch`, and ``jsq``
 completions scheduled mid-run) and the cpu sink's own per-record loop.
 Random blocks with tied timestamps, zero service times and shuffled
-order must give equal outputs.  A queue sink ``n_servers`` that is
-not an integer is a ``ValueError``.  The same boundary holds
-for the ``noc`` sink: a negative timestamp is a ``ValueError`` and a
-shuffled block replays like its stable-sorted copy.  Every sink,
-these three and ``memory`` and ``wear``, rejects a lane with no records
-with a ``TraceFormatError``.
+order must give equal outputs, and so must the ledger-size
+``bursty-requests`` trace under ``jsq``.  The hypothesis differential
+test does not shrink a failure: each shrink step reruns the kernel on
+up to 400 records.  A queue sink ``n_servers`` that is not an integer
+is a ``ValueError``, and so is a service time that is negative or not
+finite.  The same boundary holds for the ``noc``, ``memory`` and
+``cpu`` sinks: a negative or non-finite timestamp is a ``ValueError``,
+and a shuffled block replays like its stable-sorted copy.  Every sink,
+these and ``wear``, rejects a lane with no records with a
+``TraceFormatError``.
 """
 
 from __future__ import annotations
 
 import io
+import json
 from typing import Any, Dict, List
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import Simulator
+from repro.exec import derive_seed
 from repro.traces.format import (
     KIND_INSTRUCTION,
     KIND_REQUEST,
@@ -246,7 +252,8 @@ def instruction_blocks(draw) -> np.ndarray:
 
 
 @given(request_blocks(), st.integers(1, 8))
-@settings(max_examples=200)
+@settings(max_examples=200,
+          phases=tuple(p for p in Phase if p is not Phase.shrink))
 def test_queue_sink_matches_the_kernel_reference(arr, n_servers):
     for policy in QUEUE_POLICIES:
         got = _sink("queue")([arr], n_servers=n_servers, policy=policy)
@@ -322,6 +329,52 @@ def test_a_completion_tied_with_an_arrival_retires_after_it():
                                   policy="jsq")
 
 
+@pytest.mark.parametrize("n_servers", [1, 3, 8])
+def test_jsq_arrivals_at_time_zero_on_never_used_servers(n_servers):
+    # Every server is unused at t == 0.0 and counts as idle: the first
+    # n_servers arrivals take one each, and the next two queue behind
+    # servers 0 and 1.
+    arr = np.zeros(n_servers + 2, dtype=dtype_for(KIND_REQUEST))
+    arr["service_us"] = 1e6
+    out = _sink("queue")([arr], n_servers=n_servers, policy="jsq")
+    assert out == reference_queue([arr], Simulator(), n_servers=n_servers,
+                                  policy="jsq")
+    assert out["served_per_server"] == (
+        [3] if n_servers == 1 else [2, 2] + [1] * (n_servers - 2))
+    assert out["latency_s"]["max"] == (3.0 if n_servers == 1 else 2.0)
+
+
+def test_jsq_signed_zero_times_digest_like_the_kernel():
+    # The kernel's servers start at 0.0: a -0.0 arrival with -0.0
+    # service finishes at 0.0 there, and the digest tells the zeros
+    # apart.
+    arr = np.zeros(4, dtype=dtype_for(KIND_REQUEST))
+    arr["ts"] = [-0.0, -0.0, 0.0, 0.0]
+    arr["service_us"] = -0.0
+    for n_servers in (1, 2, 5):
+        got = _sink("queue")([arr], n_servers=n_servers, policy="jsq")
+        want = reference_queue([arr], Simulator(), n_servers=n_servers,
+                               policy="jsq")
+        assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("copy", [0, 1])
+@pytest.mark.parametrize("seed", [20140215, 7])
+def test_jsq_matches_the_kernel_reference_on_the_ledger_trace(seed, copy):
+    # The ledger's queue-cpu-replay jsq ops: 50k bursty records on 8
+    # servers, with 650 to 800 requests in flight at the peak of a
+    # burst and the walk entering its every-server-busy state ~180
+    # times.
+    _, arr = generate("bursty-requests",
+                      seed=derive_seed(seed, f"bursty-requests.{copy}"
+                                             ">queue:jsq"),
+                      n=50_000, base_rate=500.0, burst_rate=5000.0,
+                      mean_service_us=5000.0)
+    got = _sink("queue")([arr], n_servers=8, policy="jsq")
+    assert got == reference_queue([arr], Simulator(), n_servers=8,
+                                  policy="jsq")
+
+
 def test_multiple_blocks_match_the_kernel_reference():
     _, arr = generate("bursty-requests", seed=3, n=400)
     parts = [arr[:150], arr[150:]]
@@ -376,6 +429,33 @@ def test_negative_timestamp_is_rejected(sink, profile, params):
     arr["ts"][0] = -1.0
     with pytest.raises(ValueError, match="before time 0"):
         replay([(kind, arr)], sink=sink)
+
+
+@pytest.mark.parametrize("ts", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("sink", ["queue", "noc", "memory", "cpu"])
+def test_a_non_finite_timestamp_is_rejected(sink, ts):
+    # Only the file reader checked these: a decoded block with a NaN
+    # timestamp replayed to NaN quantiles (queue) or in no defined
+    # order (memory).
+    profile, params = _SINK_PROFILES[sink]
+    kind, arr = generate(profile, seed=1, n=20, **params)
+    arr = arr.copy()
+    arr["ts"][5] = ts
+    with pytest.raises(ValueError, match="not finite"):
+        replay([(kind, arr)], sink=sink)
+
+
+@pytest.mark.parametrize("service_us", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("policy", QUEUE_POLICIES)
+def test_a_bad_service_time_is_rejected(policy, service_us):
+    # Under jsq the kernel refuses the completion a negative or NaN
+    # service would schedule; an infinite one has no finite latency.
+    kind, arr = generate("steady-requests", seed=1, n=20)
+    arr = arr.copy()
+    arr["service_us"][3] = service_us
+    with pytest.raises(ValueError, match="service_us"):
+        replay([(kind, arr)], sink="queue", sink_params={"policy": policy})
 
 
 _SINK_PROFILES = {
