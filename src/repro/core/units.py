@@ -15,6 +15,7 @@ of merit :data:`PAPER_TARGET_OPS_PER_WATT` = 1e11 ops/s/W (100 GOPS/W).
 from __future__ import annotations
 
 import math
+import operator
 
 # ---------------------------------------------------------------------------
 # SI prefixes (as plain floats; multiply to convert *to* base units)
@@ -94,6 +95,15 @@ SECONDS_PER_YEAR = 365.25 * 24 * 3600.0
 # ---------------------------------------------------------------------------
 # Converters
 # ---------------------------------------------------------------------------
+
+
+def is_integer(value) -> bool:
+    """Python and numpy integers, not floats (even integral ones)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 def db(ratio: float) -> float:

@@ -29,7 +29,6 @@ the NoC to the paper's "energy is largely spent moving data" argument
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -40,19 +39,11 @@ import numpy as np
 from ..core.energy import EnergyLedger
 from ..core.events import FunctionCheckpoint, Simulator, kernel_unobserved
 from ..core.instrument import default_registry
+from ..core.units import is_integer
 from .topology import xy_route
 
 Coord = Tuple[int, int]
 Link = Tuple[Coord, Coord]
-
-
-def _is_integer(value) -> bool:
-    """Python and numpy integers, not floats (even integral ones)."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -70,7 +61,7 @@ class NoCConfig:
         for name in ("width", "height", "router_delay_cycles",
                      "link_delay_cycles"):
             value = getattr(self, name)
-            if not _is_integer(value):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.width < 1 or self.height < 1:
             raise ValueError("mesh dimensions must be >= 1")
@@ -574,7 +565,7 @@ class MeshNoC:
         return j, hops, delivered, arrivals
 
     def _check_coord(self, c: Coord) -> None:
-        if not (_is_integer(c[0]) and _is_integer(c[1])):
+        if not (is_integer(c[0]) and is_integer(c[1])):
             raise ValueError(f"coordinate {c} is not a pair of integers")
         if not (0 <= c[0] < self.config.width and 0 <= c[1] < self.config.height):
             raise ValueError(f"coordinate {c} outside the mesh")

@@ -8,29 +8,59 @@ hierarchy design for E17).
 Implementation notes: each set is one insertion-ordered ``dict`` mapping
 a resident line to its dirty flag, least recently used first.  A hit
 pops the line and re-inserts it at the back; the victim is the first
-key.  An access is a few dict operations on plain Python ints, with no
-per-access NumPy calls, whose overhead would dominate a scalar lookup.
+key.  An access is a few dict operations on plain Python ints.
 
 :meth:`Cache.access` is the scalar API.  :meth:`Cache.misses` is the one
-batch loop: it runs a whole ordered stream through the same rules with
-the geometry and policy held in locals, adds its counts to the stats
-once at the end, and returns the misses in order.  A cache's state
-depends only on the ordered stream it receives, so a hierarchy whose
-levels are non-inclusive and send no writebacks down can run one level
-at a time, each level filtering the previous level's misses; the
-``memory`` replay sink does.
+batch loop: it takes a whole ordered stream as NumPy arrays, computes
+line numbers and set ids once, folds out the same-line repeats that
+cannot change anything but a dirty flag, runs the rest with the
+geometry and policy held in locals, adds its counts to the stats once,
+and returns the misses in order, as arrays.  A cache's state depends
+only on the ordered stream it receives, so a hierarchy whose levels are
+non-inclusive and send no writebacks down can run one level at a time,
+each level filtering the previous level's misses; the ``memory`` replay
+sink does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
+
+from ..core.units import is_integer
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 
 def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
+
+
+def address_array(addresses: ArrayLike) -> np.ndarray:
+    """``addresses`` as a ``uint64`` array, rejecting what is no address.
+
+    A list is converted with an explicit ``uint64`` dtype: inferring one
+    would turn ``[2**63, 5]`` into ``float64``.  A negative address
+    raises ``ValueError`` before anything converts it, since ``astype``
+    would wrap it silently; so does one of ``2**64`` or more.
+    """
+    if isinstance(addresses, np.ndarray):
+        kind = addresses.dtype.kind
+        if kind not in "iu":
+            raise ValueError(
+                f"addresses must be integers, got dtype {addresses.dtype}")
+        if kind == "i" and addresses.size and addresses.min() < 0:
+            raise ValueError("address must be non-negative")
+        return addresses.astype(np.uint64, copy=False)
+    if len(addresses) and min(addresses) < 0:
+        raise ValueError("address must be non-negative")
+    try:
+        return np.array(addresses, dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("address must be below 2**64") from None
 
 
 @dataclass(frozen=True)
@@ -44,6 +74,10 @@ class CacheConfig:
     write_allocate: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("size_bytes", "line_bytes", "associativity"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not _is_pow2(self.line_bytes):
             raise ValueError("line_bytes must be a power of two")
         if self.associativity < 1:
@@ -100,8 +134,9 @@ class Cache:
         self._sets: list[dict[int, bool]] = [
             {} for _ in range(config.n_sets)
         ]
-        self._set_mask = config.n_sets - 1
-        self._line_shift = config.line_bytes.bit_length() - 1
+        self._set_mask = int(config.n_sets) - 1
+        self._line_shift = int(config.line_bytes).bit_length() - 1
+        self._set_dtype = np.min_scalar_type(self._set_mask)
         self.stats = CacheStats()
 
     def reset(self) -> None:
@@ -142,43 +177,66 @@ class Cache:
         return False
 
     def misses(
-        self, addresses: List[int], writes: List[bool]
-    ) -> Tuple[List[int], List[bool]]:
+        self, addresses: ArrayLike, writes: ArrayLike
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Run an ordered stream of accesses; returns its misses in order.
 
-        ``addresses`` and ``writes`` are plain lists of equal length.
-        Each access follows exactly the rules of :meth:`access`; the
-        returned ``(miss_addresses, miss_writes)`` are the accesses for
-        which it would have returned False.  A negative address raises
-        the same ``ValueError`` as :meth:`access`, before any state
-        changes.
+        ``addresses`` and ``writes`` are arrays or lists of equal length;
+        addresses go through :func:`address_array`, so a negative one
+        raises the same ``ValueError`` as :meth:`access`, before any
+        state changes.  Each access follows exactly the rules of
+        :meth:`access`; the returned ``(miss_addresses, miss_writes)``
+        are ``uint64`` and ``bool`` arrays of the accesses for which it
+        would have returned False, in order, each with its own write flag.
+
+        An access to the line that the previous access to its set
+        touched hits the most recently used way: it changes no LRU
+        order and no count but ``hits``.  Such repeats skip the loop,
+        and their writes are OR-ed into the dirty flag the first access
+        of their run leaves.  Under ``write_allocate=False`` a write miss
+        does not fill its line, so the next access to it can miss, and
+        nothing is skipped.
         """
-        if len(writes) != len(addresses):
+        addresses = address_array(addresses)
+        writes = np.asarray(writes, dtype=bool)
+        if writes.shape != addresses.shape:
             raise ValueError("writes must match addresses in length")
-        if addresses and min(addresses) < 0:
-            raise ValueError("address must be non-negative")
+        n = len(addresses)
+        if n == 0:
+            return addresses, writes
         config = self.config
+        lines = addresses >> np.uint64(self._line_shift)
+        set_ids = (lines & np.uint64(self._set_mask)).astype(self._set_dtype)
+        # Stable, so each set keeps its accesses in stream order; set ids
+        # of at most 16 bits get NumPy's radix sort.  Sets share no
+        # state, so the loop may run them one after another.
+        order = np.argsort(set_ids, kind="stable")
+        by_set = lines[order]
+        first = np.ones(n, dtype=bool)
+        if config.write_allocate:
+            np.not_equal(by_set[1:], by_set[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        flags = np.logical_or.reduceat(writes[order], starts)
+
         sets = self._sets
         mask = self._set_mask
-        shift = self._line_shift
         assoc = config.associativity
         write_back = config.write_back
         write_allocate = config.write_allocate
-        miss_addresses: List[int] = []
-        miss_writes: List[bool] = []
-        add_address = miss_addresses.append
-        add_write = miss_writes.append
+        # One byte per access, set at each miss: cheaper than a list of
+        # indices turned back into an array.
+        missed = bytearray(n)
         evictions = writebacks = 0
-        for address, is_write in zip(addresses, writes):
-            line = address >> shift
+        for i, line, is_write in zip(
+            order[starts].tolist(), by_set[starts].tolist(), flags.tolist()
+        ):
             ways = sets[line & mask]
             dirty = ways.pop(line, None)
             if dirty is not None:
                 # Re-insert at the back: most recently used.
                 ways[line] = dirty or (is_write and write_back)
                 continue
-            add_address(address)
-            add_write(is_write)
+            missed[i] = 1
             if is_write and not write_allocate:
                 continue
             if len(ways) == assoc:
@@ -188,26 +246,24 @@ class Cache:
             ways[line] = is_write and write_back
 
         stats = self.stats
-        n, n_miss = len(addresses), len(miss_addresses)
+        miss = np.frombuffer(missed, dtype=bool)
+        n_miss = int(np.count_nonzero(miss))
         stats.accesses += n
         stats.hits += n - n_miss
         stats.misses += n_miss
         stats.evictions += evictions
         stats.writebacks += writebacks
-        return miss_addresses, miss_writes
+        return addresses[miss], writes[miss]
 
     def run_trace(
         self,
-        addresses: np.ndarray,
-        writes: Optional[np.ndarray] = None,
+        addresses: ArrayLike,
+        writes: Optional[ArrayLike] = None,
     ) -> CacheStats:
         """Process a whole address trace; returns the updated stats."""
-        addrs = np.asarray(addresses, dtype=np.int64).tolist()
         if writes is None:
-            writes_list = [False] * len(addrs)
-        else:
-            writes_list = np.asarray(writes, dtype=bool).tolist()
-        self.misses(addrs, writes_list)
+            writes = np.zeros(len(addresses), dtype=bool)
+        self.misses(addresses, writes)
         return self.stats
 
     def contents(self) -> set[int]:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core.energy import EnergyLedger
-from .cache import Cache, CacheConfig
+from .cache import Cache, CacheConfig, address_array
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class MemoryHierarchy:
         addresses: np.ndarray,
         writes: Optional[np.ndarray] = None,
     ) -> HierarchyResult:
-        addrs = np.asarray(addresses, dtype=np.int64)
+        addrs = address_array(addresses)
         if writes is None:
             writes_arr = np.zeros(len(addrs), dtype=bool)
         else:

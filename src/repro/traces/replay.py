@@ -8,7 +8,8 @@ that never read queue depths (``rr``, ``target``, ``client``), and
 :func:`repro.core.queueing.jsq_walk`, the cluster model's ``jsq`` walk,
 under ``jsq``; the ``cpu`` sink counts its hazards and op classes over
 whole arrays, and the ``memory`` sink runs its cache hierarchy one
-level at a time, each level filtering the whole ordered stream.  All
+level at a time, each level filtering the whole ordered stream as
+address and write arrays.  All
 three keep the order the kernel would run the records in: stable by
 timestamp, with a timestamp before 0 or not finite a ``ValueError``
 (the ``noc`` sink shares that boundary), as is a ``queue`` service time
@@ -372,6 +373,8 @@ def _replay_memory(
     each next level gets exactly the previous level's misses, in order.
     The hierarchy therefore runs one level at a time, each level
     filtering the whole stream with :meth:`~repro.memory.cache.Cache.misses`.
+    Addresses and write flags pass between levels as ``uint64`` and
+    ``bool`` arrays, so an address at or above 2**63 stays unsigned.
     A record reaching a level pays that level's latency; one missing
     every level also pays the memory latency.
     """
@@ -380,9 +383,7 @@ def _replay_memory(
     hierarchy = MemoryHierarchy(default_hierarchy())
     arr, _ = _time_ordered(blocks)
     n = len(arr)
-    # Addresses are uint64: ``tolist`` keeps those >= 2**63 unsigned.
-    addrs = arr["addr"].tolist()
-    writes = (arr["op"] != 0).tolist()
+    addrs, writes = arr["addr"], arr["op"] != 0
 
     level_hits: Dict[str, int] = {}
     cycles = 0

@@ -1,6 +1,7 @@
 """Tests for the set-associative cache simulator."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -25,6 +26,25 @@ class TestConfig:
             CacheConfig(size_bytes=64, line_bytes=64, associativity=2)
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=3 * 64, line_bytes=64, associativity=1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("size_bytes", 4096.0), ("line_bytes", 64.0),
+        ("associativity", 2.0), ("associativity", True),
+        ("line_bytes", np.float64(64)),
+    ], ids=["size-float", "line-float", "assoc-float", "assoc-bool",
+            "line-numpy-float"])
+    def test_geometry_must_be_integers(self, field, value):
+        kwargs = dict(size_bytes=4096, line_bytes=64, associativity=2)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            CacheConfig(**kwargs)
+
+    def test_numpy_integer_geometry_is_valid(self):
+        cfg = CacheConfig(size_bytes=np.int64(4096), line_bytes=np.uint32(64),
+                          associativity=np.int16(2))
+        assert cfg.n_sets == 32
+        assert Cache(cfg).misses([0, 4096, 0], [False] * 3)[0].tolist() \
+            == [0, 4096]
 
     def test_n_sets(self):
         cfg = CacheConfig(size_bytes=32 * 1024, line_bytes=64, associativity=8)
@@ -193,6 +213,72 @@ class _ReferenceLRU:
                 for ways in self.sets for line, _ in ways}
 
 
+@st.composite
+def run_heavy_streams(draw):
+    """Streams made of same-line runs, the repeats ``misses`` skips.
+
+    Segments: one line repeated k times at any offsets; an 8-byte scan
+    of one line; two runs in different lines interleaved, so each set
+    sees its own run; a write followed by reads of the same line (the
+    case ``write_allocate=False`` must not skip).  Chunk cuts drawn
+    over such a stream land inside runs.
+    """
+    stream = []
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        kind = draw(st.sampled_from(
+            ["repeat", "scan", "interleave", "write-then-read"]))
+        line = draw(st.integers(min_value=0, max_value=255)) * 64
+        k = draw(st.integers(min_value=1, max_value=10))
+        if kind == "repeat":
+            stream += [(line + draw(st.integers(0, 63)), draw(st.booleans()))
+                       for _ in range(k)]
+        elif kind == "scan":
+            write = draw(st.booleans())
+            stream += [(line + offset, write) for offset in range(0, 64, 8)]
+        elif kind == "interleave":
+            other = draw(st.integers(min_value=0, max_value=255)) * 64
+            for j in range(k):
+                stream += [(line + 8 * (j % 8), draw(st.booleans())),
+                           (other + 8 * (j % 8), draw(st.booleans()))]
+        else:
+            stream += [(line, True)] + [(line + 8 * (j % 8), False)
+                                        for j in range(1, k + 1)]
+    return stream
+
+
+def as_input(addresses, form):
+    if form == "list":
+        return list(addresses)
+    return np.array(addresses, dtype=form)
+
+
+def check_chunks_against_reference(cfg, stream, cuts, form):
+    """Feed ``stream`` to ``misses`` in chunks; compare after each."""
+    cache, ref = Cache(cfg), _ReferenceLRU(cfg)
+    bounds = sorted({0, len(stream), *(c for c in cuts
+                                       if c <= len(stream))})
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = stream[lo:hi]
+        addresses = as_input([a for a, _ in chunk], form)
+        writes = [w for _, w in chunk]
+        if form != "list":
+            writes = np.array(writes, dtype=bool)
+        want = [(a, w) for a, w in chunk if not ref.access(a, w)]
+        got_addresses, got_writes = cache.misses(addresses, writes)
+        assert got_addresses.dtype == np.uint64
+        assert got_writes.dtype == bool
+        assert list(zip(got_addresses.tolist(),
+                        got_writes.tolist())) == want
+        s = cache.stats
+        assert dict(accesses=s.accesses, hits=s.hits, misses=s.misses,
+                    evictions=s.evictions,
+                    writebacks=s.writebacks) == ref.counts
+        assert cache.contents() == ref.contents()
+
+
+INPUT_FORMS = st.sampled_from(["uint64", "int64", "list"])
+
+
 class TestDifferentialAgainstReference:
     @given(
         st.sampled_from([1, 2, 4, 8]),
@@ -234,49 +320,108 @@ class TestDifferentialAgainstReference:
             max_size=400,
         ),
         st.lists(st.integers(min_value=0, max_value=400), max_size=8),
+        INPUT_FORMS,
     )
     @settings(max_examples=150, deadline=None)
     def test_misses_matches_reference_over_chained_chunks(
-        self, assoc, n_sets, write_back, write_allocate, stream, cuts
+        self, assoc, n_sets, write_back, write_allocate, stream, cuts, form
     ):
         cfg = CacheConfig(size_bytes=64 * assoc * n_sets, line_bytes=64,
                           associativity=assoc, write_back=write_back,
                           write_allocate=write_allocate)
-        cache, ref = Cache(cfg), _ReferenceLRU(cfg)
-        bounds = sorted({0, len(stream), *(c for c in cuts
-                                           if c <= len(stream))})
-        for lo, hi in zip(bounds, bounds[1:]):
-            chunk = stream[lo:hi]
-            addresses = [a for a, _ in chunk]
-            writes = [w for _, w in chunk]
-            want = [(a, w) for a, w in chunk if not ref.access(a, w)]
-            got_addresses, got_writes = cache.misses(addresses, writes)
-            assert list(zip(got_addresses, got_writes)) == want
-            s = cache.stats
-            assert dict(accesses=s.accesses, hits=s.hits, misses=s.misses,
-                        evictions=s.evictions,
-                        writebacks=s.writebacks) == ref.counts
-            assert cache.contents() == ref.contents()
+        check_chunks_against_reference(cfg, stream, cuts, form)
+
+    @pytest.mark.parametrize("write_back", [True, False],
+                             ids=["write-back", "write-through"])
+    @pytest.mark.parametrize("write_allocate", [True, False],
+                             ids=["allocate", "no-allocate"])
+    @given(
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([1, 2, 4, 16]),
+        run_heavy_streams(),
+        st.lists(st.integers(min_value=0, max_value=400), max_size=8),
+        INPUT_FORMS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_misses_matches_reference_on_run_heavy_streams(
+        self, write_back, write_allocate, assoc, n_sets, stream, cuts, form
+    ):
+        cfg = CacheConfig(size_bytes=64 * assoc * n_sets, line_bytes=64,
+                          associativity=assoc, write_back=write_back,
+                          write_allocate=write_allocate)
+        check_chunks_against_reference(cfg, stream, cuts, form)
 
     def test_misses_rejects_a_negative_address_before_any_change(self):
         cache = small_cache()
         cache.misses([0, 64, 128], [True, False, True])
         stats, contents = dataclasses.replace(cache.stats), cache.contents()
-        with pytest.raises(ValueError, match="non-negative"):
-            cache.misses([192, 256, -64, 320], [False] * 4)
+        for form in ("list", "int64"):
+            with pytest.raises(ValueError, match="non-negative"):
+                cache.misses(as_input([192, 256, -64, 320], form),
+                             [False] * 4)
         assert cache.stats == stats
         assert cache.contents() == contents
+
+    def test_misses_rejects_an_address_of_2_64_before_any_change(self):
+        cache = small_cache()
+        cache.misses([0, 64], [True, False])
+        stats, contents = dataclasses.replace(cache.stats), cache.contents()
+        with pytest.raises(ValueError, match="below 2"):
+            cache.misses([192, 2**64], [False, False])
+        with pytest.raises(ValueError, match="integers"):
+            cache.misses(np.array([192.0, 256.0]), [False, False])
+        assert cache.stats == stats
+        assert cache.contents() == contents
+
+    def test_misses_keeps_a_list_with_addresses_from_2_63_unsigned(self):
+        cfg = CacheConfig(size_bytes=1024, associativity=2)
+        cache, ref = Cache(cfg), _ReferenceLRU(cfg)
+        stream = [(2**63, True), (5, False), (2**64 - 1, False),
+                  (2**63 + 8, False), (2**63 + 1024, True), (5, True)]
+        want = [(a, w) for a, w in stream if not ref.access(a, w)]
+        got_addresses, got_writes = cache.misses(
+            [a for a, _ in stream], [w for _, w in stream])
+        assert list(zip(got_addresses.tolist(), got_writes.tolist())) == want
+        assert cache.contents() == ref.contents()
+        assert cache.stats.writebacks == ref.counts["writebacks"]
+
+    @pytest.mark.parametrize("addresses,writes", [
+        ([], []),
+        (np.array([], dtype=np.uint64), np.array([], dtype=bool)),
+        (np.array([], dtype=np.int64), []),
+    ], ids=["lists", "uint64", "int64"])
+    def test_misses_of_an_empty_stream(self, addresses, writes):
+        cache = small_cache()
+        got_addresses, got_writes = cache.misses(addresses, writes)
+        assert got_addresses.dtype == np.uint64 and got_addresses.size == 0
+        assert got_writes.dtype == bool and got_writes.size == 0
+        assert cache.stats == type(cache.stats)()
+        assert cache.contents() == set()
 
     def test_run_trace_matches_per_access_calls(self):
         addrs = zipf_addresses(4000, unique=1024, rng=4)
         writes = np.random.default_rng(4).random(len(addrs)) < 0.3
+        for write_back, write_allocate in itertools.product((True, False),
+                                                            repeat=2):
+            cfg = CacheConfig(size_bytes=4096, associativity=4,
+                              write_back=write_back,
+                              write_allocate=write_allocate)
+            bulk, single = Cache(cfg), Cache(cfg)
+            bulk.run_trace(addrs, writes)
+            for a, w in zip(addrs.tolist(), writes.tolist()):
+                single.access(a, w)
+            assert bulk.stats == single.stats, cfg
+            assert bulk.contents() == single.contents(), cfg
+
+    def test_run_trace_keeps_addresses_from_2_63_unsigned(self):
+        addrs = zipf_addresses(2000, unique=512, rng=5).astype(np.uint64)
+        writes = np.random.default_rng(5).random(len(addrs)) < 0.3
         cfg = CacheConfig(size_bytes=4096, associativity=4)
-        bulk, single = Cache(cfg), Cache(cfg)
-        bulk.run_trace(addrs, writes)
-        for a, w in zip(addrs.tolist(), writes.tolist()):
-            single.access(a, w)
-        assert bulk.stats == single.stats
-        assert bulk.contents() == single.contents()
+        low, high = Cache(cfg), Cache(cfg)
+        low.run_trace(addrs, writes)
+        high.run_trace(addrs + np.uint64(2**63), writes)
+        assert high.stats == low.stats
+        assert high.contents() == {a + 2**63 for a in low.contents()}
 
 
 class TestStackDistance:

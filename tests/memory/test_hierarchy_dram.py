@@ -97,6 +97,15 @@ class TestMemoryHierarchy:
         res = h.run_trace(addrs, writes)
         assert res.ledger.total("cache.l1.writeback") > 0
 
+    def test_addresses_from_2_63_run_as_unsigned(self):
+        addrs = zipf_addresses(3000, unique=4096, rng=3).astype(np.uint64)
+        writes = np.random.default_rng(3).random(len(addrs)) < 0.3
+        low = MemoryHierarchy().run_trace(addrs, writes)
+        high = MemoryHierarchy().run_trace(addrs + np.uint64(2**63), writes)
+        assert (high.level_hits, high.memory_accesses, high.total_cycles) \
+            == (low.level_hits, low.memory_accesses, low.total_cycles)
+        assert high.ledger.total() == low.ledger.total()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MemoryHierarchy(levels=[])
