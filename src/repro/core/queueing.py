@@ -1,11 +1,53 @@
-"""The one join-shortest-queue walk, shared by the ``queue`` trace-replay
-sink and the cluster model; it imports neither the kernel nor a model."""
+"""The FCFS and join-shortest-queue walks, each shared by the ``queue``
+trace-replay sink and the cluster model; they import neither the kernel
+nor a model."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import List, Sequence, Tuple
+from itertools import islice
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+
+def fcfs_walk(
+    times: np.ndarray,
+    service: np.ndarray,
+    picks: Optional[np.ndarray],
+    n_servers: int,
+) -> Tuple[np.ndarray, List[int], List[float]]:
+    """FCFS servers under a policy that never reads queue lengths.
+
+    Arrival ``i`` at ``times[i]`` (nondecreasing) needs ``service[i]``
+    seconds of server ``picks[i]``, or of ``i % n_servers`` if ``picks``
+    is None.  Each server runs its own Lindley recursion from the
+    kernel's free time 0.0.  Returns the finishes in arrival order, each
+    server's arrival count and last finish (0.0 if unused).
+    """
+    n = len(times)
+    # The arrivals server by server, each server's in time order.
+    if picks is None:
+        # Read down the columns of a row-major grid of arrival indices.
+        by_server = np.arange(-(-n // n_servers) * n_servers).reshape(
+            -1, n_servers).T.ravel()
+        by_server = by_server[by_server < n]
+        served = [len(range(s, n, n_servers)) for s in range(n_servers)]
+    else:
+        by_server = np.argsort(picks, kind="stable")
+        served = np.bincount(picks, minlength=n_servers).tolist()
+    walked: List[float] = []
+    free_at: List[float] = []
+    arrivals = zip(times[by_server].tolist(), service[by_server].tolist())
+    for count in served:
+        f = 0.0
+        walked += [f := (t if t > f else f) + s
+                   for t, s in islice(arrivals, count)]
+        free_at.append(f)
+    finish = np.empty(n)
+    finish[by_server] = walked
+    return finish, served, free_at
 
 
 def jsq_walk(

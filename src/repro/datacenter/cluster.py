@@ -11,7 +11,8 @@ shared instrumentation (per-component counters and latency quantiles on
 :class:`repro.crosscut.faults.KernelFaultInjector` (transient server
 degradation).  When :func:`repro.core.events.kernel_unobserved` holds
 (no ``sim`` passed, no init hook, no session tracer) the run instead
-walks its arrivals in one loop in the kernel's event order, with the
+walks its arrivals in the kernel's event order (sharing
+:mod:`repro.core.queueing` with the ``queue`` replay sink), with the
 same results and ``cluster.*`` metrics.  Validated against M/M/1 and
 M/M/c closed forms, it underpins the datacenter experiments (E07's
 queueing tail, E22's analytics cluster).
@@ -23,14 +24,13 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import cycle
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..core.events import FunctionCheckpoint, Simulator, kernel_unobserved
 from ..core.instrument import default_registry
-from ..core.queueing import jsq_walk
+from ..core.queueing import fcfs_walk, jsq_walk
 from ..core.rng import RngLike, resolve_rng
 
 
@@ -186,24 +186,28 @@ class ClusterSimulator:
         gen = resolve_rng(rng)
         arrival_times = np.cumsum(
             gen.exponential(1.0 / arrival_rate, n_requests)
-        ).tolist()
+        )
         # Pre-draw the per-request randomness in batches (balancer choice
         # and a unit-exponential service draw scaled by the server's
         # *current* rate at arrival time, so transient faults still bite).
-        service_units = gen.standard_exponential(n_requests).tolist()
+        service_units = gen.standard_exponential(n_requests)
         balancer = cfg.balancer
         n_servers = cfg.n_servers
-        picks: Optional[list] = None
+        picks: Optional[np.ndarray] = None
         if balancer is Balancer.RANDOM:
-            picks = gen.integers(n_servers, size=n_requests).tolist()
+            picks = gen.integers(n_servers, size=n_requests)
         elif balancer is Balancer.POWER_OF_TWO:
-            picks = gen.integers(n_servers, size=(n_requests, 2)).tolist()
+            picks = gen.integers(n_servers, size=(n_requests, 2))
         if kernel_unobserved(sim):
             self._stats = default_registry().scoped("cluster")
             self.reset()
             latencies, busy = self._walk(arrival_times, service_units, picks)
             return self._result(latencies, busy, arrival_times)
 
+        # The handlers index plain lists, far faster than NumPy scalars.
+        arrival_times, service_units = (arrival_times.tolist(),
+                                        service_units.tolist())
+        picks = None if picks is None else picks.tolist()
         kernel = sim if sim is not None else Simulator()
         kernel.attach(self)
         self.reset()
@@ -294,7 +298,7 @@ class ClusterSimulator:
         self,
         latencies: np.ndarray,
         busy: float,
-        arrival_times: list[float],
+        arrival_times: Sequence[float],
     ) -> ClusterResult:
         """Metrics, :meth:`finish` and the result, shared by both paths."""
         stats = self._stats
@@ -307,56 +311,54 @@ class ClusterSimulator:
         stats.histogram("latency_s").observe_many(latencies)
         self.finish()
 
-        makespan = max(max(self._free_at), arrival_times[-1])
+        makespan = max(max(self._free_at), float(arrival_times[-1]))
         utilization = busy / (makespan * self.config.n_servers)
         stats.gauge("utilization").set(utilization)
         return ClusterResult(latencies=latencies, utilization=utilization)
 
     def _walk(
         self,
-        arrival_times: list[float],
-        service_units: list[float],
-        picks: Optional[list],
+        arrival_times: np.ndarray,
+        service_units: np.ndarray,
+        picks: Optional[np.ndarray],
     ) -> tuple[np.ndarray, float]:
-        """The kernel path's event order in one loop over the arrivals.
+        """The kernel path's event order without the kernel.
 
         ``random`` and ``round_robin`` never read queue lengths, so their
-        completions need not run at all.  A completion retires when it
-        finishes strictly before an arrival: at a tie the kernel ran the
-        bulk-loaded arrival first.  ``jsq`` reads every queue length: it
-        runs :func:`repro.core.queueing.jsq_walk`, as the ``queue``
-        replay sink does, which keeps a heap of each server's earliest
-        pending finish only while no server is idle.  ``power_of_two``
-        reads only its two candidates' lengths: each server keeps its
-        pending finishes in a FIFO (an FCFS server's finish times never
-        decrease), and only the two candidates' FIFOs are trimmed at
-        each arrival.  Needs the server state :meth:`reset` sets up;
-        returns ``(latencies, busy seconds)``.
+        completions need not run at all: they run
+        :func:`repro.core.queueing.fcfs_walk`, as the ``queue`` replay
+        sink does.  A completion retires when it finishes strictly
+        before an arrival: at a tie the kernel ran the bulk-loaded
+        arrival first.  ``jsq`` reads every queue length: it runs
+        :func:`repro.core.queueing.jsq_walk`, which keeps a heap of each
+        server's earliest pending finish only while no server is idle.
+        ``power_of_two`` reads only its two candidates' lengths: each
+        server keeps its pending finishes in a FIFO (an FCFS server's
+        finish times never decrease), and only the two candidates'
+        FIFOs are trimmed at each arrival.  Needs the server state
+        :meth:`reset` sets up; returns ``(latencies, busy seconds)``.
         """
         balancer = self.config.balancer
         n_servers = self.config.n_servers
         rates = self._rates
         free_at = self._free_at
-        latencies = []
-        busy = 0.0
         if balancer is Balancer.RANDOM or balancer is Balancer.ROUND_ROBIN:
-            servers = (
-                picks if balancer is Balancer.RANDOM
-                else cycle(range(n_servers))
-            )
-            for t, unit, srv in zip(arrival_times, service_units, servers):
-                service = unit / rates[srv]
-                f = free_at[srv]
-                finish = (t if t > f else f) + service
-                free_at[srv] = finish
-                latencies.append(finish - t)
-                busy += service
-            return np.array(latencies), busy
+            servers = (picks if picks is not None
+                       else np.arange(len(arrival_times)) % n_servers)
+            service = service_units / np.array(rates)[servers]
+            finish, _, free_at[:] = fcfs_walk(
+                arrival_times, service, picks, n_servers)
+            # Summed in arrival order, from 0.0, as the handlers did.
+            busy = 0.0 + float(np.add.accumulate(service)[-1])
+            return finish - arrival_times, busy
+        times, units = arrival_times.tolist(), service_units.tolist()
         if balancer is Balancer.POWER_OF_TWO:
+            latencies = []
+            busy = 0.0
             # Each server's pending finishes, oldest first: a server's
             # finish times never decrease, so those before ``t`` lead.
             pending = [deque() for _ in range(n_servers)]
-            for t, unit, (a, b) in zip(arrival_times, service_units, picks):
+            for t, unit, (a, b) in zip(times, units, picks.tolist()):
                 qa = pending[a]
                 while qa and qa[0] < t:
                     qa.popleft()
@@ -373,9 +375,8 @@ class ClusterSimulator:
                 busy += service
             return np.array(latencies), busy
         # jsq; ``free_at`` takes each server's last finish.
-        finish, _, free_at[:], busy = jsq_walk(
-            arrival_times, service_units, rates)
-        return np.array(finish) - np.array(arrival_times), busy
+        finish, _, free_at[:], busy = jsq_walk(times, units, rates)
+        return np.array(finish) - arrival_times, busy
 
 
 # ---------------------------------------------------------------------------

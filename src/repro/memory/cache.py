@@ -18,8 +18,8 @@ geometry and policy held in locals, adds its counts to the stats once,
 and returns the misses in order, as arrays.  A cache's state depends
 only on the ordered stream it receives, so a hierarchy whose levels are
 non-inclusive and send no writebacks down can run one level at a time,
-each level filtering the previous level's misses; the ``memory`` replay
-sink does.
+each level filtering the previous level's misses;
+:meth:`repro.memory.hierarchy.MemoryHierarchy.run_trace` does.
 """
 
 from __future__ import annotations
@@ -285,7 +285,7 @@ def stack_distance_hit_rate(
     if capacity_lines <= 0:
         raise ValueError("capacity must be positive")
     lines = (
-        np.asarray(addresses, dtype=np.int64) >> int(np.log2(line_bytes))
+        address_array(addresses) >> np.uint64(int(np.log2(line_bytes)))
     ).tolist()
     n = len(lines)
     if n == 0:

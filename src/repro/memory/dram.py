@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.energy import EnergyLedger
+from .cache import address_array
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ class DRAMBankModel:
     def run_trace(
         self, addresses: np.ndarray, writes: Optional[np.ndarray] = None
     ) -> dict[str, float]:
-        addrs = np.asarray(addresses, dtype=np.int64)
+        addrs = address_array(addresses)
         writes_arr = (
             np.zeros(len(addrs), dtype=bool)
             if writes is None
@@ -126,8 +127,8 @@ class DRAMBankModel:
         if len(writes_arr) != len(addrs):
             raise ValueError("writes must match addresses in length")
         total_ns = 0.0
-        for a, w in zip(addrs, writes_arr):
-            total_ns += self.access(int(a), bool(w))
+        for a, w in zip(addrs.tolist(), writes_arr.tolist()):
+            total_ns += self.access(a, w)
         background = self.config.background_power_w * total_ns * 1e-9
         self.ledger.charge("dram.background", background)
         return {

@@ -4,7 +4,8 @@ Composes :class:`repro.memory.cache.Cache` levels over a DRAM backstop,
 computing average memory access time (AMAT) and charging every access to
 an :class:`~repro.core.energy.EnergyLedger` — the machinery behind the
 paper's "memory hierarchies ... usually optimized for performance first"
-critique and experiment E17 (energy-efficient hierarchies).
+critique, experiment E17 (energy-efficient hierarchies) and the
+``memory`` trace-replay sink.
 """
 
 from __future__ import annotations
@@ -95,10 +96,12 @@ class HierarchyResult:
 
 
 class MemoryHierarchy:
-    """Inclusive-ish multi-level hierarchy (fill on miss at every level).
+    """Non-inclusive multi-level hierarchy (fill on miss at every level).
 
-    Each access probes levels in order; a miss at level i probes i+1 and
-    fills back.  Writebacks charge an extra access at the next level.
+    An access probes the levels in order until one hits.  Writebacks
+    charge one access at the next level but are never sent there, so a
+    cache's state depends only on the ordered accesses reaching it, and
+    :meth:`run_trace` runs one level at a time with :meth:`Cache.misses`.
     """
 
     def __init__(
@@ -124,59 +127,44 @@ class MemoryHierarchy:
         addresses: np.ndarray,
         writes: Optional[np.ndarray] = None,
     ) -> HierarchyResult:
+        """Each level filters the misses of the one above; a level's
+        latency, energy and writebacks are charged once per trace."""
         addrs = address_array(addresses)
         if writes is None:
-            writes_arr = np.zeros(len(addrs), dtype=bool)
-        else:
-            writes_arr = np.asarray(writes, dtype=bool)
-            if len(writes_arr) != len(addrs):
-                raise ValueError("writes must match addresses in length")
-
+            writes = np.zeros(len(addrs), dtype=bool)
+        accesses = len(addrs)
         ledger = EnergyLedger()
-        level_hits = {s.name: 0 for s in self.specs}
+        level_hits = {}
         total_cycles = 0
-        memory_accesses = 0
-
-        for addr, is_write in zip(addrs, writes_arr):
-            addr_i = int(addr)
-            w = bool(is_write)
-            for spec, cache in zip(self.specs, self.caches):
-                before_wb = cache.stats.writebacks
-                hit = cache.access(addr_i, is_write=w)
-                total_cycles += spec.latency_cycles
-                ledger.charge(f"cache.{spec.name}", spec.energy_per_access_j, ops=1)
-                wb = cache.stats.writebacks - before_wb
-                if wb:
-                    # Dirty eviction: charge one write at the next level.
-                    ledger.charge(
-                        f"cache.{spec.name}.writeback",
-                        self._next_level_energy(spec),
-                    )
-                if hit:
-                    level_hits[spec.name] += 1
-                    break
-            else:
-                memory_accesses += 1
-                total_cycles += self.memory.latency_cycles
-                ledger.charge(
-                    f"memory.{self.memory.name}",
-                    self.memory.energy_per_access_j,
-                    ops=1,
-                )
-
+        below = [s.energy_per_access_j for s in self.specs[1:]]
+        below.append(self.memory.energy_per_access_j)
+        for spec, cache, writeback_j in zip(self.specs, self.caches, below):
+            reached = len(addrs)
+            before_wb = cache.stats.writebacks
+            addrs, writes = cache.misses(addrs, writes)
+            level_hits[spec.name] = reached - len(addrs)
+            total_cycles += spec.latency_cycles * reached
+            if reached:
+                ledger.charge(f"cache.{spec.name}",
+                              spec.energy_per_access_j * reached, ops=reached)
+            wb = cache.stats.writebacks - before_wb
+            if wb:
+                ledger.charge(f"cache.{spec.name}.writeback", writeback_j * wb)
+        memory_accesses = len(addrs)
+        total_cycles += self.memory.latency_cycles * memory_accesses
+        if memory_accesses:
+            ledger.charge(
+                f"memory.{self.memory.name}",
+                self.memory.energy_per_access_j * memory_accesses,
+                ops=memory_accesses,
+            )
         return HierarchyResult(
-            accesses=len(addrs),
+            accesses=accesses,
             total_cycles=total_cycles,
             level_hits=level_hits,
             memory_accesses=memory_accesses,
             ledger=ledger,
         )
-
-    def _next_level_energy(self, spec: LevelSpec) -> float:
-        idx = self.specs.index(spec)
-        if idx + 1 < len(self.specs):
-            return self.specs[idx + 1].energy_per_access_j
-        return self.memory.energy_per_access_j
 
 
 def amat(

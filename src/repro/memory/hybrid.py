@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.rng import RngLike, resolve_rng
+from .cache import address_array
 from .nvm import NVMDevice, get_device
 
 PAGE_BYTES = 4096
@@ -149,7 +150,7 @@ class HybridMemory:
     def run_trace(
         self, addresses: np.ndarray, writes: Optional[np.ndarray] = None
     ) -> HybridResult:
-        addrs = np.asarray(addresses, dtype=np.int64)
+        addrs = address_array(addresses)
         writes_arr = (
             np.zeros(len(addrs), dtype=bool)
             if writes is None
@@ -157,8 +158,8 @@ class HybridMemory:
         )
         if len(writes_arr) != len(addrs):
             raise ValueError("writes must match addresses in length")
-        for a, w in zip(addrs, writes_arr):
-            self.access(int(a), bool(w))
+        for a, w in zip(addrs.tolist(), writes_arr.tolist()):
+            self.access(a, w)
         return self.result
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cache import Cache, CacheConfig
+from .cache import Cache, CacheConfig, address_array
 
 
 class Prefetcher(ABC):
@@ -151,7 +151,7 @@ def prefetched_run(
     prefetching.  Usefulness is tracked by marking prefetched lines and
     crediting the first demand hit on each.
     """
-    addrs = np.asarray(addresses, dtype=np.int64)
+    addrs = address_array(addresses)
     baseline = Cache(config)
     baseline_stats = baseline.run_trace(addrs)
 
@@ -164,8 +164,7 @@ def prefetched_run(
     issued = 0
     useful = 0
     misses = 0
-    for addr in addrs:
-        a = int(addr)
+    for a in addrs.tolist():
         line = a & line_mask
         hit = cache.access(a)
         if not hit:

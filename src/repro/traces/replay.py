@@ -3,13 +3,15 @@
 The second input mode for every simulator family: instead of drawing a
 synthetic workload at run time, a *sink* replays a trace
 (:mod:`repro.traces.format`).  No sink starts the event kernel.  The
-``queue`` sink runs one FCFS recursion per server under the policies
-that never read queue depths (``rr``, ``target``, ``client``), and
-:func:`repro.core.queueing.jsq_walk`, the cluster model's ``jsq`` walk,
-under ``jsq``; the ``cpu`` sink counts its hazards and op classes over
-whole arrays, and the ``memory`` sink runs its cache hierarchy one
-level at a time, each level filtering the whole ordered stream as
-address and write arrays.  All
+``queue`` sink runs the cluster model's walks:
+:func:`repro.core.queueing.fcfs_walk`, one FCFS recursion per server,
+under the policies that never read queue depths (``rr``, ``target``,
+``client``), and :func:`repro.core.queueing.jsq_walk` under ``jsq``.
+The ``cpu`` sink counts its hazards and op classes over whole arrays,
+and the ``memory`` sink runs
+:meth:`repro.memory.hierarchy.MemoryHierarchy.run_trace`, E17's model,
+which runs the cache hierarchy one level at a time, each level
+filtering the whole ordered stream as address and write arrays.  All
 three keep the order the kernel would run the records in: stable by
 timestamp, with a timestamp before 0 or not finite a ``ValueError``
 (the ``noc`` sink shares that boundary), as is a ``queue`` service time
@@ -34,9 +36,9 @@ Sinks (:data:`SINKS`):
   :class:`repro.interconnect.noc.MeshNoC` with a pluggable route
   function (the routing championship's plug point).
 * ``memory``  — memory records through the default
-  :class:`repro.memory.hierarchy.MemoryHierarchy` levels, one level at
-  a time: L1 filters the whole stream in stable timestamp order, and
-  each next level filters the previous level's misses.
+  :class:`repro.memory.hierarchy.MemoryHierarchy`, one level at a time:
+  L1 filters the whole stream in stable timestamp order, and each next
+  level filters the previous level's misses.
 * ``wear``    — memory-record write streams against a
   :class:`repro.memory.wear.WearLeveler` (the wear championship's plug
   point).
@@ -55,13 +57,12 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from itertools import islice
 from dataclasses import dataclass, field
 from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.queueing import jsq_walk
+from ..core.queueing import fcfs_walk, jsq_walk
 from ..exec.cache import canonicalize
 from .format import (
     KIND_INSTRUCTION,
@@ -201,8 +202,9 @@ def _replay_queue(
     n_servers: int = 8,
     policy: str = "rr",
 ) -> Dict[str, Any]:
-    """FCFS servers: :func:`_fcfs_walk` per server, or under ``jsq`` the
-    cluster model's :func:`jsq_walk` at rate 1.0 (``s / 1.0`` is exact)."""
+    """FCFS servers: the cluster model's :func:`fcfs_walk` under the
+    static policies, or its :func:`jsq_walk` under ``jsq``, at rate 1.0
+    (``s / 1.0`` is exact)."""
     if policy not in QUEUE_POLICIES:
         raise ValueError(
             f"unknown queue policy {policy!r}; choose from "
@@ -222,32 +224,20 @@ def _replay_queue(
     if policy == "jsq":
         finish, served, free_at, _ = jsq_walk(
             times.tolist(), (service_us * 1e-6).tolist(), [1.0] * n_servers)
-        where = order
     else:
-        if policy == "rr":
-            # Record j goes to server j % n_servers: read down the
-            # columns of a row-major grid of record indices.
-            by_server = np.arange(-(-n // n_servers) * n_servers).reshape(
-                -1, n_servers).T.ravel()
-            by_server = by_server[by_server < n]
-            served = [len(range(s, n, n_servers)) for s in range(n_servers)]
-        else:
-            picks = arr[policy].astype(np.int64) % n_servers
-            served = np.bincount(picks, minlength=n_servers).tolist()
-            by_server = np.argsort(picks, kind="stable")
-        times = times[by_server]
-        finish, free_at = _fcfs_walk(
-            times.tolist(), (service_us[by_server] * 1e-6).tolist(), served)
-        where = by_server if order is None else order[by_server]
-    # ``finish`` and ``times`` are in walk order.
-    walked = np.fromiter(finish, float, n) - times
+        picks = (None if policy == "rr"
+                 else arr[policy].astype(np.int64) % n_servers)
+        finish, served, free_at = fcfs_walk(
+            times, service_us * 1e-6, picks, n_servers)
+    # ``finish`` and ``times`` are in time order.
+    walked = np.asarray(finish) - times
     # Each latency is filed under its record's original position: their
     # mean sums them in that order.
-    if where is None:
+    if order is None:
         latencies = walked
     else:
         latencies = np.empty(n)
-        latencies[where] = walked
+        latencies[order] = walked
     makespan = max(max(free_at), float(arr["ts"][-1]))
     return {
         "policy": policy,
@@ -268,30 +258,6 @@ def _busy_seconds(service_us: np.ndarray) -> float:
         raise ValueError(f"record service_us {_out_of_range(service_us)} "
                          "is negative or not finite")
     return 0.0 + float(np.add.accumulate(service)[-1])
-
-
-def _fcfs_walk(
-    times: List[float],
-    service: List[float],
-    counts: List[int],
-) -> Tuple[List[float], List[float]]:
-    """Finish times of FCFS servers that each see only their own records.
-
-    ``times`` and ``service`` hold server 0's records in time order,
-    then server 1's, and so on, ``counts[s]`` of them for server ``s``.
-    A server's finish time depends only on its own earlier records, so
-    each runs its own Lindley recursion.  Returns the finish times in
-    the input order and every server's last finish (0.0 when idle).
-    """
-    finish: List[float] = []
-    free_at: List[float] = []
-    records = zip(times, service)
-    for count in counts:
-        f = 0.0
-        finish += [f := (t if t > f else f) + s
-                   for t, s in islice(records, count)]
-        free_at.append(f)
-    return finish, free_at
 
 
 # -- noc sink --------------------------------------------------------------
@@ -367,40 +333,23 @@ def _replay_memory(
 ) -> Dict[str, Any]:
     """Memory records through the default three-level hierarchy.
 
-    The levels are non-inclusive and writebacks are counted but never
-    sent down, so each cache's state depends only on the ordered stream
-    it receives: L1 gets every record in stable timestamp order, and
-    each next level gets exactly the previous level's misses, in order.
-    The hierarchy therefore runs one level at a time, each level
-    filtering the whole stream with :meth:`~repro.memory.cache.Cache.misses`.
-    Addresses and write flags pass between levels as ``uint64`` and
-    ``bool`` arrays, so an address at or above 2**63 stays unsigned.
-    A record reaching a level pays that level's latency; one missing
-    every level also pays the memory latency.
+    :meth:`~repro.memory.hierarchy.MemoryHierarchy.run_trace` takes the
+    records in stable timestamp order, as ``uint64`` addresses and
+    ``bool`` write flags, and runs one level at a time: L1 filters the
+    whole stream, and each next level filters the previous level's
+    misses.  A record reaching a level pays that level's latency; one
+    missing every level also pays the memory latency.
     """
-    from ..memory.hierarchy import MemoryHierarchy, default_hierarchy
+    from ..memory.hierarchy import MemoryHierarchy
 
-    hierarchy = MemoryHierarchy(default_hierarchy())
     arr, _ = _time_ordered(blocks)
-    n = len(arr)
-    addrs, writes = arr["addr"], arr["op"] != 0
-
-    level_hits: Dict[str, int] = {}
-    cycles = 0
-    for spec, cache in zip(hierarchy.specs, hierarchy.caches):
-        reached = len(addrs)
-        cycles += spec.latency_cycles * reached
-        addrs, writes = cache.misses(addrs, writes)
-        level_hits[spec.name] = reached - len(addrs)
-    memory_accesses = len(addrs)
-    cycles += hierarchy.memory.latency_cycles * memory_accesses
-
+    result = MemoryHierarchy().run_trace(arr["addr"], arr["op"] != 0)
     return {
-        "accesses": n,
-        "level_hits": level_hits,
-        "memory_accesses": memory_accesses,
-        "total_cycles": cycles,
-        "amat_cycles": cycles / n,
+        "accesses": result.accesses,
+        "level_hits": result.level_hits,
+        "memory_accesses": result.memory_accesses,
+        "total_cycles": result.total_cycles,
+        "amat_cycles": result.amat_cycles,
     }
 
 

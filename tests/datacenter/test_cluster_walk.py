@@ -77,7 +77,9 @@ def walk(cfg, arrival_times, service_units, picks):
     """The model's walk on the same arrays; ``(latencies, utilization)``."""
     model = ClusterSimulator(cfg)
     model.reset()
-    latencies, busy = model._walk(arrival_times, service_units, picks)
+    latencies, busy = model._walk(
+        np.array(arrival_times), np.array(service_units),
+        None if picks is None else np.array(picks))
     assert model._qlen == [0] * cfg.n_servers
     return latencies, utilization(cfg, busy, model._free_at, arrival_times)
 

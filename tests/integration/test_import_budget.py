@@ -45,6 +45,15 @@ out = replay([(kind, arr)], sink="queue",
 assert out.outputs["requests"] == 300, out.outputs
 """
 
+RR_REPLAY = """
+from repro.traces.generators import generate
+from repro.traces.replay import replay
+kind, arr = generate("steady-requests", seed=3, n=300)
+out = replay([(kind, arr)], sink="queue",
+             sink_params={"policy": "rr", "n_servers": 4})
+assert out.outputs["served_per_server"] == [75] * 4, out.outputs
+"""
+
 CLUSTER_POINT = """
 from repro.serve.workloads import run_cluster
 out = run_cluster({"n_servers": 8, "arrival_rate": 6.0, "n_requests": 400,
@@ -99,8 +108,8 @@ REPLAY_SKIPS = (
 NOC_SKIPS = ("repro.interconnect.links", "repro.interconnect.traffic",
              "repro.core.rng", "repro.memory")
 
-#: A ``jsq`` replay shares its walk with the cluster model, but loads
-#: neither the model nor the kernel.
+#: A ``jsq`` or static-policy replay shares its walk with the cluster
+#: model, but loads neither the model nor the kernel.
 JSQ_SKIPS = ("repro.core.events", "repro.core.rng", "repro.datacenter")
 
 #: A ``cluster`` serve point runs the cluster model alone.
@@ -116,6 +125,7 @@ BUDGETS = {
     "memory-replay": (MEMORY_REPLAY, REPLAY_SKIPS),
     "noc-replay": (NOC_REPLAY, NOC_SKIPS),
     "jsq-replay": (JSQ_REPLAY, JSQ_SKIPS),
+    "rr-replay": (RR_REPLAY, JSQ_SKIPS),
     "cluster-point": (CLUSTER_POINT, CLUSTER_SKIPS),
     "serve-client": ("from repro.serve.client import ServeClient",
                      ("numpy", "asyncio", "repro.core", "repro.exec")),

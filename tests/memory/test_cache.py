@@ -443,3 +443,16 @@ class TestStackDistance:
     def test_validation(self):
         with pytest.raises(ValueError):
             stack_distance_hit_rate(np.zeros(3, dtype=np.int64), 0)
+
+    def test_addresses_from_2_63_run_as_unsigned(self):
+        addrs = zipf_addresses(3000, unique=512, rng=5).astype(np.uint64)
+        low = stack_distance_hit_rate(addrs, 64)
+        assert stack_distance_hit_rate(addrs + np.uint64(2**63), 64) == low
+        assert 0 < low < 1
+
+    @pytest.mark.parametrize("addrs", [np.array([64, -64]),
+                                       np.array([0.0, 64.0])],
+                             ids=["negative", "float"])
+    def test_a_negative_or_float_address_is_a_value_error(self, addrs):
+        with pytest.raises(ValueError, match="address"):
+            stack_distance_hit_rate(addrs, 16)

@@ -173,6 +173,22 @@ class TestHybridMemory:
             mem.access(i * 64, is_write=True)
         assert mem.result.nvm_writes == 5
 
+    def test_addresses_from_2_63_run_as_unsigned(self):
+        gen = np.random.default_rng(4)
+        addrs = gen.integers(0, 16 * PAGE_BYTES, 500).astype(np.uint64)
+        writes = gen.random(500) < 0.3
+        low = self.make().run_trace(addrs, writes)
+        high = self.make().run_trace(addrs + np.uint64(2**63), writes)
+        assert high == low
+        assert low.migrations > 0
+
+    @pytest.mark.parametrize("addrs", [np.array([64, -64]),
+                                       np.array([0.0, 64.0])],
+                             ids=["negative", "float"])
+    def test_a_negative_or_float_address_is_a_value_error(self, addrs):
+        with pytest.raises(ValueError, match="address"):
+            self.make().run_trace(addrs)
+
     def test_organization_ordering(self):
         out = compare_organizations(n_accesses=6000, rng=0)
         # Latency: pure DRAM <= hybrid <= pure NVM.

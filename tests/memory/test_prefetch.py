@@ -93,6 +93,19 @@ class TestPrefetchedRun:
         with pytest.raises(ValueError):
             report.energy_overhead_j(-1.0)
 
+    def test_addresses_from_2_63_run_as_unsigned(self):
+        addrs = np.arange(200, dtype=np.uint64) * np.uint64(64)
+        high = prefetched_run(addrs + np.uint64(2**63))
+        assert high == prefetched_run(addrs)
+        assert high.baseline_misses == 200
+
+    @pytest.mark.parametrize("addrs", [np.array([64, -64]),
+                                       np.array([0.0, 64.0])],
+                             ids=["negative", "float"])
+    def test_a_negative_or_float_address_is_a_value_error(self, addrs):
+        with pytest.raises(ValueError, match="address"):
+            prefetched_run(addrs)
+
     def test_comparison_table_shapes(self):
         out = prefetcher_comparison(n=4000)
         assert out["sequential/stream"]["coverage"] > 0.9

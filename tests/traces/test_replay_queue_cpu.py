@@ -1,16 +1,19 @@
 """Differential tests for the ``queue`` and ``cpu`` replay sinks.
 
-Neither sink starts the event kernel: the queue sink runs one FCFS
-recursion per server (one loop over the records under ``jsq``), and
-the cpu sink counts over whole arrays.  The references
+Neither sink starts the event kernel: the queue sink runs the cluster
+model's walks, ``fcfs_walk`` (one FCFS recursion per server) under the
+static policies and ``jsq_walk`` under ``jsq``, and the cpu sink counts
+over whole arrays.  The references
 below are the kernel-driven handlers they replaced (one bulk-loaded
 event per record through :meth:`Simulator.schedule_batch`, and ``jsq``
 completions scheduled mid-run) and the cpu sink's own per-record loop.
 Random blocks with tied timestamps, zero service times and shuffled
 order must give equal outputs, and so must the ledger-size
-``bursty-requests`` trace under ``jsq``.  The hypothesis differential
-test does not shrink a failure: each shrink step reruns the kernel on
-up to 400 records.  A queue sink ``n_servers`` that is not an integer
+``bursty-requests`` trace under ``jsq``, fewer records than servers,
+and arrivals at ``-0.0`` with ``-0.0`` service.  ``fcfs_walk`` reports
+a server that gets no arrival with count 0 and last finish 0.0.  The
+hypothesis differential test does not shrink a failure: each shrink
+step reruns the kernel on up to 400 records.  A queue sink ``n_servers`` that is not an integer
 is a ``ValueError``, and so is a service time that is negative or not
 finite.  The same boundary holds for the ``noc``, ``memory`` and
 ``cpu`` sinks: a negative or non-finite timestamp is a ``ValueError``,
@@ -31,6 +34,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import Simulator
+from repro.core.queueing import fcfs_walk
 from repro.exec import derive_seed
 from repro.traces.format import (
     KIND_INSTRUCTION,
@@ -355,6 +359,52 @@ def test_jsq_signed_zero_times_digest_like_the_kernel():
         got = _sink("queue")([arr], n_servers=n_servers, policy="jsq")
         want = reference_queue([arr], Simulator(), n_servers=n_servers,
                                policy="jsq")
+        assert json.dumps(got) == json.dumps(want)
+
+
+def test_fcfs_walk_servers_without_arrivals_report_zero():
+    # Picks skip servers 1 and 3; round robin over 5 servers with 3
+    # arrivals leaves servers 3 and 4 unused.
+    times = np.array([0.0, 0.5, 1.0, 1.0])
+    service = np.array([2.0, 1.0, 0.0, 0.5])
+    finish, served, free_at = fcfs_walk(times, service,
+                                        np.array([2, 0, 2, 2]), 4)
+    assert finish.tolist() == [2.0, 1.5, 2.0, 2.5]
+    assert served == [1, 0, 3, 0]
+    assert free_at == [1.5, 0.0, 2.5, 0.0]
+    finish, served, free_at = fcfs_walk(times[:3], service[:3], None, 5)
+    assert finish.tolist() == [2.0, 1.5, 1.0]
+    assert served == [1, 1, 1, 0, 0]
+    assert free_at == [2.0, 1.5, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("policy", ["rr", "target", "client"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_static_policies_with_fewer_records_than_servers(policy, n):
+    arr = np.zeros(n, dtype=dtype_for(KIND_REQUEST))
+    arr["ts"] = np.arange(n) * 0.25
+    arr["service_us"] = 1e6
+    arr["target"] = [7, 7, 2][:n]
+    arr["client"] = [1, 9, 1][:n]
+    out = _sink("queue")([arr], n_servers=8, policy=policy)
+    assert out == reference_queue([arr], Simulator(), n_servers=8,
+                                  policy=policy)
+    assert sum(out["served_per_server"]) == n
+    assert out["served_per_server"].count(0) >= 8 - n
+
+
+@pytest.mark.parametrize("policy", ["rr", "target", "client"])
+def test_static_signed_zero_times_digest_like_the_kernel(policy):
+    # Each server's recursion starts at the kernel's 0.0, as under jsq.
+    arr = np.zeros(4, dtype=dtype_for(KIND_REQUEST))
+    arr["ts"] = [-0.0, -0.0, 0.0, 0.0]
+    arr["service_us"] = -0.0
+    arr["target"] = [0, 1, 0, 1]
+    arr["client"] = [3, 3, 3, 3]
+    for n_servers in (1, 2, 5):
+        got = _sink("queue")([arr], n_servers=n_servers, policy=policy)
+        want = reference_queue([arr], Simulator(), n_servers=n_servers,
+                               policy=policy)
         assert json.dumps(got) == json.dumps(want)
 
 
