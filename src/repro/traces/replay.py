@@ -203,8 +203,8 @@ def _replay_queue(
     policy: str = "rr",
 ) -> Dict[str, Any]:
     """FCFS servers: the cluster model's :func:`fcfs_walk` under the
-    static policies, or its :func:`jsq_walk` under ``jsq``, at rate 1.0
-    (``s / 1.0`` is exact)."""
+    static policies, or its :func:`jsq_walk` under ``jsq`` with every
+    rate 1.0 (``s / 1.0`` is exact)."""
     if policy not in QUEUE_POLICIES:
         raise ValueError(
             f"unknown queue policy {policy!r}; choose from "
