@@ -16,7 +16,9 @@ and span tracers see every hop.  The *walk* keeps the same
 ``(time, seq)`` order on a private ring of per-cycle departure lists,
 on packet indices and flat lists, without scheduling an event per hop
 or building a :class:`Packet`; its :attr:`NoCResult.delivered` is built
-from those lists the first time it is read.  A run walks exactly when
+from those lists the first time it is read.  Both paths route each
+distinct ``(src, dst)`` pair once, numbered in numpy by
+:meth:`MeshNoC._route_table`.  A run walks exactly when
 :func:`repro.core.events.kernel_unobserved` holds (no ``sim`` passed,
 no init hook, no session tracer), when nothing could tell the paths
 apart.  Both report the same ``noc.*`` metrics on the session registry.
@@ -57,11 +59,11 @@ class NoCConfig:
 
     def __post_init__(self) -> None:
         # The model runs on whole cycles: the walk's calendar is a ring
-        # indexed by integer cycle.
+        # indexed by integer cycle.  A bool is not a size.
         for name in ("width", "height", "router_delay_cycles",
                      "link_delay_cycles"):
             value = getattr(self, name)
-            if not is_integer(value):
+            if isinstance(value, bool) or not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.width < 1 or self.height < 1:
             raise ValueError("mesh dimensions must be >= 1")
@@ -221,7 +223,7 @@ class MeshNoC:
 
     def run(
         self,
-        pairs: Sequence[tuple[Coord, Coord]],
+        pairs: Sequence[tuple[Coord, Coord]] | np.ndarray,
         injection_times: Optional[np.ndarray] = None,
         max_cycles: int = 200_000,
         sim: Optional[Simulator] = None,
@@ -230,19 +232,24 @@ class MeshNoC:
         """Inject packets (``pairs[i]`` at ``injection_times[i]``, default
         all at cycle 0 back-to-back per source) and run to drain (or to
         the ``max_cycles`` horizon; undelivered packets count as
-        dropped; the horizon is inclusive).  Pass ``sim`` to share a
-        caller-owned kernel, and ``route_fn`` to swap the routing policy
-        (default :func:`xy_route`; any ``(src, dst) -> [coords]`` path on
-        mesh links works — the NoC routing championship plugs in here).
+        dropped; the horizon is inclusive).  ``pairs`` is a sequence of
+        ``((sx, sy), (dx, dy))`` or an ``(n, 2, 2)`` integer array.  Pass
+        ``sim`` to share a caller-owned kernel, and ``route_fn`` to swap
+        the routing policy (default :func:`xy_route`; any ``(src, dst)
+        -> [coords]`` path on mesh links works — the NoC routing
+        championship plugs in here), called once per distinct pair
+        (:meth:`_route_table`), in first-seen order, on Python ints.
         Coordinates must be integers inside the mesh, injection times
-        finite and non-negative and ``max_cycles`` non-negative
-        (``ValueError`` otherwise).  Without ``sim`` the run walks its
-        own event order when nothing observes the kernel (see the class
-        docstring)."""
+        finite and non-negative and ``max_cycles`` a number >= 0, not a
+        bool (``ValueError`` otherwise).  Without ``sim`` the run walks
+        its own event order when nothing observes the kernel (see the
+        class docstring)."""
         if route_fn is None:
             route_fn = xy_route
-        if max_cycles < 0:
-            raise ValueError(f"max_cycles must be >= 0, got {max_cycles}")
+        if isinstance(max_cycles, (bool, np.bool_)) or not max_cycles >= 0:
+            raise ValueError(
+                f"max_cycles must be a number >= 0, got {max_cycles!r}"
+            )
         if injection_times is None:
             injection_arr = np.zeros(len(pairs))
         else:
@@ -258,21 +265,8 @@ class MeshNoC:
                     f"injection_times[{i}] = {injection_arr[i]} is not a "
                     "finite cycle >= 0"
                 )
-        # Each distinct (src, dst) is checked and routed once, in
-        # first-seen order; packet i takes route ``routes[route_ids[i]]``.
-        route_of: Dict[Tuple[Coord, Coord], int] = {}
-        routes: list[list[Coord]] = []
-        route_ids: list[int] = []
-        for src, dst in pairs:
-            r = route_of.get((src, dst))
-            if r is None:
-                self._check_coord(src)
-                self._check_coord(dst)
-                if src == dst:
-                    raise ValueError("self-loop packet")
-                r = route_of[(src, dst)] = len(routes)
-                routes.append(route_fn(src, dst))
-            route_ids.append(r)
+        ends, route_ids = self._route_table(pairs)
+        routes = [route_fn(src, dst) for src, dst in ends]
         # Injections align to the next cycle boundary (the model is
         # cycle-approximate even though the kernel clock is a float).
         inject_at = np.ceil(injection_arr)
@@ -285,13 +279,14 @@ class MeshNoC:
             )
             idx = np.array(order, dtype=np.intp)
             injected_at = injection_arr[idx]
+            delivered_ids = route_ids[idx]
             route_hops = np.array([len(r) - 1 for r in routes], dtype=float)
             return self._result(
                 len(route_ids), injected, hops,
                 np.array(arrivals, dtype=float), injected_at,
-                route_hops[np.array(route_ids, dtype=np.intp)[idx]],
-                partial(_walk_packets, list(route_of), routes, route_ids,
-                        order, injected_at, arrivals),
+                route_hops[delivered_ids],
+                partial(_walk_packets, ends, routes, delivered_ids,
+                        injected_at, arrivals),
                 until,
             )
 
@@ -303,9 +298,8 @@ class MeshNoC:
         tracer = getattr(kernel.metrics, "tracer", None)
 
         packets = [
-            Packet(src=src, dst=dst, injected_at=t, route=routes[r])
-            for (src, dst), t, r in zip(pairs, injection_arr.tolist(),
-                                        route_ids)
+            Packet(*ends[r], injected_at=t, route=routes[r])
+            for t, r in zip(injection_arr.tolist(), route_ids.tolist())
         ]
         links = self._links
         delivered: list[Packet] = []
@@ -463,7 +457,7 @@ class MeshNoC:
     def _walk(
         self,
         routes: list[list[Coord]],
-        route_ids: list[int],
+        route_ids: np.ndarray,
         inject_at: np.ndarray,
         until: float,
     ) -> tuple[int, int, list[int], list[int]]:
@@ -500,7 +494,7 @@ class MeshNoC:
         order = np.argsort(inject_at, kind="stable")
         due = inject_at[order].tolist()
         index = order.tolist()
-        first = [chains[route_ids[i]] for i in index]
+        first = [chains[r] for r in route_ids[order].tolist()]
         n = len(index)
         size = hop_lat + 1
         ring: list[list[Deque]] = [[] for _ in range(size)]
@@ -564,27 +558,77 @@ class MeshNoC:
                 break
         return j, hops, delivered, arrivals
 
-    def _check_coord(self, c: Coord) -> None:
-        if not (is_integer(c[0]) and is_integer(c[1])):
-            raise ValueError(f"coordinate {c} is not a pair of integers")
-        if not (0 <= c[0] < self.config.width and 0 <= c[1] < self.config.height):
-            raise ValueError(f"coordinate {c} outside the mesh")
+    def _route_table(
+        self, pairs: Sequence[tuple[Coord, Coord]] | np.ndarray
+    ) -> tuple[list[tuple[Coord, Coord]], np.ndarray]:
+        """The distinct ``(src, dst)`` pairs in first-seen order, as
+        tuples of Python ints, and each packet's index into them.
+
+        The pairs are checked as one integer array; if that fails, each
+        is checked in input order and the first bad one raises a
+        ``ValueError`` naming it.  Pairs are keyed ``src_node * nodes +
+        dst_node``, or by both node ids where that could overflow int64.
+        """
+        if not len(pairs):
+            return [], np.zeros(0, dtype=np.intp)
+        try:
+            arr = np.asarray(pairs)
+        except ValueError:  # ragged: some pair is not two coordinates
+            arr = np.zeros(0)
+        width, height = int(self.config.width), int(self.config.height)
+        ok = arr.dtype.kind in "iu" and arr.shape[1:] == (2, 2)
+        if ok:
+            x, y = arr[..., 0], arr[..., 1]
+            ok = not (((x < 0) | (x >= width) | (y < 0) | (y >= height)).any()
+                      or ((x[:, 0] == x[:, 1]) & (y[:, 0] == y[:, 1])).any())
+        if not ok:
+            for src, dst in (pairs.tolist() if isinstance(pairs, np.ndarray)
+                             else pairs):
+                self._check_pair(src, dst)
+            # No pair is bad: numpy had only promoted integers (signed
+            # with uint64 to float) or kept bools.
+            arr = np.array(pairs, dtype=np.int64)
+            if arr.shape[1:] != (2, 2):
+                raise ValueError(f"pairs of shape {arr.shape}, not (n, 2, 2)")
+        # Inside the mesh, every coordinate and node id fits int64.
+        arr = arr.astype(np.int64, copy=False)
+        nodes = width * height
+        ids = arr[..., 0] + arr[..., 1] * width
+        if nodes <= 2**31:  # keys below 2**62
+            ids = ids[:, 0] * nodes + ids[:, 1]
+        _, first, inverse = np.unique(ids, return_index=True,
+                                      return_inverse=True, axis=0)
+        # ``np.unique`` numbers the pairs by key; renumber by first sight.
+        seen = np.argsort(first)
+        rank = np.empty_like(seen)
+        rank[seen] = np.arange(len(seen))
+        sx, sy, dx, dy = arr[first[seen]].reshape(-1, 4).T.tolist()
+        return list(zip(zip(sx, sy), zip(dx, dy))), rank[inverse.reshape(-1)]
+
+    def _check_pair(self, src: Coord, dst: Coord) -> None:
+        for c in (src, dst):
+            if not (is_integer(c[0]) and is_integer(c[1])):
+                raise ValueError(
+                    f"coordinate {tuple(c)} is not a pair of integers")
+            if not (0 <= c[0] < self.config.width
+                    and 0 <= c[1] < self.config.height):
+                raise ValueError(f"coordinate {tuple(c)} outside the mesh")
+        if tuple(src) == tuple(dst):
+            raise ValueError("self-loop packet")
 
 
 def _walk_packets(
     ends: list[tuple[Coord, Coord]],
     routes: list[list[Coord]],
-    route_ids: list[int],
-    order: list[int],
+    route_ids: np.ndarray,
     injected_at: np.ndarray,
     arrivals: list[int],
 ) -> list[Packet]:
     """The walk's deliveries as :class:`Packet` objects, in delivery
-    order; ``order``, ``injected_at`` and ``arrivals`` run parallel.  A
-    module-level function, so a result stays picklable."""
+    order; ``route_ids``, ``injected_at`` and ``arrivals`` run parallel.
+    A module-level function, so a result stays picklable."""
     built = []
-    for i, t, at in zip(order, injected_at.tolist(), arrivals):
-        r = route_ids[i]
+    for r, t, at in zip(route_ids.tolist(), injected_at.tolist(), arrivals):
         src, dst = ends[r]
         route = routes[r]
         built.append(Packet(

@@ -19,12 +19,13 @@ that is negative or not finite.  A lane with no records is a
 ``TraceFormatError`` for every sink.  Under ``jsq`` the walk keeps a
 heap only while every server is busy, and a request finishing at an
 arrival's time is still in flight then: the kernel ran the bulk-loaded
-arrival first.  The ``noc`` sink passes no kernel to
-:meth:`repro.interconnect.noc.MeshNoC.run`, which therefore walks its
-ring of per-cycle departure lists unless an init hook or session tracer
-observes kernels, and reads the per-packet ``latencies`` and ``hops``
-arrays of the result rather than its packets.  The ``wear`` sink
-applies its write stream in closed form.
+arrival first.  The ``noc`` sink passes its packets as one ``(n, 2, 2)``
+coordinate array and no kernel to
+:meth:`repro.interconnect.noc.MeshNoC.run`, which numbers the distinct
+pairs in numpy and walks its ring of per-cycle departure lists unless an
+init hook or session tracer observes kernels; the sink reads the result's
+per-packet ``latencies`` and ``hops`` arrays, not its packets.  The
+``wear`` sink applies its write stream in closed form.
 
 Sinks (:data:`SINKS`):
 
@@ -270,6 +271,8 @@ def _replay_noc(
     routing: str = "xy",
     max_cycles: int = 500_000,
 ) -> Dict[str, Any]:
+    """Request records as packets on a ``width`` x ``height`` mesh, given
+    to :meth:`MeshNoC.run` as one ``(n, 2, 2)`` array of coordinates."""
     from ..interconnect.noc import MeshNoC, NoCConfig
     from ..interconnect.topology import xy_route, yx_route
 
@@ -281,18 +284,17 @@ def _replay_noc(
             f"unknown routing {routing!r}; choose from "
             f"{', '.join(sorted(routes))}"
         ) from None
+    # The mesh is checked before any node-id arithmetic: a zero width
+    # would divide by zero below.
+    noc = MeshNoC(NoCConfig(width=width, height=height))
     arr, _ = _time_ordered(blocks)
     nodes = width * height
     # int64 before the modulo: the record fields are uint16, too narrow
-    # for a node count above 65535.
-    src_ids = arr["client"].astype(np.int64) % nodes
-    dst_ids = arr["target"].astype(np.int64) % nodes
-    same = src_ids == dst_ids
-    dst_ids = np.where(same, (dst_ids + 1) % nodes, dst_ids)
-    pairs = list(zip(
-        zip((src_ids % width).tolist(), (src_ids // width).tolist()),
-        zip((dst_ids % width).tolist(), (dst_ids // width).tolist()),
-    ))
+    # for a node count above 65535.  Column 0 is the source node.
+    ids = np.stack([arr["client"], arr["target"]], 1).astype(np.int64) % nodes
+    same = ids[:, 0] == ids[:, 1]
+    ids[same, 1] = (ids[same, 1] + 1) % nodes
+    pairs = np.stack([ids % width, ids // width], axis=2)
     # Trace timestamps are seconds; the NoC clock is cycles.  Scale so
     # the whole trace spans a workload-proportional cycle window and
     # quantize to integers (the model aligns to cycle boundaries).  The
@@ -301,7 +303,6 @@ def _replay_noc(
     ts = arr["ts"]
     span = float(ts[-1] - ts[0]) or 1.0
     cycles = np.floor((ts - ts[0]) / span * (len(arr) * 2.0))
-    noc = MeshNoC(NoCConfig(width=width, height=height))
     result = noc.run(
         pairs,
         injection_times=cycles,

@@ -8,12 +8,15 @@ packets, and the mesh run on the event kernel (a ``sim`` passed to
 :meth:`MeshNoC.run`).  Random request blocks of uniform and hotspot
 traffic on meshes from 1x2 to 8x8, both routings, tied and shuffled
 timestamps and horizons that cut the run mid-flight must give equal
-outputs and digests.  The sink never reads ``delivered``, and a mesh of
-more than 65535 nodes, wider than the uint16 record fields, replays.
+outputs and digests.  The sink never reads ``delivered``, a mesh of
+more than 65535 nodes, wider than the uint16 record fields, replays,
+and a bad mesh or horizon is a ``ValueError`` before any arithmetic.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from typing import Any, Dict, List
 from unittest import mock
 
@@ -159,3 +162,19 @@ def test_ledger_sized_blocks_match_the_reference(routing):
         params = {"width": width, "height": width, "routing": routing}
         assert (SINKS["noc"][1]([arr], **params)
                 == reference_noc([arr], **params))
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"width": 0}, "mesh dimensions"),
+    ({"height": 0}, "mesh dimensions"),
+    ({"width": True}, "width"),
+    ({"max_cycles": math.nan}, "max_cycles"),
+], ids=["width-0", "height-0", "width-True", "max_cycles-nan"])
+def test_bad_params_raise_before_any_warning(params, field):
+    # A zero-node mesh used to warn of a division by zero first, and a
+    # NaN horizon to fail inside ``digest()`` on its NaN cycle count.
+    _, arr = generate("noc-uniform", seed=1, n=50, nodes=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=field):
+            replay([(KIND_REQUEST, arr)], sink="noc", sink_params=params)
