@@ -206,20 +206,14 @@ def run_e07_tail() -> dict:
     hedge = hedging_effectiveness(
         straggler_mixture(), fanout=100, n_requests=3000, rng=0
     )
-    # An event-driven cluster run on the shared kernel; when the session
-    # registry is enabled (python -m repro --instrument) its
-    # per-component counters and latency quantiles land in the printed
-    # metrics report.
-    from ..core import Simulator, default_registry
+    # A cluster run walked in the kernel's event order; when the session
+    # registry is enabled (python -m repro --instrument) its counters
+    # and latency quantiles land in the printed metrics report.
     from ..datacenter import ClusterConfig, ClusterSimulator
 
-    sim = Simulator(metrics=default_registry())
-    cluster = sim.attach(
-        ClusterSimulator(ClusterConfig(n_servers=4, service_rate=100.0))
-    )
-    kernel_run = cluster.run(
-        arrival_rate=300.0, n_requests=12_000, rng=0, sim=sim
-    )
+    kernel_run = ClusterSimulator(
+        ClusterConfig(n_servers=4, service_rate=100.0)
+    ).run(arrival_rate=300.0, n_requests=12_000, rng=0)
     return {
         "closed_form_fraction": closed["fraction_delayed"],
         "paper_value": 0.63,

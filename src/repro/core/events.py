@@ -6,9 +6,9 @@ hedging (:mod:`repro.datacenter.hedging`), autoscaling fleet dynamics
 (:mod:`repro.datacenter.autoscale`), the mesh NoC
 (:mod:`repro.interconnect.noc`), and the intermittent/duty-cycled sensor
 models (:mod:`repro.sensor.harvest`, :mod:`repro.sensor.duty`).  The
-cluster and NoC models walk the same event order privately when
-:func:`kernel_unobserved` says nothing could observe a kernel.  Design
-points:
+cluster and NoC models run on a kernel exactly when the caller passes
+one as ``sim``; without it they walk the same event order privately,
+traced or not.  Design points:
 
 * Events are ``(time, sequence, token, callback, payload)`` tuples in a
   binary heap.  The monotonically increasing sequence number makes
@@ -348,23 +348,6 @@ def remove_init_hook(hook: Callable[["Simulator"], None]) -> None:
         pass
 
 
-def kernel_unobserved(sim: Optional["Simulator"]) -> bool:
-    """True when a model may walk its own event order instead of a kernel.
-
-    Nothing could see the difference: the caller passed no ``sim`` (so no
-    fault injector, probe, checkpoint or co-simulated model shares it),
-    no init hook would touch the private kernel a model would build, and
-    the session registry carries no span tracer.  Models that walk keep
-    the kernel's ``(time, seq)`` order exactly and report the same
-    ``sim.metrics`` instruments, so the two paths differ only in speed.
-    """
-    return (
-        sim is None
-        and not _INIT_HOOKS
-        and getattr(default_registry(), "tracer", None) is None
-    )
-
-
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -499,11 +482,13 @@ class Simulator:
     def attach(self, model: SimModel) -> SimModel:
         """Bind a :class:`SimModel` to this simulator and track it.
 
-        Models that also implement :class:`Checkpointable` are
-        auto-registered for kernel snapshots.
+        Every call binds (a walk in between may have rebound its
+        metrics), but lists the model once.  Models that also implement
+        :class:`Checkpointable` are auto-registered for kernel snapshots.
         """
         model.bind(self)
-        self.models.append(model)
+        if not any(existing is model for existing in self.models):
+            self.models.append(model)
         if isinstance(model, Checkpointable):
             self.register_checkpointable(model)
         return model

@@ -9,11 +9,10 @@ completions are kernel events, so the simulator composes with the
 shared instrumentation (per-component counters and latency quantiles on
 ``sim.metrics``), span tracers, checkpoints and
 :class:`repro.crosscut.faults.KernelFaultInjector` (transient server
-degradation).  When :func:`repro.core.events.kernel_unobserved` holds
-(no ``sim`` passed, no init hook, no session tracer) the run instead
-walks its arrivals in the kernel's event order (sharing
-:mod:`repro.core.queueing` with the ``queue`` replay sink), with the
-same results and ``cluster.*`` metrics.  Validated against M/M/1 and
+degradation).  A run walks iff no ``sim`` is passed: it takes its
+arrivals in the kernel's event order (sharing :mod:`repro.core.queueing`
+with the ``queue`` replay sink), with the same results, ``cluster.*``
+metrics and ``cluster.run`` span times.  Validated against M/M/1 and
 M/M/c closed forms, it underpins the datacenter experiments (E07's
 queueing tail, E22's analytics cluster).
 """
@@ -28,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.events import FunctionCheckpoint, Simulator, kernel_unobserved
+from ..core.events import FunctionCheckpoint, Simulator
 from ..core.instrument import default_registry
 from ..core.queueing import fcfs_walk, jsq_walk
 from ..core.rng import RngLike, resolve_rng
@@ -95,9 +94,8 @@ class ClusterSimulator:
     Because the per-request random draws (balancer choice, service time)
     happen in arrival order, results are reproducible for a given seed
     regardless of how completions interleave.  The same draws feed the
-    walk (:meth:`_walk`) that :meth:`run` takes when
-    :func:`~repro.core.events.kernel_unobserved` holds; the kernel path
-    is its differential reference.
+    walk (:meth:`_walk`) that :meth:`run` takes when no ``sim`` is
+    passed; the kernel path is its differential reference.
     """
 
     def __init__(self, config: ClusterConfig = ClusterConfig()) -> None:
@@ -170,11 +168,10 @@ class ClusterSimulator:
     ) -> ClusterResult:
         """Simulate ``n_requests`` Poisson arrivals at ``arrival_rate``.
 
-        Pass ``sim`` to run on a caller-owned kernel (shared metrics,
-        armed fault injectors, co-simulated models).  Otherwise the run
-        walks its arrivals itself when nothing observes the kernel
-        (:func:`~repro.core.events.kernel_unobserved`), and creates a
-        private kernel when something does.
+        Pass ``sim`` to run on that kernel (shared metrics, armed fault
+        injectors, co-simulated models).  Without it the run walks and
+        reports to the session registry, and a session tracer gets one
+        completed ``cluster.run`` span with ``path="walk"``.
         """
         cfg = self.config
         if not math.isfinite(arrival_rate) or arrival_rate <= 0:
@@ -198,24 +195,30 @@ class ClusterSimulator:
             picks = gen.integers(n_servers, size=n_requests)
         elif balancer is Balancer.POWER_OF_TWO:
             picks = gen.integers(n_servers, size=(n_requests, 2))
-        if kernel_unobserved(sim):
-            self._stats = default_registry().scoped("cluster")
+        if sim is None:
+            registry = default_registry()
+            tracer = registry.tracer
+            self._stats = registry.scoped("cluster")
             self.reset()
             latencies, busy = self._walk(arrival_times, service_units, picks)
-            return self._result(latencies, busy, arrival_times)
+            result = self._result(latencies, busy, arrival_times)
+            if tracer is not None:  # the kernel stops at the makespan
+                tracer.emit("cluster.run", 0.0, self._makespan(arrival_times),
+                            category="model", path="walk",
+                            requests=n_requests, servers=n_servers)
+            return result
 
         # The handlers index plain lists, far faster than NumPy scalars.
         arrival_times, service_units = (arrival_times.tolist(),
                                         service_units.tolist())
         picks = None if picks is None else picks.tolist()
-        kernel = sim if sim is not None else Simulator()
-        kernel.attach(self)
+        sim.attach(self)
         self.reset()
         # Span tracing: one attribute probe per run, hoisted out of the
         # arrival hot path; per-request spans are emitted *completed* at
         # arrival time (the finish instant is known then), which is what
         # lets them replay identically after a checkpoint restore.
-        tracer = getattr(kernel.metrics, "tracer", None)
+        tracer = getattr(sim.metrics, "tracer", None)
         rates = self._rates
         free_at = self._free_at
         qlen = self._qlen
@@ -255,7 +258,7 @@ class ClusterSimulator:
         # arrival order before any completion exists.  Completions
         # always carry younger seqs than arrivals, so a completion
         # stamped exactly at an arrival time runs after that arrival.
-        kernel.schedule_batch(
+        sim.schedule_batch(
             arrival_times, arrive, payloads=range(n_requests)
         )
 
@@ -283,15 +286,15 @@ class ClusterSimulator:
             latencies[:] = state[5]
             self.faults_injected = state[6]
 
-        kernel.register_checkpointable(
+        sim.register_checkpointable(
             FunctionCheckpoint(_ckpt_snapshot, _ckpt_restore)
         )
         if tracer is not None:
-            with tracer.span("cluster.run", sim=kernel, category="model",
+            with tracer.span("cluster.run", sim=sim, category="model",
                              requests=n_requests, servers=cfg.n_servers):
-                kernel.run()
+                sim.run()
         else:
-            kernel.run()
+            sim.run()
         return self._result(latencies, busy, arrival_times)
 
     def _result(
@@ -311,10 +314,14 @@ class ClusterSimulator:
         stats.histogram("latency_s").observe_many(latencies)
         self.finish()
 
-        makespan = max(max(self._free_at), float(arrival_times[-1]))
+        makespan = self._makespan(arrival_times)
         utilization = busy / (makespan * self.config.n_servers)
         stats.gauge("utilization").set(utilization)
         return ClusterResult(latencies=latencies, utilization=utilization)
+
+    def _makespan(self, arrival_times: Sequence[float]) -> float:
+        """The last completion or arrival, where the kernel drains."""
+        return max(max(self._free_at), float(arrival_times[-1]))
 
     def _walk(
         self,

@@ -18,10 +18,9 @@ on packet indices and flat lists, without scheduling an event per hop
 or building a :class:`Packet`; its :attr:`NoCResult.delivered` is built
 from those lists the first time it is read.  Both paths route each
 distinct ``(src, dst)`` pair once, numbered in numpy by
-:meth:`MeshNoC._route_table`.  A run walks exactly when
-:func:`repro.core.events.kernel_unobserved` holds (no ``sim`` passed,
-no init hook, no session tracer), when nothing could tell the paths
-apart.  Both report the same ``noc.*`` metrics on the session registry.
+:meth:`MeshNoC._route_table`.  A run walks iff no ``sim`` is passed,
+traced or not; both paths report the same ``noc.*`` metrics and
+``noc.run`` span times.
 
 Energy: every hop charges router + link energy to a ledger, connecting
 the NoC to the paper's "energy is largely spent moving data" argument
@@ -39,7 +38,7 @@ from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.energy import EnergyLedger
-from ..core.events import FunctionCheckpoint, Simulator, kernel_unobserved
+from ..core.events import FunctionCheckpoint, Simulator
 from ..core.instrument import default_registry
 from ..core.units import is_integer
 from .topology import xy_route
@@ -173,11 +172,10 @@ class MeshNoC:
     uncontended hop costs exactly ``hop_latency``.  On the kernel path
     departures are kernel events (one per hop), which is what lets the
     shared instrumentation/fault machinery observe the NoC like any
-    other simulator.  When :func:`~repro.core.events.kernel_unobserved`
-    holds, :meth:`run` walks the same departures on a ring of per-cycle
-    lists instead (:meth:`_walk`), carrying packet indices rather than
-    :class:`Packet` objects; the kernel path is its differential
-    reference.
+    other simulator.  Without a ``sim``, :meth:`run` walks the same
+    departures on a ring of per-cycle lists instead (:meth:`_walk`),
+    carrying packet indices rather than :class:`Packet` objects; the
+    kernel path is its differential reference.
     """
 
     def __init__(self, config: NoCConfig = NoCConfig()) -> None:
@@ -241,9 +239,8 @@ class MeshNoC:
         (:meth:`_route_table`), in first-seen order, on Python ints.
         Coordinates must be integers inside the mesh, injection times
         finite and non-negative and ``max_cycles`` a number >= 0, not a
-        bool (``ValueError`` otherwise).  Without ``sim`` the run walks
-        its own event order when nothing observes the kernel (see the
-        class docstring)."""
+        bool (``ValueError`` otherwise).  Without ``sim`` the run walks,
+        and a session tracer gets one ``noc.run`` span (``path="walk"``)."""
         if route_fn is None:
             route_fn = xy_route
         if isinstance(max_cycles, (bool, np.bool_)) or not max_cycles >= 0:
@@ -271,8 +268,10 @@ class MeshNoC:
         # cycle-approximate even though the kernel clock is a float).
         inject_at = np.ceil(injection_arr)
         until = float(max_cycles)
-        if kernel_unobserved(sim):
-            self._stats = default_registry().scoped("noc")
+        if sim is None:
+            registry = default_registry()
+            tracer = registry.tracer
+            self._stats = registry.scoped("noc")
             self.reset()
             injected, hops, order, arrivals = self._walk(
                 routes, route_ids, inject_at, until
@@ -281,7 +280,7 @@ class MeshNoC:
             injected_at = injection_arr[idx]
             delivered_ids = route_ids[idx]
             route_hops = np.array([len(r) - 1 for r in routes], dtype=float)
-            return self._result(
+            result = self._result(
                 len(route_ids), injected, hops,
                 np.array(arrivals, dtype=float), injected_at,
                 route_hops[delivered_ids],
@@ -289,13 +288,20 @@ class MeshNoC:
                         injected_at, arrivals),
                 until,
             )
+            if tracer is not None:
+                # The kernel stops at the horizon or the last departure,
+                # a cycle before its delivery (at 0.0 with no packets).
+                end = until if result.dropped else max(result.cycles - 1, 0.0)
+                tracer.emit("noc.run", 0.0, end, category="model",
+                            path="walk", packets=len(route_ids),
+                            delivered=len(arrivals), hops=hops)
+            return result
 
-        kernel = sim if sim is not None else Simulator()
-        kernel.attach(self)
+        sim.attach(self)
         self.reset()
         # One attribute probe per run; per-packet spans are emitted
         # completed at delivery (checkpoint-replay safe).
-        tracer = getattr(kernel.metrics, "tracer", None)
+        tracer = getattr(sim.metrics, "tracer", None)
 
         packets = [
             Packet(*ends[r], injected_at=t, route=routes[r])
@@ -362,7 +368,7 @@ class MeshNoC:
 
         # A time-sorted workload bulk-loads the kernel's in-order lane
         # in O(n), one seq per packet in injection order.
-        kernel.schedule_batch(inject_at.tolist(), inject, payloads=packets)
+        sim.schedule_batch(inject_at.tolist(), inject, payloads=packets)
 
         # Checkpoint support.  Pending departure events carry _LinkState
         # objects as payloads, so restore must roll the *same* state
@@ -397,15 +403,15 @@ class MeshNoC:
                 links[link] = state
             self.faults_injected = saved[5]
 
-        kernel.register_checkpointable(
+        sim.register_checkpointable(
             FunctionCheckpoint(_ckpt_snapshot, _ckpt_restore)
         )
         if tracer is not None:
-            with tracer.span("noc.run", sim=kernel, category="model",
+            with tracer.span("noc.run", sim=sim, category="model",
                              packets=len(packets)):
-                kernel.run(until=until)
+                sim.run(until=until)
         else:
-            kernel.run(until=until)
+            sim.run(until=until)
         n = len(delivered)
         return self._result(
             len(packets), injected, hops,

@@ -24,6 +24,8 @@ import argparse
 import sys
 from typing import Optional
 
+from repro.core.events import Simulator
+
 from .export import canonical_json, registry_state_to_prometheus
 from .profile import SimProfiler
 from .spans import span_stream_digest
@@ -41,7 +43,8 @@ def _job_cluster(config: dict) -> dict:
         balancer=Balancer.JSQ,
         slow_server_fraction=0.25,
         slow_factor=3.0,
-    )).run(arrival_rate=6.0, n_requests=400, rng=config["seed"])
+    )).run(arrival_rate=6.0, n_requests=400, rng=config["seed"],
+           sim=Simulator())
     return {"p50": result.p50, "p99": result.p99,
             "utilization": result.utilization}
 
@@ -71,7 +74,7 @@ def _job_noc(config: dict) -> dict:
                          rng=config["seed"])
     times = poisson_injection_times(300, rate_per_cycle=0.8,
                                     rng=config["seed"])
-    result = MeshNoC(cfg).run(pairs, injection_times=times)
+    result = MeshNoC(cfg).run(pairs, injection_times=times, sim=Simulator())
     return {"mean_latency": result.mean_latency, "dropped": result.dropped,
             "cycles": result.cycles}
 

@@ -22,9 +22,8 @@ arrival's time is still in flight then: the kernel ran the bulk-loaded
 arrival first.  The ``noc`` sink passes its packets as one ``(n, 2, 2)``
 coordinate array and no kernel to
 :meth:`repro.interconnect.noc.MeshNoC.run`, which numbers the distinct
-pairs in numpy and walks its ring of per-cycle departure lists unless an
-init hook or session tracer observes kernels; the sink reads the result's
-per-packet ``latencies`` and ``hops`` arrays, not its packets.  The
+pairs in numpy and walks its ring of per-cycle departure lists; the
+sink reads the result's per-packet ``latencies`` and ``hops`` arrays, not its packets.  The
 ``wear`` sink applies its write stream in closed form.
 
 Sinks (:data:`SINKS`):

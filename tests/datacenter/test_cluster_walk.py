@@ -26,7 +26,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core import instrument
-from repro.core.events import Simulator, kernel_unobserved
+from repro.core.events import Simulator
 from repro.datacenter.cluster import Balancer, ClusterConfig, ClusterSimulator
 
 
@@ -199,7 +199,6 @@ def _run(cfg, seed, sim):
 @pytest.mark.parametrize("balancer", list(Balancer), ids=lambda b: b.value)
 @pytest.mark.parametrize("seed", [0, 123])
 def test_run_matches_kernel_path(balancer, seed):
-    assert kernel_unobserved(None)
     cfg = ClusterConfig(n_servers=8, balancer=balancer,
                         slow_server_fraction=0.25, slow_factor=3.0)
     res, metrics = _run(cfg, seed, sim=None)

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.paper_experiments import run_e07_tail
+from repro.core.events import Simulator
 from repro.datacenter import (
+    ClusterConfig,
+    ClusterSimulator,
     exponential_latency,
     fanout_latency_quantile,
     hedged_request_latencies,
@@ -179,3 +183,16 @@ class TestHedging:
             tied_request_latencies(dist, 10, cancellation_overhead_ms=-1.0)
         with pytest.raises(ValueError):
             hedging_effectiveness(dist, fanout=0)
+
+
+class TestE07ClusterRun:
+    def test_walked_keys_equal_the_kernel_path(self):
+        """E07's cluster run walks; a kernel run of its config is the
+        reference for both ``kernel_cluster_*`` keys, bit for bit."""
+        out = run_e07_tail()
+        ref = ClusterSimulator(
+            ClusterConfig(n_servers=4, service_rate=100.0)
+        ).run(arrival_rate=300.0, n_requests=12_000, rng=0, sim=Simulator())
+        assert out["kernel_cluster_p99_s"] == float(
+            np.percentile(ref.latencies, 99))
+        assert out["kernel_cluster_utilization"] == ref.utilization

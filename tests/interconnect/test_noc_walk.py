@@ -34,7 +34,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core import instrument
-from repro.core.events import Simulator, kernel_unobserved
+from repro.core.events import Simulator
 from repro.core.units import is_integer
 from repro.interconnect import MeshNoC, NoCConfig
 from repro.interconnect.topology import xy_route, yx_route
@@ -106,7 +106,6 @@ def _run(cfg, pairs, times, max_cycles, route_fn, sim):
 @settings(max_examples=300, deadline=None)
 @given(workloads())
 def test_walk_matches_kernel(case):
-    assert kernel_unobserved(None)
     walk = _run(*case, sim=None)
     kernel = _run(*case, sim=Simulator)
     assert walk == kernel
