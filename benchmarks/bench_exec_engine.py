@@ -32,7 +32,6 @@ from repro.exec import (
     Job,
     JobGraph,
     JobStatus,
-    ProcessPoolRunner,
     SerialRunner,
     make_backend,
 )
@@ -71,7 +70,7 @@ def test_parallel_speedup():
     serial_wall = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parallel = ExecutionEngine(runner=ProcessPoolRunner(WORKERS)).run(_sweep_graph())
+    parallel = ExecutionEngine(runner=make_backend("pool", WORKERS)).run(_sweep_graph())
     parallel_wall = time.perf_counter() - t0
 
     assert serial.ok and parallel.ok
@@ -84,7 +83,7 @@ def test_parallel_speedup():
             [
                 ("serial (1 worker)", f"{serial_wall:.3f}", "1.00x"),
                 (
-                    f"process pool ({WORKERS} workers)",
+                    f"pool ({WORKERS} workers)",
                     f"{parallel_wall:.3f}",
                     f"{speedup:.2f}x",
                 ),
@@ -137,7 +136,7 @@ def test_fault_containment():
     graph.add(Job(id="inj-hang", fn=hanging_model, timeout_s=0.5))
     t0 = time.perf_counter()
     report = ExecutionEngine(
-        runner=ProcessPoolRunner(WORKERS), backoff_s=0.01
+        runner=make_backend("pool", WORKERS), backoff_s=0.01
     ).run(graph)
     wall = time.perf_counter() - t0
 

@@ -37,7 +37,7 @@ from repro.exec import (  # noqa: E402
     ExecutionEngine,
     Job,
     JobGraph,
-    ProcessPoolRunner,
+    make_backend,
 )
 from repro.resilience.campaign import campaign_job, run_campaign  # noqa: E402
 
@@ -65,7 +65,7 @@ def scenario_hang(tmp: str) -> str:
         seed_key="seed", checkpoint_key="checkpoint_path",
     ))
     engine = ExecutionEngine(
-        runner=ProcessPoolRunner(1),
+        runner=make_backend("pool", 1),
         hang_timeout_s=1.0,
         backoff_s=0.0,
         checkpoint_root=os.path.join(tmp, "ckpt-hang"),
@@ -97,7 +97,7 @@ def scenario_crash_byte_identical(tmp: str) -> str:
         checkpoint_key="checkpoint_path",
     ))
     engine = ExecutionEngine(
-        runner=ProcessPoolRunner(1),
+        runner=make_backend("pool", 1),
         backoff_s=0.0,
         checkpoint_root=os.path.join(tmp, "ckpt-crash"),
     )
@@ -129,7 +129,7 @@ def scenario_failed_row(tmp: str) -> str:
         timeout_s=120.0, retries=0,
     ))
     engine = ExecutionEngine(
-        runner=ProcessPoolRunner(2),
+        runner=make_backend("pool", 2),
         backoff_s=0.0,
         checkpoint_root=os.path.join(tmp, "ckpt-fail"),
     )

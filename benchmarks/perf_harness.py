@@ -362,10 +362,10 @@ def measure_hang_detection(
     would burn the full ``wall_timeout_s``.  ``detection_fraction_of_
     timeout`` is the PR4 acceptance number (must be well under 0.25).
     """
-    from repro.exec import Job, ProcessPoolRunner
+    from repro.exec import Job, make_backend
     from repro.exec.runners import ATTEMPT_HUNG
 
-    runner = ProcessPoolRunner(1)
+    runner = make_backend("pool", 1)
     try:
         start = time.perf_counter()
         runner.submit(

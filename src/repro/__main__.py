@@ -16,13 +16,15 @@ Usage::
 
 Experiments run through :mod:`repro.exec`: a raising, hanging, or
 crashing experiment becomes a FAILED/TIMEOUT row and the sweep still
-completes.  With ``--jobs N > 1`` each experiment runs in its own
-worker process (required for ``--timeout`` to interrupt a hung one).
+completes.  With ``--jobs N > 1`` the experiments run on N worker
+processes (required for ``--timeout`` to interrupt a hung one).
 
 Backends: ``--backend {serial,pool,socket,array}`` picks how the sweep
-executes (default: serial, or a process pool with ``--jobs N > 1``).
-``--backend socket`` spawns ``--jobs`` loopback socket workers;
-external workers on other hosts/terminals attach with::
+executes (default: serial, or ``pool`` with ``--jobs N > 1``).
+``--backend pool`` spawns ``--jobs`` loopback socket workers and
+replaces each one lost to a crash, timeout or hang; ``--backend
+socket`` spawns them too, and external workers on other
+hosts/terminals attach with::
 
     python -m repro workers --connect HOST:PORT [--count N] [--name W]
 
@@ -139,7 +141,8 @@ def main(argv: list[str] | None = None) -> int:
         "--backend", choices=("serial", "pool", "socket", "array"),
         default=None, metavar="B",
         help=(
-            "execution backend: serial, pool, socket (elastic TCP "
+            "execution backend: serial, pool (--jobs spawned socket "
+            "workers, replaced when lost), socket (elastic TCP "
             "workers; --jobs sets how many loopback workers to spawn, "
             "attach more with 'python -m repro workers'), or array "
             "(batch array-task manifests); default: serial, or pool "
@@ -157,8 +160,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="S",
         help=(
-            "per-experiment timeout in seconds; with --jobs > 1 a hung "
-            "experiment's worker is terminated"
+            "per-experiment timeout in seconds; on worker processes "
+            "(--jobs > 1) a hung experiment's worker is killed and, "
+            "on pool, replaced"
         ),
     )
     parser.add_argument(
@@ -264,6 +268,12 @@ def main(argv: list[str] | None = None) -> int:
             print("\nTop profile stacks (samples):")
             for stack, count in top:
                 print(f"  {count:>8}  {stack}")
+        elif args.profile:
+            print(
+                "\nNo profile samples: the profiler samples event-kernel "
+                "stacks and no selected claim runs the kernel; "
+                "'python -m repro obs -v' samples kernel stacks."
+            )
     if args.verbose:
         for eid in sorted(results):
             print(f"\n[{eid}] {REGISTRY.get(eid).claim}")

@@ -109,21 +109,16 @@ class ExperimentRegistry:
             Job,
             JobGraph,
             JobStatus,
-            ProcessPoolRunner,
             ResultCache,
-            SerialRunner,
+            make_backend,
         )
 
         chosen = list(dict.fromkeys(only)) if only is not None else self.ids()
         graph = JobGraph()
         for eid in chosen:
             graph.add(Job(id=eid, fn=self.get(eid).execute))
-        if runner is None and backend is not None:
-            from ..exec.backends import make_backend
-
-            runner = make_backend(backend, jobs=jobs, cache_dir=cache_dir)
         if runner is None:
-            runner = ProcessPoolRunner(jobs) if jobs > 1 else SerialRunner()
+            runner = make_backend(backend, jobs=jobs, cache_dir=cache_dir)
         if cache is None and cache_dir is not None:
             cache = ResultCache(cache_dir)
         engine = ExecutionEngine(

@@ -145,7 +145,7 @@ class Explorer:
     :attr:`SweepResult.failures`.
 
     By default configs are evaluated serially in-process.  Pass a
-    :class:`repro.exec.Runner` (e.g. ``ProcessPoolRunner(4)``) and/or a
+    :class:`repro.exec.Runner` (e.g. ``make_backend("pool", 4)``) and/or a
     :class:`repro.exec.ResultCache` to fan the sweep out over worker
     processes with fault containment and artifact reuse; in that mode a
     raising evaluator — of *any* exception type — becomes a failure row

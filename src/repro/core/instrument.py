@@ -492,7 +492,7 @@ class MetricsRegistry:
         """Picklable/JSON-able state of every instrument, stable order.
 
         The inverse is :meth:`merge_state`; together they let worker
-        processes ship their registries over the result pipe and the
+        processes ship their registries with their results and the
         engine fold them into one report deterministically.
         """
         return {

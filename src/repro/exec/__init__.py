@@ -8,14 +8,14 @@ library sits on:
 
 * :mod:`repro.exec.job` — :class:`Job`/:class:`JobGraph`: picklable
   callables with explicit dependencies and deterministic per-job seeds.
-* :mod:`repro.exec.runners` — one :class:`Runner` protocol, two
-  local backends: in-process :class:`SerialRunner` and multiprocessing
-  :class:`ProcessPoolRunner` with per-job timeout and worker-crash
-  containment.
+* :mod:`repro.exec.runners` — the :class:`Runner` protocol and the
+  in-process :class:`SerialRunner`.
 * :mod:`repro.exec.backends` — the routed multi-backend layer: the
   :class:`Backend` capability protocol, the elastic TCP
   :class:`SocketWorkerBackend` (``python -m repro workers`` attaches
-  external workers), the batch :class:`ArrayBackend` (array-task
+  external workers), the local :class:`PoolBackend` (N spawned socket
+  workers, replaced when lost: per-job timeout and worker-crash
+  containment), the batch :class:`ArrayBackend` (array-task
   manifests), and :class:`BackendRouter` placing jobs per an explicit
   :class:`RoutingPolicy`.  :func:`make_backend` builds any of them by
   name — the CLI's ``--backend`` flag.
@@ -26,8 +26,9 @@ library sits on:
   release, cache consultation, bounded retry with exponential backoff,
   and a structured :class:`RunReport`.
 * :mod:`repro.exec.heartbeat` — :func:`heartbeat`: worker liveness +
-  progress reporting over the result pipe; powers the pool runner's
-  hang watchdog and the engine's lost-progress retry accounting.
+  progress reporting over the worker's connection; powers the pool and
+  socket backends' hang watchdog and the engine's lost-progress retry
+  accounting.
 
 Consumers: ``ExperimentRegistry.run_all`` (the CLI's ``--jobs/--cache/
 --retries`` flags), ``Explorer.run`` for DSE sweeps, and
@@ -43,15 +44,15 @@ from .._lazy import lazy_exports
 
 _EXPORTS = {
     "backends": ("ArrayBackend", "Backend", "BackendCapabilities",
-                 "BackendRouter", "RoutingError", "RoutingPolicy",
-                 "SocketWorkerBackend", "available_backends",
-                 "capabilities_of", "make_backend"),
+                 "BackendRouter", "PoolBackend", "RoutingError",
+                 "RoutingPolicy", "SocketWorkerBackend",
+                 "available_backends", "capabilities_of", "make_backend"),
     "cache": ("ResultCache", "cache_key", "canonicalize", "repro_version"),
     "engine": ("ExecutionEngine", "JobRecord", "JobStatus", "RunReport",
                "run_jobs"),
     "heartbeat": ("emit_sim_heartbeats", "heartbeat"),
     "job": ("Job", "JobGraph", "callable_name", "derive_seed"),
-    "runners": ("Attempt", "ProcessPoolRunner", "Runner", "SerialRunner"),
+    "runners": ("Attempt", "Runner", "SerialRunner"),
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

@@ -1,7 +1,6 @@
 """repro.exec.backends — routed multi-backend execution.
 
-The execution layer's backend seam, grown out of the hardwired
-serial/process-pool pair when ``repro.exec`` went multi-host:
+The execution layer's backend seam:
 
 * :mod:`~repro.exec.backends.base` — the :class:`Backend` protocol:
   a :class:`~repro.exec.runners.Runner` that describes itself via
@@ -11,19 +10,22 @@ serial/process-pool pair when ``repro.exec`` went multi-host:
   format socket workers speak (version byte fails loud on mismatch;
   unknown tags skip gracefully).
 * :mod:`~repro.exec.backends.socket_worker` — elastic pull-model
-  workers over TCP loopback/SSH; ``python -m repro workers`` attaches
-  external ones.
+  workers over TCP loopback/SSH (``python -m repro workers`` attaches
+  external ones), and :class:`PoolBackend`, N spawned loopback workers
+  replaced when lost.
 * :mod:`~repro.exec.backends.array` — array/batch manifests
   (plan/submit-script/collect) plus an engine-driven batching backend.
 * :mod:`~repro.exec.backends.router` — :class:`BackendRouter`, a
   Runner facade that places each job on one named backend per an
   explicit :class:`RoutingPolicy`.
 
-:func:`make_backend` is the one-string factory the CLI and
-``run_jobs`` share: ``"serial"``, ``"pool"``, ``"socket"``,
-``"array"`` (workers/shard counts from the caller's ``jobs``).  Each
-public name loads its module on first access (:mod:`repro._lazy`), and
-:func:`make_backend` imports only the backend it builds.
+:func:`make_backend` is the one-string factory the CLI, ``run_jobs``,
+the experiment registry and the resilience campaign share:
+``"serial"``, ``"pool"``, ``"socket"``, ``"array"`` (workers/shard
+counts from the caller's ``jobs``), and the default choice when no
+name is given.  Each public name loads its module on first access
+(:mod:`repro._lazy`), and :func:`make_backend` imports only the
+backend it builds.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ _EXPORTS = {
                "recv_frame", "send_frame"),
     "router": ("BackendRouter", "HedgePolicy", "RoutingError",
                "RoutingPolicy", "VerifyPolicy"),
-    "socket_worker": ("SocketWorkerBackend", "spawn_local_worker",
-                      "worker_main"),
+    "socket_worker": ("PoolBackend", "SocketWorkerBackend",
+                      "spawn_local_worker", "worker_main"),
 }
 
 __all__ = sorted(
@@ -65,14 +67,15 @@ def available_backends() -> dict[str, str]:
     """Name -> one-line description of every constructible backend."""
     return {
         "serial": "in-process, one job at a time (closure-safe fallback)",
-        "pool": "one local process per attempt (crash containment + watchdog)",
+        "pool": "N spawned socket workers, replaced when lost (crash "
+        "containment + watchdog)",
         "socket": "elastic TCP loopback/SSH workers (pull model, frames)",
         "array": "batch array-task manifests run by local task processes",
     }
 
 
 def make_backend(
-    name: str,
+    name: Optional[str],
     jobs: int = 1,
     *,
     port: int = 0,
@@ -85,6 +88,9 @@ def make_backend(
 ) -> Runner:
     """Build a backend by name; ``jobs`` sets its parallelism.
 
+    ``name=None`` picks the default: ``pool`` when ``jobs > 1``, else
+    ``serial``.  ``pool`` spawns ``jobs`` loopback socket workers and
+    replaces each one lost to a crash, timeout, hang or cancel.
     ``socket`` spawns ``spawn`` loopback workers (default: ``jobs``;
     ``spawn=0`` with an explicit ``port`` waits for external workers
     attached via ``python -m repro workers``).  ``array`` shards into
@@ -95,16 +101,18 @@ def make_backend(
     :mod:`repro.exec.backends.chaos`), and ``respawn`` keeps its
     loopback roster alive under that abuse.
     """
-    name = (name or "").strip().lower()
+    if name is None:
+        name = "pool" if jobs > 1 else "serial"
+    name = name.strip().lower()
     # Each branch imports only the backend it builds.
     if name == "serial":
         from ..runners import SerialRunner
 
         return SerialRunner()
     if name == "pool":
-        from ..runners import ProcessPoolRunner
+        from .socket_worker import PoolBackend
 
-        return ProcessPoolRunner(max(1, jobs))
+        return PoolBackend(max(1, jobs), metrics=metrics)
     if name == "socket":
         from .socket_worker import SocketWorkerBackend
 

@@ -1,10 +1,9 @@
 """Versioned tagged-frame wire format for cross-host worker links.
 
-The process-pool runner ships ``("hb", ...)`` / ``("tel", ...)`` /
-``("res", ...)`` tuples over a ``multiprocessing.Pipe``, where both ends
-are by construction the same code version.  Once workers live on the
-other side of a TCP socket (loopback today, SSH tunnel tomorrow) that
-assumption dies, so the socket carries an explicit *framed* protocol:
+Every worker process — the ``pool`` backend's spawned loopback workers
+and ``socket`` workers attached from other hosts — talks to its
+coordinator over a TCP socket.  The two ends need not run the same code
+version, so the socket carries an explicit *framed* protocol:
 
 +--------+---------+---------+----------+-----------+------+
 | magic  | version | tag len | body len | tag       | body |
@@ -19,15 +18,13 @@ assumption dies, so the socket carries an explicit *framed* protocol:
   whose tag is unknown is *skipped* (counted, never fatal), so adding a
   new optional frame type does not strand older coordinators.
 * Bodies are pickled: results/telemetry payloads are arbitrary Python
-  objects, exactly what the in-process pipe already carries.  Frames are
-  only ever exchanged between mutually trusting hosts (loopback or an
-  SSH-tunneled worker you launched) — the same trust model as
-  ``multiprocessing`` itself; never expose the coordinator port to an
-  untrusted network.
+  objects.  Frames are only ever exchanged between mutually trusting
+  hosts (loopback or an SSH-tunneled worker you launched) — the same
+  trust model as ``multiprocessing`` itself; never expose the
+  coordinator port to an untrusted network.
 
-The known tags are shared with the pipe protocol (``hb``/``tel``/
-``res``) plus the socket-only lifecycle tags (``hello``/``job``/
-``bye``).
+The known tags are the attempt stream (``hb``/``tel``/``res``) plus
+the lifecycle tags (``hello``/``job``/``bye``).
 
 Protocol v2 (PR 9) hardens the format against a lossy transport:
 
@@ -82,11 +79,11 @@ _HEADER = struct.Struct("!BBBII")
 #: field must not look like a 4 GiB body).
 MAX_BODY_BYTES = 256 * 1024 * 1024
 
-# Lifecycle tags (socket only).
+# Lifecycle tags.
 TAG_HELLO = "hello"  #: worker -> coordinator: registration card
 TAG_JOB = "job"      #: coordinator -> worker: one attempt to execute
 TAG_BYE = "bye"      #: either side: orderly leave
-# Attempt-stream tags (same meaning as the pipe protocol).
+# Attempt-stream tags.
 TAG_HEARTBEAT = "hb"
 TAG_TELEMETRY = "tel"
 TAG_RESULT = "res"

@@ -10,10 +10,9 @@ worker drains the queue while a slow one is still busy, with no static
 partitioning to re-balance.
 
 Each worker connection speaks the versioned tagged-frame protocol of
-:mod:`repro.exec.backends.frames`; the ``hb``/``tel``/``res`` frames a
-job emits are byte-for-byte the same payloads the process-pool runner
-ships over its pipe, so the engine's watchdog, progress-aware retry and
-telemetry merge work identically over sockets and pipes:
+:mod:`repro.exec.backends.frames`, so the engine's watchdog,
+progress-aware retry and telemetry merge see the same attempt stream
+from every worker:
 
 * ``hello``  worker -> coordinator: registration (name, pid, host).
 * ``job``    coordinator -> worker: one attempt (fn, config, timeouts).
@@ -37,10 +36,11 @@ Failure model (rides PR4's watchdog + checkpoint machinery):
 * Wall-clock timeouts are enforced coordinator-side the same way.
 
 Workers attach either in-process-tree (``spawn=N`` forks N local worker
-processes — the loopback mode benchmarks and CI use) or externally:
-``python -m repro workers --connect HOST:PORT`` from another shell,
-container, or an SSH tunnel (``ssh -L``) on another machine sharing the
-result-cache/checkpoint filesystem.
+processes) or externally: ``python -m repro workers --connect
+HOST:PORT`` from another shell, container, or an SSH tunnel (``ssh -L``)
+on another machine sharing the result-cache/checkpoint filesystem.
+:class:`PoolBackend` is the ``pool`` backend: N spawned workers, no
+external ones, replaced when lost.
 
 Trust & tail tolerance (PR 9):
 
@@ -60,17 +60,23 @@ Trust & tail tolerance (PR 9):
 * **Per-worker circuit breaker** — a worker *name* that repeatedly
   fails mid-job trips a breaker: its re-registrations are refused for a
   cooldown, so one flapping host cannot keep eating jobs.
-* **Respawn** — with ``respawn=True`` the coordinator replaces a dead
-  locally-spawned worker (bounded by ``max_respawns``), which is what
-  keeps a chaos campaign from bleeding out its whole roster.
-* **Fail-fast stranding** — when every locally-spawned worker is dead,
-  none will return (no respawn), and no external workers are expected,
+* **Respawn** — with ``respawn=True`` the coordinator replaces a
+  locally-spawned worker lost with a job in hand (crash, timeout, hang,
+  cancel) every time: the engine's retry budget already bounds how
+  many such attempts there are.  One lost while idle is replaced while
+  ``max_respawns`` lasts, which keeps a chaos campaign from bleeding
+  out its whole roster.  With respawn on, cancelling a job that runs on
+  a spawned worker kills that worker; external workers (and spawned
+  ones without respawn) abandon it cooperatively.
+* **Fail-fast stranding** — when every locally-spawned worker process
+  is dead (so none will return) and no external worker is attached,
   queued jobs fail *immediately* with a clear error instead of waiting
   out ``no_worker_timeout_s``.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 import os
 import pickle
@@ -95,6 +101,7 @@ from .base import BackendCapabilities
 from .chaos import ChaosConfig, chaos_from_env, wrap_socket
 
 __all__ = [
+    "PoolBackend",
     "SocketWorkerBackend",
     "spawn_local_worker",
     "worker_main",
@@ -105,9 +112,10 @@ __all__ = [
 # Worker side
 # --------------------------------------------------------------------------
 
-#: Recently finished (job id -> pre-pickled res body) pairs kept per
-#: worker so a duplicated ``job`` frame replays the stored result
-#: instead of executing twice.
+#: Recently finished ((job id, attempt) -> pre-pickled res body) pairs
+#: kept per worker so a duplicated ``job`` frame replays the stored
+#: result instead of executing twice.  A retry of the same job is a new
+#: attempt and runs again.
 _DEDUP_KEEP = 8
 
 
@@ -142,7 +150,7 @@ def worker_main(
         _frames.TAG_HELLO,
         {"name": me, "pid": os.getpid(), "host": socket.gethostname()},
     )
-    done: "dict[str, bytes]" = {}  # job id -> replayable res body
+    done: "dict[tuple, bytes]" = {}  # (job id, attempt) -> res body
     try:
         while True:
             frame = _frames.recv_frame(sock)
@@ -153,14 +161,14 @@ def worker_main(
                 return 0
             if tag != _frames.TAG_JOB:
                 continue  # graceful unknown-tag skip
-            job_id = str(payload.get("job_id", ""))
-            if job_id in done:
+            key = (str(payload.get("job_id", "")), payload.get("attempt"))
+            if key in done:
                 # Duplicated job frame (chaos or a confused retransmit):
                 # replay the stored result, never execute twice.
-                _frames.send_frame_bytes(sock, _frames.TAG_RESULT, done[job_id])
+                _frames.send_frame_bytes(sock, _frames.TAG_RESULT, done[key])
                 continue
             body = _execute_one(sock, payload)
-            done[job_id] = body
+            done[key] = body
             while len(done) > _DEDUP_KEEP:
                 done.pop(next(iter(done)))
     finally:
@@ -247,6 +255,10 @@ _ATTEMPT_TAGS = frozenset(
     {_frames.TAG_HEARTBEAT, _frames.TAG_TELEMETRY, _frames.TAG_RESULT}
 )
 
+#: How long a reader thread waits for a spawned worker whose connection
+#: closed to exit, so the crash attempt can name its exit code.
+_EXIT_WAIT_S = 0.5
+
 
 @dataclass
 class _Pending:
@@ -279,7 +291,8 @@ class _WorkerConn:
     current: Optional[_Pending] = None
     dropped: bool = False
     jobs_done: int = 0
-    thread: Optional[threading.Thread] = field(default=None, repr=False)
+    #: The local process behind this worker when this backend spawned it.
+    process: Optional[mp.Process] = field(default=None, repr=False)
 
 
 class SocketWorkerBackend:
@@ -344,6 +357,9 @@ class SocketWorkerBackend:
         self._workers: Dict[int, _WorkerConn] = {}
         self._spawned: List[mp.Process] = []
         self._next_wid = 0
+        #: Numbers each submitted attempt, so a worker tells a retry
+        #: from a duplicated job frame.
+        self._attempts = itertools.count()
         self._closing = False
         self.unknown_skipped = 0
         self.mismatched_frames = 0
@@ -399,12 +415,12 @@ class SocketWorkerBackend:
         telemetry: Optional[Any] = None,
     ) -> None:
         # Pickle here, in the engine's thread, so an unpicklable job
-        # fails the submission (engine -> FAILED row) exactly like the
-        # process-pool runner's spawn would — never inside a reader
-        # thread where the error has nowhere to go.
+        # fails the submission (engine -> FAILED row) — never inside a
+        # reader thread where the error has nowhere to go.
         payload = pickle.dumps(
             {
                 "job_id": job.id,
+                "attempt": next(self._attempts),
                 "fn": job.fn,
                 "config": dict(config) if config is not None else None,
                 "timeout_s": timeout_s,
@@ -428,12 +444,15 @@ class SocketWorkerBackend:
             self._pump()
 
     def cancel(self, job_id: str) -> bool:
-        """Best-effort cancel: a hedge lost its race, stop wasting work.
+        """Cancel an attempt (a hedge lost its race): stop wasting work.
 
-        A still-queued job is removed outright (True).  A job already
-        running on a worker is *abandoned* cooperatively: the worker
+        A still-queued job is removed outright (True).  A job running on
+        a spawned worker that this backend replaces (``respawn``) is
+        killed with its worker, which frees its slot at once (True).  On
+        any other worker it is *abandoned* cooperatively: the worker
         finishes it, but the result is discarded on arrival and never
-        reported (True).  Unknown ids return False.
+        reported (True).  Either way the attempt never appears in
+        ``poll()``.  Unknown ids return False.
         """
         with self._lock:
             if job_id in self._queued_ids:
@@ -445,11 +464,17 @@ class SocketWorkerBackend:
                 self._count("cancelled")
                 return True
             worker = self._assigned.get(job_id)
-            if worker is not None and worker.current is not None:
-                worker.current.abandoned = True
+            if worker is None or worker.current is None:
+                return False
+            worker.current.abandoned = True
+            if self.respawn and worker.process is not None:
+                self._assigned.pop(job_id)
+                worker.current = None
+                self._bury(worker, lost_job=True)
+                self._count("cancel_killed")
+            else:
                 self._count("abandoned")
-                return True
-            return False
+            return True
 
     def quarantine_worker(self, name: str) -> bool:
         """Ban a suspect worker (verification vote-loser) by name.
@@ -503,6 +528,8 @@ class SocketWorkerBackend:
                         now,
                     )
             self._fail_stranded(now)
+            # is_alive() reaps an exited child without blocking.
+            self._spawned = [p for p in self._spawned if p.is_alive()]
             done, self._done = self._done, []
             return done
 
@@ -666,6 +693,10 @@ class SocketWorkerBackend:
                 name=name or f"worker-{self._next_wid}",
                 pid=hello.get("pid"),
                 host=str(hello.get("host", "?")),
+                process=next(
+                    (p for p in self._spawned if p.pid == hello.get("pid")),
+                    None,
+                ),
             )
             self._workers[worker.wid] = worker
             self.workers_joined += 1
@@ -677,10 +708,12 @@ class SocketWorkerBackend:
     def _reader(self, worker: _WorkerConn) -> None:
         """Drain one worker's frames until it leaves, dies, or misbehaves."""
         error = "worker connection lost"
+        closed = False
         try:
             while True:
                 frame = _frames.recv_frame(worker.sock)
                 if frame is None:
+                    closed = True
                     break
                 tag, payload = frame
                 now = time.perf_counter()
@@ -731,7 +764,16 @@ class SocketWorkerBackend:
             self._count("corrupt_frame")
         except (_frames.FrameError, OSError) as exc:
             error = f"{type(exc).__name__}: {exc}"
+            closed = isinstance(exc, OSError)
         finally:
+            process = worker.process
+            if closed and process is not None and not worker.dropped:
+                # A spawned worker's connection closes as it dies: wait
+                # briefly (in this thread, never in poll) to name its
+                # exit code.
+                process.join(_EXIT_WAIT_S)
+                if process.exitcode is not None:
+                    error = f"worker exited with code {process.exitcode}"
             self._drop(worker, error)
 
     @staticmethod
@@ -813,7 +855,7 @@ class SocketWorkerBackend:
             self._assigned.pop(pending.job.id, None)
             worker.current = None
             self._record_failure(worker.name)
-        self._bury(worker)
+        self._bury(worker, lost_job=pending is not None)
         self._count("worker_evicted")
 
     def _drop(self, worker: _WorkerConn, error: str) -> None:
@@ -840,10 +882,13 @@ class SocketWorkerBackend:
                 self._assigned.pop(pending.job.id, None)
                 worker.current = None
                 self._record_failure(worker.name)
-            self._bury(worker)
+            self._bury(worker, lost_job=pending is not None)
 
-    def _bury(self, worker: _WorkerConn) -> None:
-        """Remove a worker from the roster and close its socket (lock held)."""
+    def _bury(self, worker: _WorkerConn, lost_job: bool) -> None:
+        """Remove a worker from the roster and close its socket (lock held).
+
+        ``lost_job``: the worker went down holding an attempt.
+        """
         if worker.dropped:
             return
         worker.dropped = True
@@ -854,19 +899,17 @@ class SocketWorkerBackend:
             worker.sock.close()
         except OSError:
             pass
-        if worker.pid is not None:
-            for process in self._spawned:
-                if process.pid == worker.pid and process.is_alive():
-                    process.terminate()
+        if worker.process is not None and worker.process.is_alive():
+            worker.process.terminate()
         if (
             self.respawn
             and not self._closing
-            and worker.pid is not None
-            and any(p.pid == worker.pid for p in self._spawned)
-            and self.respawns < self.max_respawns
+            and worker.process is not None
+            and (lost_job or self.respawns < self.max_respawns)
         ):
-            # A locally-spawned worker died under us: replace it so a
-            # chaotic transport cannot bleed the roster to zero.
+            # A locally-spawned worker died under us: replace it.  Job
+            # losses are bounded by the engine's retries; idle losses
+            # (a chaotic transport) by max_respawns.
             self.respawns += 1
             self._count("worker_respawned")
             self._spawned.append(
@@ -880,7 +923,10 @@ class SocketWorkerBackend:
             self._no_worker_since = time.perf_counter()
 
     def _all_spawned_dead(self) -> bool:
-        """Every locally-forked worker process has exited (lock held)."""
+        """Every locally-forked worker process has exited (lock held).
+
+        A replacement is started inside :meth:`_bury`, so while one is
+        due a live process is on the list."""
         return self._spawn_requested > 0 and not any(
             p.is_alive() for p in self._spawned
         )
@@ -892,23 +938,17 @@ class SocketWorkerBackend:
 
         Two triggers: the slow one (no worker of any kind attached for
         ``no_worker_timeout_s``) and the fast one — every spawned
-        worker process is *dead*, no respawn budget remains, and no
-        external worker is attached, so nothing will ever pull these
-        jobs.  The fast path is what turns "the last socket worker died
-        mid-sweep" from a silent half-minute hang into an immediate,
-        clearly-attributed failure."""
+        worker process is *dead* and no external worker is attached,
+        so nothing will ever pull these jobs.  The fast path is what
+        turns "the last socket worker died mid-sweep" from a silent
+        half-minute hang into an immediate, clearly-attributed
+        failure."""
         if not self._queue or self._workers:
             return
-        stranded_now = (
-            self._all_spawned_dead()
-            and (not self.respawn or self.respawns >= self.max_respawns)
-        )
-        if stranded_now:
+        if self._all_spawned_dead():
             reason = (
-                "last socket worker died mid-sweep: all "
-                f"{self._spawn_requested} spawned worker processes have "
-                "exited, no respawn budget remains, and no external "
-                "workers are attached"
+                "last socket worker died mid-sweep: every spawned worker "
+                "process has exited and no external workers are attached"
             )
             self._count("stranded_fail_fast")
         else:
@@ -925,3 +965,35 @@ class SocketWorkerBackend:
             self._done.append(
                 Attempt(pending.job.id, ATTEMPT_CRASH, None, reason, 0.0)
             )
+
+
+class PoolBackend(SocketWorkerBackend):
+    """The ``pool`` backend: ``workers`` spawned socket workers, replaced when lost.
+
+    A fixed local roster on the socket transport.  ``capacity()`` is
+    ``workers - active()``, so the engine never queues more attempts
+    than there are workers and a router ranks it by free slots.  A
+    worker lost to its job's crash, timeout, hang or cancel is killed
+    and respawned; a crash names the dead worker's exit code.
+    """
+
+    def __init__(self, workers: int, metrics: Optional[Any] = None) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        super().__init__(
+            spawn=workers, max_queue=workers, metrics=metrics, respawn=True
+        )
+        self.workers = workers
+
+    def capabilities(self) -> BackendCapabilities:
+        return BackendCapabilities(
+            name="pool",
+            max_parallelism=self.workers,
+            supports_heartbeat=True,
+            supports_preemption=True,
+            locality=("local", "pool"),
+            description=(
+                f"{self.workers} spawned socket workers, replaced when "
+                "lost; crash containment + live watchdog"
+            ),
+        )

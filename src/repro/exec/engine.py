@@ -44,14 +44,7 @@ from ..core.instrument import MetricsRegistry, default_registry
 from ..core.rng import DEFAULT_SEED
 from .cache import ResultCache
 from .job import Job, JobGraph, callable_name, derive_seed
-from .runners import (
-    ATTEMPT_OK,
-    ATTEMPT_TIMEOUT,
-    Attempt,
-    ProcessPoolRunner,
-    Runner,
-    SerialRunner,
-)
+from .runners import ATTEMPT_OK, ATTEMPT_TIMEOUT, Attempt, Runner, SerialRunner
 
 __all__ = ["ExecutionEngine", "JobRecord", "JobStatus", "RunReport", "run_jobs"]
 
@@ -592,27 +585,22 @@ def run_jobs(
 ) -> RunReport:
     """One-call convenience: build runner + cache, run the graph.
 
-    ``jobs > 1`` selects the :class:`ProcessPoolRunner`; ``cache_dir``
+    ``jobs > 1`` selects the ``pool`` backend; ``cache_dir``
     enables the on-disk result cache; ``hang_timeout_s`` arms the
     heartbeat watchdog and ``checkpoint_root`` gives checkpointing jobs
     a durable home; ``telemetry`` captures per-worker metrics/spans and
     merges them into ``report.telemetry``.  ``backend`` overrides the
     default runner choice by name (``serial``/``pool``/``socket``/
     ``array`` via :func:`repro.exec.backends.make_backend`, with
-    ``jobs`` as its parallelism); left unset, ``jobs > 1`` keeps
-    selecting the process pool.  This is the entry point the CLI and
-    the experiment registry share.
+    ``jobs`` as its parallelism); left unset, ``make_backend`` picks
+    ``pool`` when ``jobs > 1`` and ``serial`` otherwise.  This is the
+    entry point the CLI and the experiment registry share.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if backend is not None:
-        from .backends import make_backend
+    from .backends import make_backend
 
-        runner: Runner = make_backend(
-            backend, jobs=jobs, cache_dir=cache_dir, metrics=metrics
-        )
-    else:
-        runner = ProcessPoolRunner(jobs) if jobs > 1 else SerialRunner()
+    runner = make_backend(backend, jobs=jobs, cache_dir=cache_dir, metrics=metrics)
     cache = ResultCache(cache_dir, metrics=metrics) if cache_dir is not None else None
     engine = ExecutionEngine(
         runner=runner,

@@ -1,14 +1,15 @@
-"""Worker heartbeats: liveness + progress over the existing result pipe.
+"""Worker heartbeats: liveness + progress over the worker's connection.
 
 Job functions call :func:`heartbeat` as they make progress.  Inside a
-:class:`~repro.exec.runners.ProcessPoolRunner` worker, the runner has
-installed an emitter that forwards each beat — a monotonically
-nondecreasing ``progress`` float, typically simulated time or completed
-reps — up the job's result pipe as a ``("hb", progress)`` message.  (The
-same pipe carries the attempt's telemetry as a single optional
-``("tel", payload)`` frame just before the final ``("res", ...)`` frame
-when the run has :class:`~repro.obs.telemetry.TelemetryOptions`
-enabled.)  The parent's poll loop uses beats two ways:
+worker process (the ``pool`` and ``socket`` backends, see
+:mod:`repro.exec.backends.socket_worker`), the worker has installed an
+emitter that forwards each beat — a monotonically nondecreasing
+``progress`` float, typically simulated time or completed reps — to
+the coordinator as an ``hb`` frame.  (The same connection carries the
+attempt's telemetry as a single optional ``tel`` frame just before
+the final ``res`` frame when the run has
+:class:`~repro.obs.telemetry.TelemetryOptions` enabled.)
+The coordinator uses beats two ways:
 
 * **hang detection** — once a job has emitted at least one beat, silence
   longer than ``hang_timeout_s`` classifies the worker as ``hung`` and
@@ -51,9 +52,9 @@ def heartbeat(progress: float) -> bool:
     """Report liveness + progress; returns True if a sink consumed it.
 
     Safe to call from any job function: without an installed emitter it
-    is a no-op, and a broken pipe (parent already gone) is swallowed —
-    a dying worker must not mask the job's real outcome with an
-    unrelated pipe error.
+    is a no-op, and a broken connection (coordinator already gone) is
+    swallowed — a dying worker must not mask the job's real outcome with
+    an unrelated socket error.
     """
     emitter = _emitter
     if emitter is None:

@@ -14,7 +14,7 @@ writes the exporter artifacts:
 
 The per-job span-stream digests in the JSON report are the observable
 determinism witness: the same seeds produce the same digests on any
-machine, serial or process-pool (the golden-trace test suite pins the
+machine, serial or pool (the golden-trace test suite pins the
 same property).
 """
 

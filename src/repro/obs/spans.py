@@ -27,7 +27,7 @@ Design constraints, in order:
 Span **categories** partition the stream by replay behaviour:
 
 * ``"sim"`` — emitted by event callbacks, timestamped purely in
-  sim-time.  These replay byte-identically across serial, process-pool,
+  sim-time.  These replay byte-identically across serial, pool,
   and crash+resume executions and are what the golden-trace suite pins.
 * ``"kernel"`` / ``"model"`` / ``"exec"`` — lifecycle spans around
   drains, model phases, and jobs.  Deterministic for a straight run,

@@ -1,18 +1,18 @@
 """Cross-process telemetry: capture in the worker, merge in the engine.
 
-The exec engine's workers (forked children of :class:`ProcessPoolRunner`
-or the in-process :class:`SerialRunner`) run model code that reports
-into whatever session registry the process has.  This module scopes a
-**fresh** private registry + tracer (+ optional profiler) around one job
-attempt, then packages everything into a picklable payload the runner
-ships back over the existing heartbeat/result pipe as a ``("tel", ...)``
-frame just before the result frame.
+The exec engine's workers (socket-worker processes of the ``pool`` and
+``socket`` backends, or the in-process :class:`SerialRunner`) run model
+code that reports into whatever session registry the process has.
+This module scopes a **fresh** private registry + tracer (+ optional
+profiler) around one job attempt, then packages everything into a
+picklable payload the worker ships back as a ``tel`` frame just before
+the result frame.
 
 Scoping a fresh session per attempt — and saving/restoring whatever
-session surrounded it — is what makes the serial and process-pool
-executions of the same job produce byte-identical span streams: in both
-cases the job sees exactly one pristine registry whose only spans are
-its own.
+session surrounded it — is what makes the serial and worker-process
+executions of the same job produce byte-identical span streams: in
+every case the job sees exactly one pristine registry whose only spans
+are its own, however many jobs its worker ran before.
 
 The engine merges payloads **only after the run completes, in sorted
 job-id order** (never at absorb time, which is pool-scheduling-order
@@ -20,13 +20,10 @@ and hence nondeterministic).  Metric merge semantics are the
 conflict-free rules of :meth:`repro.core.instrument.MetricsRegistry.
 merge_state`; profiles add; span streams stay per-job.
 
-The transport is irrelevant to the merge: the socket-worker backend
-(:mod:`repro.exec.backends.socket_worker`) ships the *same* payload as
-a versioned ``tel`` socket frame instead of a pipe tuple, and because
-merging keys on job id — not on arrival order, worker identity, or
-wire format — a sweep run over TCP workers merges byte-identically to
-the same sweep run serial or pooled (``RunReport.digest()`` pins
-this).
+The transport is irrelevant to the merge: because merging keys on job
+id — not on arrival order, worker identity, or wire format — a sweep
+run over TCP workers merges byte-identically to the same sweep run
+serial (``RunReport.digest()`` pins this).
 """
 
 from __future__ import annotations
@@ -105,7 +102,7 @@ class WorkerTelemetry:
         _events.add_init_hook(hook)
 
     def finish(self) -> dict:
-        """Tear down the scope and return the pipe payload (idempotent)."""
+        """Tear down the scope and return the telemetry payload (idempotent)."""
         if self._finished:
             raise RuntimeError("telemetry scope already finished")
         self._finished = True
@@ -135,7 +132,7 @@ def payload_spans(payload: Mapping) -> list:
 def merge_job_telemetry(payloads: Mapping[str, Optional[dict]]) -> dict:
     """Deterministically merge per-job payloads into one report blob.
 
-    ``payloads`` maps job id -> pipe payload (None entries — jobs whose
+    ``payloads`` maps job id -> telemetry payload (None entries — jobs whose
     worker died before the telemetry frame — are skipped but listed in
     ``missing``).  Jobs are visited in sorted id order, so the merged
     registry and profile are independent of pool scheduling.

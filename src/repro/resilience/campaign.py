@@ -20,8 +20,8 @@ folds both into one machine-readable :class:`ResilienceReport`:
   registry.
 
 Campaign jobs are module-level picklable functions, so the sweep runs
-identically under :class:`~repro.exec.runners.SerialRunner` and
-:class:`~repro.exec.runners.ProcessPoolRunner`; each job heartbeats
+identically in-process (``serial``) and on worker processes (``pool``,
+N spawned socket workers replaced when lost); each job heartbeats
 per repetition and checkpoints completed repetitions to a
 :class:`~repro.resilience.checkpoint.JobCheckpointStore`, so a killed
 or hung worker resumes mid-sweep instead of replaying from scratch.
@@ -46,10 +46,10 @@ from ..core.events import Simulator
 from ..core.rng import resolve_rng
 from ..crosscut.faults import KernelFaultInjector, Outcome, injection_campaign
 from ..crosscut.invariants import compare_protection_schemes
+from ..exec.backends import capabilities_of, make_backend
 from ..exec.engine import ExecutionEngine, RunReport
 from ..exec.heartbeat import heartbeat
 from ..exec.job import Job, JobGraph
-from ..exec.runners import ProcessPoolRunner, SerialRunner
 from ..processor.program import generate_trace
 from .checkpoint import JobCheckpointStore, SimulatedCrash
 
@@ -450,12 +450,8 @@ def run_campaign(
                 checkpoint_key="checkpoint_path",
             ))
 
-    if runner is None and backend is not None:
-        from ..exec.backends import make_backend
-
-        runner = make_backend(backend, jobs=jobs)
     if runner is None:
-        runner = ProcessPoolRunner(jobs) if jobs > 1 else SerialRunner()
+        runner = make_backend(backend, jobs=jobs)
     engine = ExecutionEngine(
         runner=runner,
         base_seed=seed,
@@ -474,7 +470,7 @@ def run_campaign(
             "scale": scale,
             "seed": int(seed),
             "jobs": int(jobs),
-            "backend": backend or ("pool" if jobs > 1 else "serial"),
+            "backend": capabilities_of(runner).name,
         },
     )
     for model in chosen:

@@ -166,7 +166,7 @@ def replay_scenario(config: Dict[str, Any]) -> Dict[str, Any]:
     result as a plain dict (digest included).
 
     Top-level and JSON-in/JSON-out, so an exec :class:`Job` can carry it
-    through serial, process-pool, and socket backends alike —
+    through serial, pool, and socket backends alike —
     ``run_jobs`` digest parity across backends is gated on exactly this
     function.
     """

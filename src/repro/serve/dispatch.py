@@ -1,8 +1,8 @@
 """The dispatcher: a long-lived pump from admission to a backend.
 
 A background thread owns the execution backend (anything
-:func:`repro.exec.backends.make_backend` returns — serial, process
-pool, elastic socket workers, array, or a
+:func:`repro.exec.backends.make_backend` returns — serial, pool,
+elastic socket workers, array, or a
 :class:`~repro.exec.backends.router.BackendRouter`) and runs the
 service's steady-state loop:
 

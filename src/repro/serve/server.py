@@ -49,7 +49,12 @@ from .workloads import design_point
 __all__ = ["ExperimentServer"]
 
 _MAX_BODY = 1 << 20  # 1 MiB of JSON is already a pathological sweep
+_MAX_HEAD = 1 << 16  # request line + headers; also the reader's line limit
 _DEFAULT_WAIT_TIMEOUT_S = 60.0
+
+#: Seconds a client has to send its whole request, head and body.  One
+#: deadline over both, so a client that stalls anywhere gets a 400.
+REQUEST_DEADLINE_S = 30.0
 
 
 class _HttpError(Exception):
@@ -125,7 +130,7 @@ class ExperimentServer:
         self._stopped = asyncio.Event()
         self.dispatcher.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=_MAX_HEAD
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -217,26 +222,53 @@ class ExperimentServer:
         self, reader: asyncio.StreamReader
     ) -> tuple[int, dict, bytes]:
         try:
-            request_line = await asyncio.wait_for(reader.readline(), 30.0)
+            method, target, raw = await asyncio.wait_for(
+                self._read_request(reader), REQUEST_DEADLINE_S
+            )
         except asyncio.TimeoutError:
             raise _HttpError(400, "request timed out") from None
-        parts = request_line.decode("latin-1").split()
+        path, _, query = target.partition("?")
+        return await self._route(method.upper(), path, query, raw)
+
+    @staticmethod
+    async def _read_request(
+        reader: asyncio.StreamReader,
+    ) -> tuple[str, str, bytes]:
+        """Read one request's head and body; a malformed one is a 400."""
+        head: list[bytes] = []
+        size = 0
+        while not head or head[-1] not in (b"\r\n", b"\n", b""):
+            try:
+                line = await reader.readline()
+            except ValueError:  # one line over the reader's limit
+                size = _MAX_HEAD + 1
+            else:
+                size += len(line)
+                head.append(line)
+            if size > _MAX_HEAD:
+                raise _HttpError(400, f"request head over {_MAX_HEAD} bytes")
+        parts = head[0].decode("latin-1").split()
         if len(parts) != 3:
             raise _HttpError(400, f"malformed request line: {parts!r}")
         method, target, _version = parts
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
+        for line in head[1:-1]:
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            raise _HttpError(400, f"bad Content-Length: {declared[:64]!r}")
+        length = int(declared)
         if length > _MAX_BODY:
             raise _HttpError(413, f"body over {_MAX_BODY} bytes")
-        raw = await reader.readexactly(length) if length else b""
-        path, _, query = target.partition("?")
-        return await self._route(method.upper(), path, query, raw)
+        try:
+            raw = await reader.readexactly(length)
+        except asyncio.IncompleteReadError as exc:
+            raise _HttpError(
+                400,
+                f"body ended after {len(exc.partial)} of {length} bytes",
+            ) from None
+        return method, target, raw
 
     # -- routing -----------------------------------------------------------
 

@@ -13,9 +13,10 @@ import time
 import pytest
 
 from repro.exec.backends.router import BackendRouter, HedgePolicy
+from repro.exec.backends import make_backend
 from repro.exec.engine import ExecutionEngine
 from repro.exec.job import Job, JobGraph
-from repro.exec.runners import ATTEMPT_OK, Attempt, ProcessPoolRunner
+from repro.exec.runners import ATTEMPT_OK, Attempt
 
 
 class FakeBackend:
@@ -183,7 +184,7 @@ def _transient_straggler(config: dict) -> dict:
 
 def test_hedged_pool_run_beats_the_straggler(tmp_path):
     router = BackendRouter(
-        {"pool": ProcessPoolRunner(2)},
+        {"pool": make_backend("pool", 2)},
         hedge=HedgePolicy(delay_s=0.08),
     )
     engine = ExecutionEngine(runner=router)

@@ -10,9 +10,10 @@ from repro.exec.backends.router import (
     VerifyPolicy,
     result_hash,
 )
+from repro.exec.backends import make_backend
 from repro.exec.engine import ExecutionEngine
 from repro.exec.job import Job, JobGraph
-from repro.exec.runners import ATTEMPT_ERROR, ProcessPoolRunner
+from repro.exec.runners import ATTEMPT_ERROR
 
 from .test_hedging import FakeBackend
 
@@ -172,7 +173,7 @@ def _identity(config: dict) -> dict:
 
 def test_engine_run_records_verification_provenance():
     router = BackendRouter(
-        {"pool": ProcessPoolRunner(2)}, verify=VerifyPolicy(mode="dmr")
+        {"pool": make_backend("pool", 2)}, verify=VerifyPolicy(mode="dmr")
     )
     engine = ExecutionEngine(runner=router)
     graph = JobGraph(

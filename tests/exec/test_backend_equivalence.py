@@ -3,13 +3,15 @@
 The whole point of the routed execution layer is that *where* a sweep
 runs is an operational choice, not a scientific one: the same seeded
 sweep must produce identical results, merged telemetry, and span
-digests on the serial runner, the process pool, and a 2-worker socket
-backend.  ``RunReport.digest()`` pins exactly that, and these tests pin
+digests on the serial runner, the 2-worker pool, and a 2-worker socket
+backend — also when the pool loses a worker mid-run.  ``RunReport.digest()`` pins exactly that, and these tests pin
 ``digest()``.
 
 The model jobs are the observability CLI's (cluster / hedging / NoC /
 harvest) — real simulators with canonical seeds, not toy lambdas.
 """
+
+import os
 
 import pytest
 
@@ -89,6 +91,35 @@ class TestEquivalence:
     def test_no_telemetry_left_behind(self, reports):
         for name, report in reports.items():
             assert report.telemetry["missing"] == [], name
+
+
+def _crash_once(config):
+    """Kills its worker on the first attempt (no marker yet), then
+    answers; with the marker already present it never crashes."""
+    marker = config["marker"]
+    if not os.path.exists(marker):
+        with open(marker, "w", encoding="utf-8"):
+            pass
+        os._exit(9)
+    return {"answered": True}
+
+
+class TestWorkerLoss:
+    def test_pool_losing_a_worker_mid_run_matches_serial(self, tmp_path):
+        def run(backend, jobs, marker):
+            graph = _graph()
+            graph.add(Job(id="eq-crash-once", fn=_crash_once,
+                          config={"marker": str(marker)}))
+            return run_jobs(graph, jobs=jobs, backend=backend, retries=1,
+                            telemetry=TelemetryOptions(profile_period=0))
+
+        present = tmp_path / "present"
+        present.touch()
+        serial = run("serial", 1, present)
+        pooled = run("pool", 2, tmp_path / "absent")
+        assert serial.ok and pooled.ok, pooled.one_line()
+        assert pooled["eq-crash-once"].attempts == 2  # a worker was lost
+        assert pooled.digest() == serial.digest()
 
 
 class TestDigestSensitivity:

@@ -8,6 +8,7 @@ from repro.exec.backends import (
     Backend,
     BackendCapabilities,
     BackendRouter,
+    PoolBackend,
     RoutingError,
     RoutingPolicy,
     SocketWorkerBackend,
@@ -16,7 +17,7 @@ from repro.exec.backends import (
     make_backend,
 )
 from repro.exec.backends import BACKEND_NAMES
-from repro.exec.runners import Attempt, ProcessPoolRunner, SerialRunner
+from repro.exec.runners import Attempt, SerialRunner
 
 
 def value_job(config):
@@ -33,15 +34,23 @@ class TestCapabilities:
         assert "local" in caps.locality
 
     def test_pool_capabilities(self):
-        caps = ProcessPoolRunner(3).capabilities()
-        assert caps.name == "pool"
-        assert caps.max_parallelism == 3
-        assert caps.supports_heartbeat
-        assert caps.supports_preemption
+        pool = make_backend("pool", 3)
+        try:
+            caps = pool.capabilities()
+            assert caps.name == "pool"
+            assert caps.max_parallelism == 3
+            assert caps.supports_heartbeat
+            assert caps.supports_preemption
+            assert caps.locality == ("local", "pool")
+            assert pool.capacity() == 3 and pool.active() == 0
+        finally:
+            pool.shutdown()
 
     def test_builtin_runners_are_backends(self):
         assert isinstance(SerialRunner(), Backend)
-        assert isinstance(ProcessPoolRunner(1), Backend)
+        pool = make_backend("pool", 1)
+        assert isinstance(pool, Backend)
+        pool.shutdown()
 
     def test_satisfies_subset_semantics(self):
         caps = BackendCapabilities(
@@ -87,9 +96,15 @@ class TestMakeBackend:
 
     def test_serial_and_pool(self):
         assert isinstance(make_backend("serial"), SerialRunner)
-        pool = make_backend("pool", jobs=4)
-        assert isinstance(pool, ProcessPoolRunner)
-        assert pool.max_workers == 4
+        assert isinstance(make_backend(None, jobs=1), SerialRunner)
+        for name in ("pool", None):
+            pool = make_backend(name, jobs=4)
+            try:
+                assert isinstance(pool, PoolBackend)
+                assert pool.workers == 4
+                assert len(pool.spawned_processes()) == 4
+            finally:
+                pool.shutdown()
 
     def test_array(self, tmp_path):
         backend = make_backend("array", jobs=3, array_root=str(tmp_path))
@@ -243,9 +258,11 @@ class TestRouter:
         assert "gpu" in report["bad"].error
 
     def test_router_capabilities_aggregate(self):
-        caps = BackendRouter(
-            {"serial": SerialRunner(), "pool": ProcessPoolRunner(2)}
-        ).capabilities()
+        router = BackendRouter(
+            {"serial": SerialRunner(), "pool": make_backend("pool", 2)}
+        )
+        caps = router.capabilities()
+        router.shutdown()
         assert caps.name == "router"
         assert caps.max_parallelism == 3
         assert caps.supports_heartbeat  # the pool member beats

@@ -10,9 +10,9 @@ from repro.exec import (
     Job,
     JobGraph,
     JobStatus,
-    ProcessPoolRunner,
     ResultCache,
     SerialRunner,
+    make_backend,
     run_jobs,
 )
 
@@ -172,7 +172,7 @@ class TestEngineRetries:
             ]
         )
         report = ExecutionEngine(
-            runner=ProcessPoolRunner(2), backoff_s=0.001
+            runner=make_backend("pool", 2), backoff_s=0.001
         ).run(graph)
         assert report["flaky"].ok and report["flaky"].attempts == 2
 
@@ -198,7 +198,7 @@ class TestEngineTimeout:
             ]
         )
         start = time.monotonic()
-        report = ExecutionEngine(runner=ProcessPoolRunner(2)).run(graph)
+        report = ExecutionEngine(runner=make_backend("pool", 2)).run(graph)
         assert time.monotonic() - start < 10.0
         assert report["hang"].status is JobStatus.TIMEOUT
         assert report["good"].ok
@@ -339,7 +339,7 @@ class TestEngineParallel:
         serial = ExecutionEngine(runner=SerialRunner()).run(build())
         serial_wall = time.monotonic() - t0
         t0 = time.monotonic()
-        parallel = ExecutionEngine(runner=ProcessPoolRunner(4)).run(build())
+        parallel = ExecutionEngine(runner=make_backend("pool", 4)).run(build())
         parallel_wall = time.monotonic() - t0
         assert serial.ok and parallel.ok
         assert parallel_wall < serial_wall / 1.5

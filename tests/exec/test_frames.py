@@ -1,11 +1,9 @@
 """Tests for the versioned tagged-frame wire format (satellite 2).
 
-Covers both transports: the socket frames themselves (roundtrip,
-version mismatch fails loud, unknown tags survive) and the process-pool
-pipe drain loop's unknown-tag skip.
+Covers the frames themselves (roundtrip, version mismatch fails loud,
+unknown tags survive) and the coordinator's unknown-tag skip.
 """
 
-import multiprocessing as mp
 import socket
 import struct
 import time
@@ -14,8 +12,8 @@ import zlib
 import pytest
 
 from repro.exec.backends import frames
+from repro.exec.backends.socket_worker import SocketWorkerBackend
 from repro.exec.job import Job
-from repro.exec.runners import ProcessPoolRunner, _Running
 
 _HEADER = struct.Struct("!BBBII")
 
@@ -126,41 +124,47 @@ def _noop():
     return None
 
 
-class TestPipeUnknownTagSkip:
-    """The pool runner's pipe drain applies the same skip rule."""
+class TestCoordinatorUnknownTagSkip:
+    """The coordinator's reader applies the same skip rule: a
+    well-formed unknown tag is counted and skipped, garbage drops the
+    worker and its attempt is a crash."""
 
-    def _drained_attempt(self, messages):
-        """Feed raw pipe messages to _reap via a finished dummy child."""
-        ctx = mp.get_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(target=_noop)
-        process.start()
-        process.join(5.0)
-        for message in messages:
-            child_conn.send(message)
-        child_conn.close()
-        runner = ProcessPoolRunner(1)
-        run = _Running(
-            job=Job(id="j", fn=_noop),
-            process=process,
-            conn=parent_conn,
-            started=time.perf_counter(),
-            deadline=None,
-            timeout_s=None,
-        )
+    def _attempt_after(self, send):
+        """Register a hand-driven worker, take one job, ``send`` frames."""
+        backend = SocketWorkerBackend()
+        sock = socket.create_connection(backend.address, timeout=5.0)
         try:
-            return runner._reap(run, time.perf_counter())
+            frames.send_frame(
+                sock, frames.TAG_HELLO, {"name": "hand", "pid": None}
+            )
+            backend.submit(Job(id="j", fn=_noop), None, None)
+            tag, spec = frames.recv_frame(sock)
+            assert tag == frames.TAG_JOB and spec["job_id"] == "j"
+            send(sock)
+            deadline = time.monotonic() + 5.0
+            done = []
+            while not done and time.monotonic() < deadline:
+                done = backend.poll()
+                time.sleep(0.005)
+            (attempt,) = done
+            return attempt, backend.describe()
         finally:
-            parent_conn.close()
+            sock.close()
+            backend.shutdown()
 
     def test_unknown_tagged_tuple_skipped(self):
-        attempt = self._drained_attempt(
-            [("future-tag", {"optional": True}), ("res", "ok", 42, None)]
-        )
+        def send(sock):
+            frames.send_frame(sock, "future-tag", {"optional": True})
+            frames.send_frame(sock, frames.TAG_RESULT, ("j", "ok", 42, None))
+
+        attempt, described = self._attempt_after(send)
         assert attempt.status == "ok"
         assert attempt.result == 42
+        assert described["unknown_skipped"] == 1
 
     def test_untagged_garbage_still_classifies_crash(self):
-        attempt = self._drained_attempt([[1, 2, 3]])
+        attempt, _ = self._attempt_after(
+            lambda sock: sock.sendall(b"\x00" * 32)
+        )
         assert attempt.status == "crash"
-        assert "unrecognized" in attempt.error
+        assert "FrameProtocolError" in attempt.error

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.analysis import REGISTRY, Experiment, ExperimentRegistry
-from repro.exec import JobStatus, ProcessPoolRunner
+from repro.exec import JobStatus, make_backend
 
 
 def run_good():
@@ -93,7 +93,7 @@ class TestRunAllFaultContainment:
         reg = ExperimentRegistry()
         reg.register(_experiment("X1", run_good))
         reg.register(_experiment("XH", run_hang))
-        results = reg.run_all(timeout_s=0.3, runner=ProcessPoolRunner(2))
+        results = reg.run_all(timeout_s=0.3, runner=make_backend("pool", 2))
         assert results["X1"]["holds"]
         assert results["XH"]["status"] == "TIMEOUT"
 

@@ -1,11 +1,11 @@
-"""Tests for the serial and multiprocessing runner backends."""
+"""Tests for the serial runner and the ``pool`` backend (spawned socket workers)."""
 
 import os
 import time
 
 import pytest
 
-from repro.exec import Job, ProcessPoolRunner, Runner, SerialRunner
+from repro.exec import Job, Runner, SerialRunner, make_backend
 
 
 def ok_job():
@@ -33,8 +33,8 @@ def unpicklable_result_job():
 
 
 def lingering_job():
-    """Returns promptly but leaves a non-daemon thread keeping the child
-    process alive well after the result is sent."""
+    """Returns promptly but leaves a non-daemon thread running in the
+    worker well after the result is sent."""
     import threading
 
     threading.Thread(target=time.sleep, args=(2.0,), daemon=False).start()
@@ -55,7 +55,9 @@ def _drain(runner, timeout_s=10.0):
 class TestSerialRunner:
     def test_protocol_conformance(self):
         assert isinstance(SerialRunner(), Runner)
-        assert isinstance(ProcessPoolRunner(1), Runner)
+        pool = make_backend("pool", 1)
+        assert isinstance(pool, Runner)
+        pool.shutdown()
 
     def test_success(self):
         runner = SerialRunner()
@@ -93,20 +95,22 @@ class TestSerialRunner:
         assert attempt.result == 5
 
 
-class TestProcessPoolRunner:
+class TestPoolBackend:
     def test_bad_worker_count_rejected(self):
+        from repro.exec.backends import PoolBackend
+
         with pytest.raises(ValueError):
-            ProcessPoolRunner(0)
+            PoolBackend(0)
 
     def test_success_roundtrip(self):
-        runner = ProcessPoolRunner(2)
+        runner = make_backend("pool", 2)
         runner.submit(Job(id="a", fn=config_job), {"x": 21}, None)
         (attempt,) = _drain(runner)
         assert attempt.ok and attempt.result == {"doubled": 42}
         runner.shutdown()
 
     def test_worker_error_contained(self):
-        runner = ProcessPoolRunner(1)
+        runner = make_backend("pool", 1)
         runner.submit(Job(id="a", fn=raising_job), None, None)
         (attempt,) = _drain(runner)
         assert attempt.status == "error"
@@ -114,15 +118,19 @@ class TestProcessPoolRunner:
         runner.shutdown()
 
     def test_worker_crash_contained(self):
-        """A worker dying without reporting must not raise in the parent."""
-        runner = ProcessPoolRunner(1)
+        """A worker dying without reporting must not raise in the parent,
+        and its replacement runs the next job."""
+        runner = make_backend("pool", 1)
         runner.submit(Job(id="a", fn=crashing_job), None, None)
         (attempt,) = _drain(runner)
         assert attempt.status == "crash"
+        runner.submit(Job(id="b", fn=ok_job), None, None)
+        (attempt,) = _drain(runner)
+        assert attempt.ok and attempt.result == {"value": 42}
         runner.shutdown()
 
     def test_hung_worker_terminated_on_timeout(self):
-        runner = ProcessPoolRunner(1)
+        runner = make_backend("pool", 1)
         start = time.monotonic()
         runner.submit(Job(id="a", fn=hanging_job), None, 0.3)
         (attempt,) = _drain(runner)
@@ -132,7 +140,7 @@ class TestProcessPoolRunner:
         runner.shutdown()
 
     def test_unpicklable_result_reported_as_error(self):
-        runner = ProcessPoolRunner(1)
+        runner = make_backend("pool", 1)
         runner.submit(Job(id="a", fn=unpicklable_result_job), None, None)
         (attempt,) = _drain(runner)
         assert attempt.status == "error"
@@ -140,7 +148,7 @@ class TestProcessPoolRunner:
         runner.shutdown()
 
     def test_capacity_accounting(self):
-        runner = ProcessPoolRunner(2)
+        runner = make_backend("pool", 2)
         assert runner.capacity() == 2
         runner.submit(Job(id="a", fn=hanging_job), None, 5.0)
         assert runner.capacity() == 1 and runner.active() == 1
@@ -150,27 +158,31 @@ class TestProcessPoolRunner:
         assert runner.active() == 0
 
     def test_overcommit_rejected(self):
-        runner = ProcessPoolRunner(1)
+        runner = make_backend("pool", 1)
         runner.submit(Job(id="a", fn=hanging_job), None, 5.0)
         with pytest.raises(RuntimeError):
             runner.submit(Job(id="b", fn=ok_job), None, None)
         runner.shutdown()
 
     def test_lingering_child_does_not_block_poll(self):
-        """A child that stays alive after sending its result must not
-        stall poll(); it is parked as a zombie and reaped later."""
-        runner = ProcessPoolRunner(1)
+        """A job that leaves a thread running in its worker after
+        sending its result must not stall poll() or hold its slot."""
+        runner = make_backend("pool", 1)
         runner.submit(Job(id="a", fn=lingering_job), None, None)
-        start = time.monotonic()
         (attempt,) = _drain(runner)
-        reap_wall = time.monotonic() - start
         assert attempt.ok and attempt.result == {"value": 1}
-        # The child lingers ~2s; the old inline join(5.0) blocked here.
-        assert reap_wall < 1.0
-        assert runner.capacity() == 1  # slot freed even though child lives
+        assert runner.capacity() == 1
+        start = time.monotonic()
+        runner.submit(Job(id="b", fn=ok_job), None, None)
+        (attempt,) = _drain(runner)
+        assert attempt.ok
+        assert time.monotonic() - start < 1.0  # the thread lingers ~2s
         runner.shutdown()
+
+    def test_parallel_workers_overlap(self):
         """4 sleep-bound jobs on 4 workers finish ~concurrently."""
-        runner = ProcessPoolRunner(4)
+        runner = make_backend("pool", 4)
+        assert runner.wait_for_workers(4) == 4
         start = time.monotonic()
         for i in range(4):
             runner.submit(Job(id=f"j{i}", fn=sleep_job), {"s": 0.25}, None)
@@ -178,6 +190,61 @@ class TestProcessPoolRunner:
         wall = time.monotonic() - start
         assert len(attempts) == 4 and all(a.ok for a in attempts)
         assert wall < 0.25 * 4 * 0.8  # clearly faster than serial
+        runner.shutdown()
+
+    def test_cancel_kills_the_worker_and_frees_its_slot(self):
+        """Cancelling a running attempt kills its worker (a hedge loser
+        stops holding a slot) and the replacement takes the next job;
+        the cancelled attempt never appears in poll()."""
+        runner = make_backend("pool", 1)
+        assert runner.wait_for_workers(1) == 1
+        runner.submit(Job(id="a", fn=hanging_job), None, 30.0)
+        (victim,) = runner.spawned_processes()
+        assert runner.cancel("a")
+        assert runner.capacity() == 1 and runner.active() == 0
+        victim.join(5.0)
+        assert not victim.is_alive()
+        runner.submit(Job(id="b", fn=ok_job), None, None)
+        done = _drain(runner)
+        assert [a.job_id for a in done] == ["b"] and done[0].ok
+        runner.shutdown()
+
+    def test_cancel_on_socket_worker_abandons_cooperatively(self):
+        """Without respawn, a cancelled job's worker finishes it and
+        lives on; only the result is dropped."""
+        from repro.exec.backends import SocketWorkerBackend
+
+        runner = SocketWorkerBackend(spawn=1)
+        assert runner.wait_for_workers(1) == 1
+        runner.submit(Job(id="a", fn=sleep_job), {"s": 0.2}, None)
+        (worker,) = runner.spawned_processes()
+        assert runner.cancel("a")
+        runner.submit(Job(id="b", fn=ok_job), None, None)
+        done = _drain(runner)
+        assert [a.job_id for a in done] == ["b"] and done[0].ok
+        assert worker.is_alive()
+        runner.shutdown()
+
+    def test_more_crashes_than_the_respawn_budget_complete(self):
+        """Every worker lost to its job is replaced, past max_respawns:
+        a sweep with more crashing attempts than the budget finishes.
+        Four workers (more than a small CI host's cores) lose and
+        respawn concurrently; every attempt must still be reported."""
+        runner = make_backend("pool", 4)
+        n = runner.max_respawns + 6
+        attempts = []
+        for i in range(n):
+            while runner.capacity() == 0:
+                attempts.extend(runner.poll())
+                time.sleep(0.002)
+            runner.submit(Job(id=f"c{i}", fn=crashing_job), None, 30.0)
+        attempts.extend(_drain(runner, timeout_s=60.0))
+        assert len(attempts) == n
+        assert all(a.status == "crash" for a in attempts)
+        assert runner.respawns >= n
+        runner.submit(Job(id="after", fn=ok_job), None, None)
+        (attempt,) = _drain(runner)
+        assert attempt.ok
         runner.shutdown()
 
 

@@ -19,9 +19,9 @@ from repro.exec import (
     ExecutionEngine,
     Job,
     JobGraph,
-    ProcessPoolRunner,
     ResultCache,
     SerialRunner,
+    make_backend,
 )
 from repro.exec.heartbeat import heartbeat
 from repro.exec.runners import ATTEMPT_HUNG
@@ -29,7 +29,20 @@ from repro.resilience import JobCheckpointStore
 
 
 def crashing_job():
-    os._exit(7)  # dies before any pipe write: the death-race case
+    os._exit(7)  # dies before sending any frame: the death-race case
+
+
+def close_then_exit_job():
+    """Closes every socket the worker holds, then exits a moment later:
+    the coordinator sees the connection drop before the process is gone."""
+    import gc
+    import socket
+
+    for obj in gc.get_objects():
+        if isinstance(obj, socket.socket):
+            obj.close()
+    time.sleep(0.2)
+    os._exit(7)
 
 
 def beating_job():
@@ -51,7 +64,7 @@ def hang_once_job(config):
     """Checkpoints per rep; hangs (silently) once, mid-run.
 
     First attempt: beats rep 1, saves it, then sleeps — the watchdog
-    kills it.  Second attempt (fresh process): resumes from the saved
+    kills it.  Second attempt (fresh worker): resumes from the saved
     rep and completes.  End-to-end this is watchdog detect -> kill ->
     free resume from durable checkpoint.
     """
@@ -80,10 +93,10 @@ def _drain(runner, timeout_s=15.0):
 
 class TestDeathRace:
     def test_crash_classified_immediately_not_at_timeout(self):
-        """Regression: liveness must be sampled before draining the
-        pipe, so a child dead before its first write is a ``crash`` on
-        the next poll — not a 30s wait for the wall-clock deadline."""
-        runner = ProcessPoolRunner(1)
+        """A worker dead before its first frame is a ``crash`` with its
+        exit code as soon as its connection drops — not a 30s wait for
+        the wall-clock deadline."""
+        runner = make_backend("pool", 1)
         start = time.monotonic()
         runner.submit(Job(id="a", fn=crashing_job), None, 30.0)
         (attempt,) = _drain(runner)
@@ -93,20 +106,13 @@ class TestDeathRace:
         assert wall < 5.0  # nowhere near the 30s timeout
         runner.shutdown()
 
-    def test_exit_after_the_liveness_sample_reports_the_exit_code(
-        self, monkeypatch
-    ):
-        """Force the race's other order: the child has already exited,
-        but the liveness sample still reads true, so the drain finds
-        only a closed pipe.  The crash must still carry the exit code."""
-        runner = ProcessPoolRunner(1)
-        runner.submit(Job(id="a", fn=crashing_job), None, 30.0)
-        process = runner._running["a"].process
-        process.join(10.0)
-        assert process.exitcode == 7
-        monkeypatch.setattr(process, "is_alive", lambda: True)
-        (attempt,) = runner.poll()
-        monkeypatch.undo()
+    def test_exit_after_the_liveness_sample_reports_the_exit_code(self):
+        """The race's other order: the connection closes while the
+        worker process is still alive, and it exits only afterwards.
+        The crash must still carry the exit code."""
+        runner = make_backend("pool", 1)
+        runner.submit(Job(id="a", fn=close_then_exit_job), None, 30.0)
+        (attempt,) = _drain(runner)
         assert attempt.status == "crash"
         assert "exited with code 7" in attempt.error
         runner.shutdown()
@@ -114,7 +120,7 @@ class TestDeathRace:
 
 class TestHeartbeats:
     def test_pool_runner_receives_beats(self):
-        runner = ProcessPoolRunner(1)
+        runner = make_backend("pool", 1)
         runner.submit(Job(id="a", fn=beating_job), None, None)
         (attempt,) = _drain(runner)
         assert attempt.ok
@@ -138,7 +144,7 @@ class TestHangDetection:
         """Detect+kill latency must be a small fraction (< 25%) of the
         wall-clock timeout — the whole point of the watchdog."""
         timeout_s = 40.0
-        runner = ProcessPoolRunner(1)
+        runner = make_backend("pool", 1)
         start = time.monotonic()
         runner.submit(
             Job(id="a", fn=beat_then_hang_job), None, timeout_s,
@@ -156,7 +162,7 @@ class TestHangDetection:
     def test_never_beating_job_is_not_watchdogged(self):
         """Jobs that never beat keep plain timeout semantics: silence
         from a non-participant is not evidence of a hang."""
-        runner = ProcessPoolRunner(1)
+        runner = make_backend("pool", 1)
         runner.submit(
             Job(id="a", fn=silent_hang_job), None, 0.3, hang_timeout_s=0.1
         )
@@ -294,7 +300,7 @@ class TestWatchdogResumeIntegration:
             timeout_s=60.0, retries=0,
         ))
         engine = ExecutionEngine(
-            runner=ProcessPoolRunner(1),
+            runner=make_backend("pool", 1),
             hang_timeout_s=0.5,
             backoff_s=0.0,
         )

@@ -1,7 +1,7 @@
 """Cross-process telemetry through the exec pipeline.
 
 The decisive property: the **same job** run by the in-process
-SerialRunner and by a ProcessPoolRunner worker must ship back the
+SerialRunner and by a ``pool`` worker process must ship back the
 byte-identical span stream, and the engine must merge per-job payloads
 independently of pool scheduling order.
 """
@@ -17,8 +17,8 @@ from repro.exec import (
     ExecutionEngine,
     Job,
     JobGraph,
-    ProcessPoolRunner,
     SerialRunner,
+    make_backend,
     run_jobs,
 )
 from repro.obs.spans import span_stream_digest
@@ -130,7 +130,7 @@ class TestRunners:
                    for r in payload_spans(attempt.telemetry))
 
     def test_pool_attempt_carries_payload(self):
-        runner = ProcessPoolRunner(max_workers=1)
+        runner = make_backend("pool", 1)
         try:
             attempt = _run_one(runner, TelemetryOptions())
         finally:
@@ -140,7 +140,7 @@ class TestRunners:
 
     def test_serial_and_pool_span_streams_identical(self):
         serial = _run_one(SerialRunner(), TelemetryOptions())
-        runner = ProcessPoolRunner(max_workers=1)
+        runner = make_backend("pool", 1)
         try:
             pooled = _run_one(runner, TelemetryOptions())
         finally:

@@ -60,6 +60,15 @@ class TestCLI:
         assert "Per-job execution report:" in out
         assert "succeeded" in out
 
+    def test_empty_profile_says_where_stacks_come_from(self, capsys):
+        code = main(["E07", "--trace", "--profile"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "Top profile stacks" not in out
+        (line,) = [ln for ln in out.splitlines()
+                   if ln.startswith("No profile samples")]
+        assert "python -m repro obs" in line
+
     def test_bad_flag_values_rejected(self):
         with pytest.raises(SystemExit):
             main(["--jobs", "0"])

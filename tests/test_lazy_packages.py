@@ -28,7 +28,7 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 PACKAGES = {
     "repro.core": 44,
     "repro.exec": 29,
-    "repro.exec.backends": 30,
+    "repro.exec.backends": 31,
     "repro.serve": 13,
     "repro.memory": 75,
     "repro.technology": 50,
