@@ -374,12 +374,15 @@ class SocketWorkerBackend:
             target=self._accept_loop, name="repro-socket-accept", daemon=True
         )
         self._accept_thread.start()
-        for i in range(spawn):
-            self._spawned.append(
-                spawn_local_worker(
-                    self.address, name=f"loopback-{i}", chaos=worker_chaos
+        # Under the lock: a forked worker may say hello before its
+        # Process is on the list, and _register matches it by pid.
+        with self._lock:
+            for i in range(spawn):
+                self._spawned.append(
+                    spawn_local_worker(
+                        self.address, name=f"loopback-{i}", chaos=worker_chaos
+                    )
                 )
-            )
 
     # -- Backend protocol --------------------------------------------------
 
