@@ -237,10 +237,9 @@ def run_campaign(
                 app = build_app(
                     backend=backend, jobs=_jobs_for(backend), cache_dir=cache
                 )
-                with ServerThread(app) as server:
-                    client = ServeClient(
-                        *server.address, timeout_s=WAIT_TIMEOUT_S + 10.0
-                    )
+                with ServerThread(app) as server, ServeClient(
+                    *server.address, timeout_s=WAIT_TIMEOUT_S + 10.0
+                ) as client:
                     for i, plan in enumerate(phase_plans(quick, rep, rng)):
                         row = run_phase(
                             client, plan, backend, rep, seed=base_seed + rep * 97 + i
@@ -323,10 +322,9 @@ def run_hedge_compare(
                 backend="pool", jobs=2, cache_dir=f"{root}/cache",
                 hedge_ms=ms,
             )
-            with ServerThread(app) as server:
-                client = ServeClient(
-                    *server.address, timeout_s=WAIT_TIMEOUT_S + 10.0
-                )
+            with ServerThread(app) as server, ServeClient(
+                *server.address, timeout_s=WAIT_TIMEOUT_S + 10.0
+            ) as client:
                 latencies, failed = [], 0
                 for i in range(n):
                     payload = {

@@ -163,7 +163,9 @@ def residual_error_rate(
     """Word-level outcome probabilities under independent bit errors.
 
     P(0 or 1 flips) -> fine; P(2 flips) -> detected; P(>=3) may escape.
-    Closed-form binomial arithmetic for the E03 analysis.
+    Closed-form binomial arithmetic for the E03 analysis.  The escape
+    probability is summed as the tail itself: ``1 - P(<=2)`` would lose
+    most of its digits to cancellation at low error rates.
     """
     if not 0.0 <= raw_bit_error_prob <= 1.0:
         raise ValueError("probability must be in [0, 1]")
@@ -176,5 +178,5 @@ def residual_error_rate(
     return {
         "clean_or_corrected": float(pmf[0] + pmf[1]),
         "detected": float(pmf[2]),
-        "potentially_silent": float(1.0 - pmf[:3].sum()),
+        "potentially_silent": float(stats.binom.sf(2, n, raw_bit_error_prob)),
     }

@@ -297,7 +297,7 @@ class ResultCache:
         self._count("hit")
         return artifact
 
-    def put(
+    def build(
         self,
         key: str,
         fn_name: str,
@@ -305,16 +305,15 @@ class ResultCache:
         result: Any,
         wall_time_s: float = 0.0,
     ) -> Optional[dict]:
-        """Atomically write an artifact; ``None`` if not JSON-able.
+        """The artifact :meth:`put` would store; ``None`` if not JSON-able.
 
-        On success the return value is the artifact dict that was
-        stored, whose ``"result"`` entry is the *canonical JSON form*
-        of the result (tuples are lists, dict keys are strings).  The
-        engine hands that form to the caller on the cold path too, so
-        cold and warm runs of a cached job always agree on types.
+        Its ``"result"`` entry is the *canonical JSON form* of the
+        result (tuples are lists, dict keys are strings).  Nothing is
+        written: :meth:`publish` does that, so a caller may hand the
+        canonical result on before paying for the file.
         """
         try:
-            artifact = {
+            return {
                 "key": key,
                 "fn": fn_name,
                 "config": canonicalize(config) if config is not None else None,
@@ -323,16 +322,47 @@ class ResultCache:
                 "wall_time_s": float(wall_time_s),
                 "created_at": time.time(),
             }
+        except (TypeError, ValueError):
+            self._reject()
+            return None
+
+    def publish(self, artifact: dict) -> bool:
+        """Atomically write a :meth:`build` artifact; ``False`` if it
+        cannot be serialized (counted as rejected, nothing written)."""
+        try:
             payload = json.dumps(artifact, sort_keys=True)
         except (TypeError, ValueError):
-            self.rejected += 1
-            self._count("rejected")
-            return None
-        path = self.path_for(key)
+            self._reject()
+            return False
+        path = self.path_for(artifact["key"])
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(payload, encoding="utf-8")
         os.replace(tmp, path)
         self.writes += 1
         self._count("write")
+        return True
+
+    def _reject(self) -> None:
+        self.rejected += 1
+        self._count("rejected")
+
+    def put(
+        self,
+        key: str,
+        fn_name: str,
+        config: Optional[Mapping[str, Any]],
+        result: Any,
+        wall_time_s: float = 0.0,
+    ) -> Optional[dict]:
+        """:meth:`build` then :meth:`publish`; ``None`` if not JSON-able.
+
+        On success the return value is the artifact dict that was
+        stored.  The engine hands its canonical ``"result"`` to the
+        caller on the cold path too, so cold and warm runs of a cached
+        job always agree on types.
+        """
+        artifact = self.build(key, fn_name, config, result, wall_time_s)
+        if artifact is None or not self.publish(artifact):
+            return None
         return artifact

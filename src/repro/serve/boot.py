@@ -82,8 +82,8 @@ class ServerThread:
 
     Usage::
 
-        with ServerThread(build_app(backend="socket", jobs=2)) as srv:
-            client = ServeClient(*srv.address)
+        with ServerThread(build_app(backend="socket", jobs=2)) as srv, \
+                ServeClient(*srv.address) as client:
             ...
 
     Exit drains gracefully (default) so every in-flight run completes

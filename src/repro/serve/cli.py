@@ -7,8 +7,9 @@ in-flight runs finish, every waiter is answered, the listener closes.
 ``--selftest`` boots the whole stack on an ephemeral port in-process,
 submits one experiment plus one duplicate, asserts the duplicate
 coalesced onto the original's backend job, exercises the drain path
-(new work rejected with 503, in-flight work completed), and exits 0
-only if every check passed — the smoke CI job and a fresh checkout's
+(new work rejected with 503, in-flight work completed), checks that its
+requests shared persistent connections, and exits 0 only if every
+check passed — the smoke CI job and a fresh checkout's
 sanity check share it.
 """
 
@@ -140,11 +141,10 @@ def selftest(
     )
     server = ServerThread(app)
     server.start()
+    host, port = server.address
+    print(f"selftest: serving on http://{host}:{port} (backend={backend})")
+    client = ServeClient(host, port, timeout_s=30.0)
     try:
-        host, port = server.address
-        print(f"selftest: serving on http://{host}:{port} (backend={backend})")
-        client = ServeClient(host, port, timeout_s=30.0)
-
         health = client.healthz()
         check("healthz answers ok", health.get("status") == "ok")
 
@@ -157,6 +157,10 @@ def selftest(
         check("duplicate accepted", status_b in (200, 202))
         coalesced = bool(body_b.get("runs", [{}])[0].get("coalesced"))
         check("duplicate coalesced onto in-flight job", coalesced)
+        check(
+            "three requests rode fewer than three connections",
+            app.metrics.counter("serve.connections").value < 3,
+        )
 
         # Drain: launched concurrently so the 503 window is observable.
         fut = asyncio.run_coroutine_threadsafe(
@@ -188,6 +192,7 @@ def selftest(
             app.cache.coalesced == 1,
         )
     finally:
+        client.close()
         server.stop(drain=False)
 
     failed = [name for name, ok in checks if not ok]

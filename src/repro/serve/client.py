@@ -1,10 +1,15 @@
 """Minimal clients for the experiment service (stdlib only).
 
 :class:`ServeClient` is the blocking convenience wrapper (tests, the
-selftest, simple scripts) over ``http.client``.  :func:`arequest` is
-the asyncio variant the open-loop load generator uses — one
-connection per exchange, matching the server's ``Connection: close``
-discipline, so concurrency is bounded only by sockets.
+selftest, simple scripts) over ``http.client``.  It keeps one
+persistent HTTP/1.1 connection per calling thread and reconnects once
+when a reused connection turns out to have been closed by the server
+(idle past its deadline, or draining) before any response byte came
+back.  Use it as a context manager, or call :meth:`ServeClient.close`.
+
+:func:`arequest` is the asyncio variant the open-loop load generator
+uses: one connection per exchange, sent with ``Connection: close`` and
+read to EOF, so concurrency is bounded only by sockets.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import threading
 import time
 from typing import Any, Optional
 
@@ -20,6 +26,10 @@ __all__ = ["ServeClient", "arequest"]
 
 class ServeClient:
     """Blocking JSON client for one server address.
+
+    Each calling thread gets its own persistent connection, opened on
+    its first request; :meth:`close` (or leaving a ``with`` block)
+    closes them all.
 
     With ``busy_retries > 0`` the client is a *polite* one: a 429 from
     admission control is retried, honoring the server's ``Retry-After``
@@ -52,6 +62,34 @@ class ServeClient:
         self.jitter = jitter
         #: 429 responses absorbed by backoff (observability for tests).
         self.busy_retried = 0
+        self._local = threading.local()
+        self._conns: list[http.client.HTTPConnection] = []
+        self._conns_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request reopens."""
+        with self._conns_lock:
+            conns, self._conns = self._conns, []
+        for conn in conns:
+            conn.close()
+        self._local = threading.local()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout_s
+            )
+            self._local.conn = conn
+            with self._conns_lock:
+                self._conns.append(conn)
+        return conn
 
     def _busy_delay(self, attempt: int, retry_after: Optional[str]) -> float:
         """Backoff before retry ``attempt``: server hint, doubled per
@@ -86,26 +124,37 @@ class ServeClient:
     def _request_once(
         self, method: str, path: str, payload: Optional[dict] = None
     ) -> tuple[int, dict, Any]:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode()
+            headers["Content-Type"] = "application/json"
+        conn = self._connection()
+        reused = conn.sock is not None
         try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode()
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=body, headers=headers)
-            resp = conn.getresponse()
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                resp = conn.getresponse()
+            except (BrokenPipeError, ConnectionResetError):
+                # RemoteDisconnected is a ConnectionResetError: the
+                # server closed the connection before answering.  Only a
+                # reused one may have been closed while idle; the
+                # request never reached it, so a fresh one may resend.
+                conn.close()
+                if not reused:
+                    raise
+                conn.request(method, path, body=body, headers=headers)
+                resp = conn.getresponse()
             raw = resp.read()
-            resp_headers = {k.lower(): v for k, v in resp.getheaders()}
-            if "application/json" in resp_headers.get("content-type", ""):
-                parsed: Any = json.loads(raw.decode() or "null")
-            else:
-                parsed = raw.decode()
-            return resp.status, resp_headers, parsed
-        finally:
-            conn.close()
+        except BaseException:
+            conn.close()  # a half-done exchange leaves it unusable
+            raise
+        resp_headers = {k.lower(): v for k, v in resp.getheaders()}
+        if "application/json" in resp_headers.get("content-type", ""):
+            parsed: Any = json.loads(raw.decode() or "null")
+        else:
+            parsed = raw.decode()
+        return resp.status, resp_headers, parsed
 
     # -- conveniences ------------------------------------------------------
 

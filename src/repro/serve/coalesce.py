@@ -19,10 +19,15 @@ checked in order under one lock:
    work.
 
 Nothing holds a new entry back for duplicates to catch up: attachment
-stays open the whole time the entry is queued *or* running, and
-:meth:`Coalescer.complete` writes the cache under the same lock that
-retires the entry, so a duplicate arriving any later is a cache
-fast-path hit.
+stays open the whole time the entry is queued *or* running.
+
+Answer before write: on success :meth:`Coalescer.complete` builds the
+canonical artifact, finishes every attached record and wakes its
+waiters, and only then writes the cache file, clears the pending key
+and retires the entry.  A duplicate arriving between the answer and
+the retirement finds the finished entry and is answered from its
+stored result; that counts as a cache fast-path hit, exactly as it
+would a moment later when the file is there.
 """
 
 from __future__ import annotations
@@ -129,7 +134,7 @@ class RunRecord:
 class Entry:
     """One live design point: the single job many records may ride."""
 
-    __slots__ = ("design_id", "point", "key", "records", "status")
+    __slots__ = ("design_id", "point", "key", "records", "status", "result")
 
     def __init__(
         self, point: DesignPoint, key: Optional[str], first: RunRecord
@@ -139,6 +144,8 @@ class Entry:
         self.key = key
         self.records: List[RunRecord] = [first]
         self.status = QUEUED
+        #: The canonical result, once succeeded and not yet retired.
+        self.result: Any = None
 
 
 class Coalescer:
@@ -190,6 +197,11 @@ class Coalescer:
             registry.counter("serve.requests").inc()
 
             entry = self._entries.get(point.design_id)
+            if entry is not None and entry.status == SUCCEEDED:
+                # Answered but not yet written and retired: the entry's
+                # result is the artifact's, so this is a cache hit.
+                self._serve_cached(record, entry.result, stamp, registry)
+                return record, None
             if entry is not None:
                 record.coalesced = True
                 record.status = entry.status
@@ -201,16 +213,22 @@ class Coalescer:
             if key is not None:
                 artifact = self.cache.get(key)
                 if artifact is not None:
-                    record.cached = True
-                    record._finish(SUCCEEDED, artifact["result"], None, stamp)
-                    self._note_done(record, registry)
-                    registry.counter("serve.cache_fast_path").inc()
+                    self._serve_cached(record, artifact["result"], stamp,
+                                       registry)
                     return record, None
                 self.cache.mark_pending(key)
 
             entry = Entry(point, key, record)
             self._entries[point.design_id] = entry
             return record, entry
+
+    def _serve_cached(self, record: RunRecord, result: Any, stamp: float,
+                      registry: MetricsRegistry) -> None:
+        """Finish ``record`` from the cache; caller holds the lock."""
+        record.cached = True
+        record._finish(SUCCEEDED, result, None, stamp)
+        self._note_done(record, registry)
+        registry.counter("serve.cache_fast_path").inc()
 
     # -- completion (dispatcher thread) ------------------------------------
 
@@ -232,46 +250,58 @@ class Coalescer:
     ) -> None:
         """Publish one backend outcome to every attached waiter.
 
-        On success the result goes through ``cache.put`` first and the
-        *canonical JSON form* fans out, so a waiter served live and a
-        later client served from cache see identically-typed results.
+        On success the result is built into its cache artifact first
+        and the *canonical JSON form* fans out, so a waiter served live
+        and a later client served from cache see identically-typed
+        results.  The artifact's file is written after the waiters are
+        woken; the entry stays live until then (see the module
+        docstring).
         """
         registry = self._registry()
         stamp = time.monotonic() if now is None else now
+        artifact = None
+        if ok and entry.key is not None:
+            artifact = self.cache.build(
+                entry.key,
+                callable_name(entry.point.fn),
+                entry.point.config,
+                result,
+                duration_s,
+            )
+            if artifact is not None:
+                result = artifact["result"]
         callbacks: List[Callable[[], None]] = []
         with self._lock:
-            self._entries.pop(entry.design_id, None)
-            fanout_result = result
-            if ok and entry.key is not None:
-                artifact = self.cache.put(
-                    entry.key,
-                    callable_name(entry.point.fn),
-                    entry.point.config,
-                    result,
-                    duration_s,
-                )
-                if artifact is not None:
-                    fanout_result = artifact["result"]
-            if entry.key is not None:
-                self.cache.clear_pending(entry.key)
-            status = SUCCEEDED if ok else FAILED
+            entry.status = SUCCEEDED if ok else FAILED
+            entry.result = result if ok else None
             for record in entry.records:
                 callbacks.extend(
-                    record._finish(status, fanout_result if ok else None,
-                                   error, stamp)
+                    record._finish(entry.status, entry.result, error, stamp)
                 )
                 self._note_done(record, registry)
+            if artifact is None:
+                self._retire(entry)
         # Waiter wake-ups happen outside the lock: a callback may do
         # arbitrary work (call_soon_threadsafe into the event loop).
         for callback in callbacks:
             callback()
+        if artifact is not None:
+            try:
+                self.cache.publish(artifact)
+            finally:
+                with self._lock:
+                    self._retire(entry)
+
+    def _retire(self, entry: Entry) -> None:
+        """Drop a finished entry; caller holds the lock."""
+        self._entries.pop(entry.design_id, None)
+        if entry.key is not None:
+            self.cache.clear_pending(entry.key)
 
     def abandon(self, entry: Entry) -> None:
         """Admission shed a just-created entry: roll its claim back."""
         with self._lock:
-            self._entries.pop(entry.design_id, None)
-            if entry.key is not None:
-                self.cache.clear_pending(entry.key)
+            self._retire(entry)
             for record in entry.records:
                 self.runs.pop(record.run_id, None)
 

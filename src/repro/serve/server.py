@@ -19,20 +19,28 @@ request coalescing, the dispatcher pump, and a backend from
   RunReport export are format-identical.
 * ``GET /healthz`` — liveness + queue/in-flight snapshot.
 
-The HTTP layer is deliberately tiny: HTTP/1.1, ``Connection: close``,
-one JSON body per exchange, parsed with the stdlib only.  Requests run
-on the asyncio event loop; execution happens on the dispatcher thread;
-completion wakes waiters via ``call_soon_threadsafe``.
+The HTTP layer is deliberately tiny: HTTP/1.1 with persistent
+connections, one JSON body per exchange, parsed with the stdlib only.
+A connection answers its requests in order and stays open until the
+client sends ``Connection: close`` or speaks HTTP/1.0, a response is an
+error (any 4xx or 5xx: after a bad head the next request's start is
+unknown), the server drains, or the client sends nothing for
+``REQUEST_DEADLINE_S``.  Requests run on the asyncio event loop;
+execution happens on the dispatcher thread; completion wakes waiters
+via ``call_soon_threadsafe``.
 
 Graceful shutdown (SIGTERM/SIGINT or :meth:`ExperimentServer.drain`):
 new submissions are rejected with 503 while queued and in-flight runs
-finish and every waiter receives its result, then the listener closes.
+finish and every waiter receives its result; then the listener closes,
+idle connections are closed, and a request still in progress gets its
+answer with ``Connection: close``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import time
 from typing import Any, Optional
@@ -52,8 +60,10 @@ _MAX_BODY = 1 << 20  # 1 MiB of JSON is already a pathological sweep
 _MAX_HEAD = 1 << 16  # request line + headers; also the reader's line limit
 _DEFAULT_WAIT_TIMEOUT_S = 60.0
 
-#: Seconds a client has to send its whole request, head and body.  One
-#: deadline over both, so a client that stalls anywhere gets a 400.
+#: Seconds a client has to send its whole request, head and body, from
+#: its first byte.  One deadline over both, so a client that stalls
+#: anywhere gets a 400.  An open connection that sends no byte for as
+#: long is closed without a response.
 REQUEST_DEADLINE_S = 30.0
 
 
@@ -114,6 +124,10 @@ class ExperimentServer:
         self.started_at = time.monotonic()
         self.draining = False
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Connection handlers, and the writers of those waiting for
+        #: the first byte of their next request.
+        self._handlers: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopped: Optional[asyncio.Event] = None
 
@@ -160,6 +174,15 @@ class ExperimentServer:
         )
         if self._server is not None:
             self._server.close()
+        # Idle connections end now; one mid-request finishes its answer
+        # (sent with Connection: close) within the request deadline.
+        # Both before wait_closed, which on Python 3.12 waits for every
+        # connection to end.
+        for writer in self._idle:
+            writer.close()
+        if self._handlers:
+            await asyncio.wait(set(self._handlers), timeout=REQUEST_DEADLINE_S)
+        if self._server is not None:
             await self._server.wait_closed()
         if self._stopped is not None:
             self._stopped.set()
@@ -175,21 +198,42 @@ class ExperimentServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self.metrics.counter("serve.connections").inc()
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
-            status, headers, body = await self._handle_request(reader)
-        except _HttpError as exc:
-            status, headers, body = self._error_response(exc)
-        except Exception as exc:  # noqa: BLE001 - the loop must survive
-            self.metrics.counter("serve.http_errors").inc()
-            status, headers, body = self._error_response(
-                _HttpError(500, f"{type(exc).__name__}: {exc}")
-            )
-        try:
-            writer.write(self._render(status, headers, body))
-            await writer.drain()
+            close = False
+            while not close:
+                self._idle.add(writer)
+                try:
+                    first = await asyncio.wait_for(
+                        reader.readexactly(1), REQUEST_DEADLINE_S
+                    )
+                except (asyncio.TimeoutError, asyncio.IncompleteReadError,
+                        ConnectionError):
+                    return  # idle past the deadline, or the client left
+                finally:
+                    self._idle.discard(writer)
+                try:
+                    status, headers, body, close = await self._handle_request(
+                        reader, first
+                    )
+                except _HttpError as exc:
+                    status, headers, body = self._error_response(exc)
+                except ConnectionError:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - the loop must survive
+                    self.metrics.counter("serve.http_errors").inc()
+                    status, headers, body = self._error_response(
+                        _HttpError(500, f"{type(exc).__name__}: {exc}")
+                    )
+                close = close or status >= 400 or self.draining
+                writer.write(self._render(status, headers, body, close))
+                await writer.drain()
         except (ConnectionError, BrokenPipeError):  # client went away
             pass
         finally:
+            self._handlers.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -197,14 +241,13 @@ class ExperimentServer:
                 pass
 
     @staticmethod
-    def _render(status: int, headers: dict, body: bytes) -> bytes:
+    def _render(status: int, headers: dict, body: bytes,
+                close: bool) -> bytes:
         reason = _REASONS.get(status, "Unknown")
         lines = [f"HTTP/1.1 {status} {reason}"]
-        headers = {
-            "Content-Length": str(len(body)),
-            "Connection": "close",
-            **headers,
-        }
+        headers = {"Content-Length": str(len(body)), **headers}
+        if close:
+            headers["Connection"] = "close"
         lines.extend(f"{k}: {v}" for k, v in headers.items())
         return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
 
@@ -219,38 +262,46 @@ class ExperimentServer:
         return exc.status, headers, body
 
     async def _handle_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[int, dict, bytes]:
+        self, reader: asyncio.StreamReader, first: bytes
+    ) -> tuple[int, dict, bytes, bool]:
+        """Read and route one request whose first byte was ``first``;
+        the last item says whether the client asked to close."""
         try:
-            method, target, raw = await asyncio.wait_for(
-                self._read_request(reader), REQUEST_DEADLINE_S
+            method, target, raw, close = await asyncio.wait_for(
+                self._read_request(reader, first), REQUEST_DEADLINE_S
             )
         except asyncio.TimeoutError:
             raise _HttpError(400, "request timed out") from None
         path, _, query = target.partition("?")
-        return await self._route(method.upper(), path, query, raw)
+        return (*await self._route(method.upper(), path, query, raw), close)
 
     @staticmethod
     async def _read_request(
-        reader: asyncio.StreamReader,
-    ) -> tuple[str, str, bytes]:
-        """Read one request's head and body; a malformed one is a 400."""
+        reader: asyncio.StreamReader, first: bytes
+    ) -> tuple[str, str, bytes, bool]:
+        """Read one request's head and body; a malformed one is a 400.
+
+        ``first`` is the request's first byte, already read; it counts
+        towards the head's size like any other.
+        """
         head: list[bytes] = []
         size = 0
         while not head or head[-1] not in (b"\r\n", b"\n", b""):
             try:
-                line = await reader.readline()
+                line = first if first == b"\n" else (
+                    first + await reader.readline())
             except ValueError:  # one line over the reader's limit
                 size = _MAX_HEAD + 1
             else:
                 size += len(line)
                 head.append(line)
+            first = b""
             if size > _MAX_HEAD:
                 raise _HttpError(400, f"request head over {_MAX_HEAD} bytes")
         parts = head[0].decode("latin-1").split()
         if len(parts) != 3:
             raise _HttpError(400, f"malformed request line: {parts!r}")
-        method, target, _version = parts
+        method, target, version = parts
         headers: dict[str, str] = {}
         for line in head[1:-1]:
             name, _, value = line.decode("latin-1").partition(":")
@@ -268,7 +319,10 @@ class ExperimentServer:
                 400,
                 f"body ended after {len(exc.partial)} of {length} bytes",
             ) from None
-        return method, target, raw
+        tokens = headers.get("connection", "").lower().split(",")
+        close = (version.upper() != "HTTP/1.1"
+                 or "close" in (t.strip() for t in tokens))
+        return method, target, raw, close
 
     # -- routing -----------------------------------------------------------
 
@@ -343,13 +397,12 @@ class ExperimentServer:
             raise _HttpError(400, "body must be a JSON object")
 
         wait = bool(payload.get("wait")) or query in ("wait=1", "wait=true")
-        wait_timeout = float(
-            payload.get("wait_timeout_s", _DEFAULT_WAIT_TIMEOUT_S)
-        )
+        wait_timeout = self._wait_timeout(payload)
         records = self._submit_all(payload)
-        if wait:
-            await self._await_records(records, wait_timeout)
         done = all(r.terminal for r in records)
+        if wait and not done:
+            await self._await_records(records, wait_timeout)
+            done = all(r.terminal for r in records)
         response = {
             "runs": [r.to_json() for r in records],
             "count": len(records),
@@ -358,6 +411,18 @@ class ExperimentServer:
             response["run_id"] = records[0].run_id
         headers, body = self._json_body(response)
         return (200 if done else 202), headers, body
+
+    @staticmethod
+    def _wait_timeout(payload: dict) -> float:
+        value = payload.get("wait_timeout_s", _DEFAULT_WAIT_TIMEOUT_S)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                seconds = float(value)
+            except OverflowError:  # an int beyond float range
+                seconds = math.inf
+            if 0 <= seconds < math.inf:
+                return seconds
+        raise _HttpError(400, "'wait_timeout_s' must be a finite number >= 0")
 
     def _submit_all(self, payload: dict) -> list[RunRecord]:
         workload = payload.get("workload")
@@ -375,10 +440,11 @@ class ExperimentServer:
                 raise _HttpError(400, "'sweep' must be a list of objects")
             param_sets = [{**base, **p} for p in sweep]
         else:
-            try:
-                repetitions = int(repetitions)
-            except (TypeError, ValueError):
-                raise _HttpError(400, "'repetitions' must be an int") from None
+            integral = isinstance(repetitions, int) or (
+                isinstance(repetitions, float) and repetitions.is_integer())
+            if isinstance(repetitions, bool) or not integral:
+                raise _HttpError(400, "'repetitions' must be an integer")
+            repetitions = int(repetitions)
             if not 1 <= repetitions <= 10_000:
                 raise _HttpError(400, "'repetitions' must be in [1, 10000]")
             if repetitions == 1:

@@ -1,5 +1,8 @@
 """Tests for the SECDED codec."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,3 +119,13 @@ class TestResidualRates:
     def test_validation(self):
         with pytest.raises(ValueError):
             residual_error_rate(2.0)
+
+    @pytest.mark.parametrize("ber", [1e-9, 1e-6, 1e-3])
+    def test_silent_rate_is_the_exact_tail(self, ber):
+        # The k >= 3 tail summed in rationals at the exact float input;
+        # 1 - P(k <= 2) in floats is 1.5% low at 1e-6 by cancellation.
+        p, n = Fraction(ber), SECDED(64).code_bits
+        exact = sum(comb(n, k) * p**k * (1 - p) ** (n - k)
+                    for k in range(3, n + 1))
+        got = residual_error_rate(ber)["potentially_silent"]
+        assert got == pytest.approx(float(exact), rel=1e-12)

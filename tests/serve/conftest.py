@@ -20,14 +20,18 @@ from repro.serve import ServeClient, ServerThread, build_app
 def serve_factory():
     """Callable building (handle, client) pairs, torn down afterward."""
     handles: list[ServerThread] = []
+    clients: list[ServeClient] = []
 
     def _make(**options):
         options.setdefault("backend", "serial")
         handle = ServerThread(build_app(**options)).start()
         handles.append(handle)
-        return handle, ServeClient(*handle.address, timeout_s=30.0)
+        clients.append(ServeClient(*handle.address, timeout_s=30.0))
+        return handle, clients[-1]
 
     yield _make
+    for client in clients:
+        client.close()
     for handle in handles:
         handle.stop(drain=False)
 

@@ -7,6 +7,12 @@ over HTTP: N duplicate submissions, one dispatch, N answered waiters.
 
 from __future__ import annotations
 
+import queue
+import sys
+import threading
+
+import pytest
+
 from repro.core.instrument import MetricsRegistry
 from repro.exec.cache import ResultCache
 from repro.serve.coalesce import Coalescer
@@ -85,6 +91,121 @@ class TestCoalescerUnit:
         fired = []
         record.add_done_callback(lambda: fired.append(True))
         assert fired == [True]
+
+
+class _HeldCache(ResultCache):
+    """A cache whose publish waits until the test releases it."""
+
+    def __init__(self, root, metrics):
+        super().__init__(root, metrics=metrics)
+        self.publishing = threading.Event()
+        self.release = threading.Event()
+
+    def publish(self, artifact):
+        self.publishing.set()
+        assert self.release.wait(10.0)
+        return super().publish(artifact)
+
+
+class TestAnswerBeforeWrite:
+    def test_waiters_wake_before_the_write_and_duplicates_hit_the_entry(
+            self, tmp_path):
+        metrics = MetricsRegistry(enabled=True)
+        cache = _HeldCache(tmp_path / "cache", metrics)
+        co = Coalescer(cache, metrics=metrics)
+        record, entry = co.submit(design_point("spin", {"tag": "abw"}))
+        woken = threading.Event()
+        record.add_done_callback(woken.set)
+        done = threading.Thread(
+            target=co.complete, args=(entry,),
+            kwargs={"ok": True, "result": {"t": (1, 2)}},
+        )
+        done.start()
+        try:
+            assert cache.publishing.wait(10.0)
+            # Answered with the canonical form; no file yet.
+            assert woken.is_set() and record.result == {"t": [1, 2]}
+            assert cache.get(entry.key) is None
+            assert entry.key in cache.pending_keys()
+            dup, dup_entry = co.submit(design_point("spin", {"tag": "abw"}))
+            assert dup_entry is None and dup.terminal
+            assert dup.cached and not dup.coalesced
+            assert dup.result == {"t": [1, 2]}
+            assert metrics.counter("serve.cache_fast_path").value == 1
+            assert metrics.counter("serve.coalesced").value == 0
+            assert co.live_entries() == 1
+        finally:
+            cache.release.set()
+            done.join(10.0)
+        assert co.live_entries() == 0
+        assert entry.key not in cache.pending_keys()
+        assert cache.get(entry.key)["result"] == {"t": [1, 2]}
+        later, later_entry = co.submit(design_point("spin", {"tag": "abw"}))
+        assert later_entry is None and later.cached
+        assert metrics.counter("serve.cache_fast_path").value == 2
+
+    def test_a_failed_publish_still_retires_the_entry(self, tmp_path):
+        co, cache, _ = _coalescer(tmp_path)
+        record, entry = co.submit(design_point("spin", {"tag": "full"}))
+
+        def disk_full(artifact):
+            raise OSError("no space left on device")
+
+        cache.publish = disk_full
+        with pytest.raises(OSError):
+            co.complete(entry, ok=True, result={"v": 1})
+        assert record.status == "succeeded" and record.result == {"v": 1}
+        assert co.live_entries() == 0
+        assert entry.key not in cache.pending_keys()
+
+
+    def test_concurrent_submits_and_completions_lose_no_record(
+            self, tmp_path):
+        co, cache, metrics = _coalescer(tmp_path)
+        records, entries = [], queue.Queue()
+
+        def submit_many(n):
+            for i in range(n):
+                record, entry = co.submit(
+                    design_point("spin", {"tag": f"t{i}"}))
+                records.append(record)
+                if entry is not None:
+                    entries.put(entry)
+
+        def complete_all():
+            while (entry := entries.get(timeout=10.0)) is not None:
+                co.complete(entry, ok=True, result=entry.point.config)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            completer = threading.Thread(target=complete_all)
+            submitters = [threading.Thread(target=submit_many, args=(150,))
+                          for _ in range(4)]
+            for thread in [completer, *submitters]:
+                thread.start()
+            for thread in submitters:
+                thread.join(30.0)
+            entries.put(None)
+            completer.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not completer.is_alive()
+        assert not any(thread.is_alive() for thread in submitters)
+        assert len(records) == 600 and co.live_entries() == 0
+        assert cache.pending_keys() == frozenset()
+        config_of = {design_point("spin", {"tag": f"t{k}"}).design_id:
+                     {"tag": f"t{k}"} for k in range(150)}
+        for record in records:
+            assert record.status == "succeeded"
+            assert record.result == config_of[record.design_id]
+        dispatched = len(records) - sum(r.cached or r.coalesced
+                                        for r in records)
+        value = lambda name: metrics.counter(name).value  # noqa: E731
+        assert value("serve.requests") == 600
+        assert (value("serve.cache_fast_path") + value("serve.coalesced")
+                + dispatched) == 600
+        assert value("serve.cache_fast_path") == sum(r.cached for r in records)
 
 
 class TestCacheSingleFlight:

@@ -106,8 +106,9 @@ class TestDispatcherWait:
 def test_back_to_back_requests_never_lose_a_wakeup(tmp_path):
     app = build_app(backend="serial", cache_dir=str(tmp_path / "cache"))
     app.dispatcher.poll_interval_s = 30.0
-    with ServerThread(app) as server:
-        client = ServeClient(*server.address, timeout_s=30.0)
+    with ServerThread(app) as server, ServeClient(
+        *server.address, timeout_s=30.0
+    ) as client:
         for i in range(200):
             status, _, body = client.submit(
                 "spin", {"duration_s": 0.0, "tag": f"b2b-{i}"},

@@ -9,14 +9,21 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs.export import registry_state_to_prometheus
-from repro.serve import ServerThread, build_app
+from repro.serve import ServeClient, ServerThread, build_app
 from repro.serve.cli import main, selftest
 from repro.serve.workloads import design_point, run_spin
 
@@ -152,6 +159,38 @@ class TestGracefulShutdown:
                 gc.collect()
             assert elapsed < 5.0
             assert not [w for w in caught if "never awaited" in str(w.message)]
+
+
+    def test_drain_closes_idle_persistent_connections(self, tmp_path):
+        handle = ServerThread(build_app(cache_dir=str(tmp_path / "c"))).start()
+        with ServeClient(*handle.address, timeout_s=10.0) as client:
+            assert client.healthz()["status"] == "ok"  # left open, idle
+            start = time.monotonic()
+            assert handle.stop(drain=True) is True
+            assert time.monotonic() - start < 2.0
+            assert not handle._thread.is_alive()
+
+    def test_sigterm_with_an_idle_client_exits_promptly(self, tmp_path):
+        env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--cache", str(tmp_path / "c")],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            banner = proc.stdout.readline()
+            host, port = re.search(r"http://([\d.]+):(\d+)", banner).groups()
+            with ServeClient(host, int(port), timeout_s=10.0) as client:
+                assert client.healthz()["status"] == "ok"  # left open, idle
+                start = time.monotonic()
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=10.0) == 0
+                assert time.monotonic() - start < 2.0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate()
 
 
 class TestSelftest:
