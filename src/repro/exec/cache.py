@@ -56,6 +56,7 @@ layer agrees on one canonical key derivation.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -328,17 +329,25 @@ class ResultCache:
 
     def publish(self, artifact: dict) -> bool:
         """Atomically write a :meth:`build` artifact; ``False`` if it
-        cannot be serialized (counted as rejected, nothing written)."""
+        cannot be serialized (counted as rejected, nothing written).
+
+        A failed write (full disk, unwritable directory) removes its
+        temp file and raises the ``OSError``."""
         try:
             payload = json.dumps(artifact, sort_keys=True)
         except (TypeError, ValueError):
             self._reject()
             return False
         path = self.path_for(artifact["key"])
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(payload, encoding="utf-8")
-        os.replace(tmp, path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(payload, encoding="utf-8")
+            os.replace(tmp, path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+            raise
         self.writes += 1
         self._count("write")
         return True

@@ -27,7 +27,10 @@ waiters, and only then writes the cache file, clears the pending key
 and retires the entry.  A duplicate arriving between the answer and
 the retirement finds the finished entry and is answered from its
 stored result; that counts as a cache fast-path hit, exactly as it
-would a moment later when the file is there.
+would a moment later when the file is there.  A write that fails
+with an ``OSError`` (full disk, unwritable cache directory) is counted
+``exec.cache.write_failed``; the run stays succeeded and the entry
+retires all the same.
 """
 
 from __future__ import annotations
@@ -255,7 +258,8 @@ class Coalescer:
         and a later client served from cache see identically-typed
         results.  The artifact's file is written after the waiters are
         woken; the entry stays live until then (see the module
-        docstring).
+        docstring).  A write that raises ``OSError`` is counted
+        ``exec.cache.write_failed`` and not raised.
         """
         registry = self._registry()
         stamp = time.monotonic() if now is None else now
@@ -288,6 +292,10 @@ class Coalescer:
         if artifact is not None:
             try:
                 self.cache.publish(artifact)
+            except OSError:
+                # The waiters already have the result; losing the file
+                # must not take the dispatcher thread down with it.
+                registry.counter("exec.cache.write_failed").inc()
             finally:
                 with self._lock:
                     self._retire(entry)

@@ -71,13 +71,16 @@ def run_cluster(config: dict) -> dict:
     )
     result = sim.run(arrival_rate, n_requests, rng=seed)
     lat = result.latencies
+    # One partition for all three: ``np.percentile`` with a list of q
+    # gives each the value it would give alone.
+    p50, p95, p99 = np.percentile(lat, [50, 95, 99]).tolist()
     return {
         "requests": int(n_requests),
         "arrival_rate": arrival_rate,
         "mean_ms": float(lat.mean() * 1e3),
-        "p50_ms": float(np.percentile(lat, 50) * 1e3),
-        "p95_ms": float(np.percentile(lat, 95) * 1e3),
-        "p99_ms": float(np.percentile(lat, 99) * 1e3),
+        "p50_ms": p50 * 1e3,
+        "p95_ms": p95 * 1e3,
+        "p99_ms": p99 * 1e3,
         "utilization": float(result.utilization),
     }
 

@@ -5,7 +5,9 @@ miss (and gets rewritten, not crashed on), and the cache key changes
 when the library version changes.
 """
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -124,6 +126,20 @@ class TestResultCache:
         assert not cache.put(key, "m.f", None, {"bad": object()})
         assert cache.rejected == 1
         assert cache.get(key) is None  # nothing was written
+
+    def test_a_failed_write_raises_and_leaves_no_temp_file(
+            self, cache, monkeypatch):
+        key = cache.key_for("m.f", {"x": 1})
+        artifact = cache.build(key, "m.f", {"x": 1}, {"value": 1.0})
+
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        with pytest.raises(OSError):
+            cache.publish(artifact)
+        assert list(cache.path_for(key).parent.iterdir()) == []
+        assert cache.writes == 0
 
     def test_corrupted_artifact_is_miss_and_rewritten(self, cache):
         key = cache.key_for("m.f", {"x": 1})

@@ -19,6 +19,8 @@ replaced (:func:`reference_route_table`): lists of Python and numpy
 ints and arrays of every integer dtype, heavy with repeated pairs, must
 give the same distinct pairs in the same order, the same route ids and
 the same ``route_fn`` calls, and one bad pair the same exception.
+Pairs keyed ``src_node * nodes + dst_node`` and, on a mesh too large
+for that key, by node-id rows must be numbered alike.
 """
 
 from __future__ import annotations
@@ -395,6 +397,55 @@ def test_route_table_matches_the_per_pair_loop(case):
     else:
         assert run == 0
         assert recorder.calls == reference.calls
+
+
+@contextmanager
+def _unique_calls():
+    """Record, per ``np.unique`` call, whether it passed ``axis``."""
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append("axis" in kwargs)
+        return unique(*args, **kwargs)
+
+    np.unique = spy
+    try:
+        yield calls
+    finally:
+        np.unique = unique
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 2000),
+       st.integers(1, 60), st.integers(0, 2**32 - 1),
+       st.sampled_from(["list", "array"]))
+def test_pair_keys_and_node_id_rows_number_pairs_alike(
+        width, height, n, distinct, seed, form):
+    # The same pairs on a mesh of more than 2**31 nodes, whose pair
+    # keys could overflow int64, are numbered by node-id rows through
+    # ``np.unique(axis=0)`` instead of one key each.
+    nodes = width * height
+    if nodes < 2:
+        height = 2
+        nodes = width * height
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, nodes, size=distinct)
+    dst = (src + rng.integers(1, nodes, size=distinct)) % nodes
+    pick = rng.integers(0, distinct, size=n)
+    ids = np.stack([src[pick], dst[pick]], axis=1)
+    pairs = np.stack([ids % width, ids // width], axis=2)
+    if form == "list":
+        pairs = _nested_tuples(pairs)
+    tall = NoCConfig(width=width, height=2**31 // width + 1)
+    with _unique_calls() as calls:
+        want = MeshNoC(NoCConfig(width=width, height=height))._route_table(
+            pairs)
+        got = MeshNoC(tall)._route_table(pairs)
+    assert calls == [False, True]
+    assert got[0] == want[0]
+    assert got[1].tolist() == want[1].tolist()
+    assert want[0] == list(dict.fromkeys(_nested_tuples(pairs)))
 
 
 @pytest.mark.parametrize("sim", [None, Simulator], ids=["walk", "kernel"])

@@ -145,18 +145,18 @@ class TestAnswerBeforeWrite:
         assert metrics.counter("serve.cache_fast_path").value == 2
 
     def test_a_failed_publish_still_retires_the_entry(self, tmp_path):
-        co, cache, _ = _coalescer(tmp_path)
+        co, cache, metrics = _coalescer(tmp_path)
         record, entry = co.submit(design_point("spin", {"tag": "full"}))
 
         def disk_full(artifact):
             raise OSError("no space left on device")
 
         cache.publish = disk_full
-        with pytest.raises(OSError):
-            co.complete(entry, ok=True, result={"v": 1})
+        co.complete(entry, ok=True, result={"v": 1})
         assert record.status == "succeeded" and record.result == {"v": 1}
         assert co.live_entries() == 0
         assert entry.key not in cache.pending_keys()
+        assert metrics.counter("exec.cache.write_failed").value == 1
 
 
     def test_concurrent_submits_and_completions_lose_no_record(

@@ -7,6 +7,7 @@ woke the dispatcher, never because a poll came round.
 
 from __future__ import annotations
 
+import errno
 import time
 
 import pytest
@@ -117,3 +118,26 @@ def test_back_to_back_requests_never_lose_a_wakeup(tmp_path):
             assert status == 200, f"request {i} was not answered in time"
             assert body["runs"][0]["status"] == "succeeded"
         assert app.dispatcher.dispatched == 200
+
+
+def test_a_failed_cache_write_keeps_the_dispatcher_serving(tmp_path):
+    app = build_app(backend="serial", cache_dir=str(tmp_path / "cache"))
+
+    def disk_full(artifact):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    app.cache.publish = disk_full
+    with ServerThread(app) as server, ServeClient(
+        *server.address, timeout_s=30.0
+    ) as client:
+        for i in range(2):
+            status, _, body = client.submit(
+                "spin", {"duration_s": 0.0, "tag": f"full-{i}"},
+                wait=True, wait_timeout_s=10.0,
+            )
+            assert status == 200, f"fresh point {i} was not answered"
+            assert body["runs"][0]["status"] == "succeeded"
+        wait_until(lambda: app.coalescer.live_entries() == 0)
+        assert app.metrics.counter("exec.cache.write_failed").value == 2
+        assert "exec_cache_write_failed" in client.metrics_text()
+        assert app.dispatcher._thread.is_alive()
