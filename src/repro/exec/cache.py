@@ -166,6 +166,7 @@ class ResultCache:
         self.corrupt = 0
         self.writes = 0
         self.rejected = 0
+        self.write_failed = 0
         self.unkeyable = 0
         self.coalesced = 0
         # Keys currently being computed (single-flight bookkeeping).
@@ -187,6 +188,7 @@ class ResultCache:
             "corrupt": self.corrupt,
             "writes": self.writes,
             "rejected": self.rejected,
+            "write_failed": self.write_failed,
             "unkeyable": self.unkeyable,
             "coalesced": self.coalesced,
         }
@@ -332,7 +334,8 @@ class ResultCache:
         cannot be serialized (counted as rejected, nothing written).
 
         A failed write (full disk, unwritable directory) removes its
-        temp file and raises the ``OSError``."""
+        temp file, is counted ``write_failed`` and raises the
+        ``OSError``."""
         try:
             payload = json.dumps(artifact, sort_keys=True)
         except (TypeError, ValueError):
@@ -347,6 +350,8 @@ class ResultCache:
         except OSError:
             with contextlib.suppress(OSError):
                 tmp.unlink(missing_ok=True)
+            self.write_failed += 1
+            self._count("write_failed")
             raise
         self.writes += 1
         self._count("write")

@@ -29,8 +29,8 @@ the retirement finds the finished entry and is answered from its
 stored result; that counts as a cache fast-path hit, exactly as it
 would a moment later when the file is there.  A write that fails
 with an ``OSError`` (full disk, unwritable cache directory) is counted
-``exec.cache.write_failed``; the run stays succeeded and the entry
-retires all the same.
+``exec.cache.write_failed`` by the cache; the run stays succeeded and
+the entry retires all the same.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ class Coalescer:
         results.  The artifact's file is written after the waiters are
         woken; the entry stays live until then (see the module
         docstring).  A write that raises ``OSError`` is counted
-        ``exec.cache.write_failed`` and not raised.
+        ``exec.cache.write_failed`` by the cache and not raised.
         """
         registry = self._registry()
         stamp = time.monotonic() if now is None else now
@@ -293,9 +293,10 @@ class Coalescer:
             try:
                 self.cache.publish(artifact)
             except OSError:
-                # The waiters already have the result; losing the file
-                # must not take the dispatcher thread down with it.
-                registry.counter("exec.cache.write_failed").inc()
+                # The waiters already have the result, and ``publish``
+                # counted the failure; losing the file must not take the
+                # dispatcher thread down with it.
+                pass
             finally:
                 with self._lock:
                     self._retire(entry)

@@ -106,7 +106,8 @@ class TestResultCache:
         assert artifact["wall_time_s"] == 0.5
         assert cache.stats() == {
             "hits": 1, "misses": 1, "corrupt": 0, "writes": 1,
-            "rejected": 0, "unkeyable": 0, "coalesced": 0,
+            "rejected": 0, "write_failed": 0, "unkeyable": 0,
+            "coalesced": 0,
         }
 
     def test_put_returns_stored_canonical_artifact(self, cache):
@@ -140,6 +141,7 @@ class TestResultCache:
             cache.publish(artifact)
         assert list(cache.path_for(key).parent.iterdir()) == []
         assert cache.writes == 0
+        assert cache.stats()["write_failed"] == 1
 
     def test_corrupted_artifact_is_miss_and_rewritten(self, cache):
         key = cache.key_for("m.f", {"x": 1})

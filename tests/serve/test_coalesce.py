@@ -7,6 +7,8 @@ over HTTP: N duplicate submissions, one dispatch, N answered waiters.
 
 from __future__ import annotations
 
+import errno
+import os
 import queue
 import sys
 import threading
@@ -144,19 +146,21 @@ class TestAnswerBeforeWrite:
         assert later_entry is None and later.cached
         assert metrics.counter("serve.cache_fast_path").value == 2
 
-    def test_a_failed_publish_still_retires_the_entry(self, tmp_path):
+    def test_a_failed_publish_still_retires_the_entry(
+            self, tmp_path, monkeypatch):
         co, cache, metrics = _coalescer(tmp_path)
         record, entry = co.submit(design_point("spin", {"tag": "full"}))
 
-        def disk_full(artifact):
-            raise OSError("no space left on device")
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-        cache.publish = disk_full
+        monkeypatch.setattr(os, "replace", disk_full)
         co.complete(entry, ok=True, result={"v": 1})
         assert record.status == "succeeded" and record.result == {"v": 1}
         assert co.live_entries() == 0
         assert entry.key not in cache.pending_keys()
         assert metrics.counter("exec.cache.write_failed").value == 1
+        assert cache.stats()["write_failed"] == 1
 
 
     def test_concurrent_submits_and_completions_lose_no_record(

@@ -8,6 +8,7 @@ woke the dispatcher, never because a poll came round.
 from __future__ import annotations
 
 import errno
+import os
 import time
 
 import pytest
@@ -120,13 +121,18 @@ def test_back_to_back_requests_never_lose_a_wakeup(tmp_path):
         assert app.dispatcher.dispatched == 200
 
 
-def test_a_failed_cache_write_keeps_the_dispatcher_serving(tmp_path):
-    app = build_app(backend="serial", cache_dir=str(tmp_path / "cache"))
+def test_a_failed_cache_write_keeps_the_dispatcher_serving(
+        tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    app = build_app(backend="serial", cache_dir=str(cache_dir))
+    replace = os.replace
 
-    def disk_full(artifact):
-        raise OSError(errno.ENOSPC, "No space left on device")
+    def disk_full(src, dst):
+        if str(dst).startswith(str(cache_dir)):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return replace(src, dst)
 
-    app.cache.publish = disk_full
+    monkeypatch.setattr(os, "replace", disk_full)
     with ServerThread(app) as server, ServeClient(
         *server.address, timeout_s=30.0
     ) as client:
@@ -139,5 +145,6 @@ def test_a_failed_cache_write_keeps_the_dispatcher_serving(tmp_path):
             assert body["runs"][0]["status"] == "succeeded"
         wait_until(lambda: app.coalescer.live_entries() == 0)
         assert app.metrics.counter("exec.cache.write_failed").value == 2
+        assert app.cache.stats()["write_failed"] == 2
         assert "exec_cache_write_failed" in client.metrics_text()
         assert app.dispatcher._thread.is_alive()
