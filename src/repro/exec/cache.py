@@ -371,12 +371,17 @@ class ResultCache:
     ) -> Optional[dict]:
         """:meth:`build` then :meth:`publish`; ``None`` if not JSON-able.
 
-        On success the return value is the artifact dict that was
-        stored.  The engine hands its canonical ``"result"`` to the
-        caller on the cold path too, so cold and warm runs of a cached
-        job always agree on types.
+        Otherwise the return value is the artifact dict, also when its
+        write failed: :meth:`publish` counted that ``write_failed``, and
+        a job that succeeded must not fail for want of its cache file.
+        The engine hands its canonical ``"result"`` to the caller on the
+        cold path too, so cold and warm runs of a cached job always
+        agree on types.
         """
         artifact = self.build(key, fn_name, config, result, wall_time_s)
-        if artifact is None or not self.publish(artifact):
-            return None
+        try:
+            if artifact is None or not self.publish(artifact):
+                return None
+        except OSError:
+            pass
         return artifact

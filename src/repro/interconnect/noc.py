@@ -16,11 +16,12 @@ and span tracers see every hop.  The *walk* keeps the same
 ``(time, seq)`` order on a private ring of per-cycle departure lists,
 on packet indices and flat lists, without scheduling an event per hop
 or building a :class:`Packet`; its :attr:`NoCResult.delivered` is built
-from those lists the first time it is read.  Both paths route each
-distinct ``(src, dst)`` pair once, numbered in numpy by
-:meth:`MeshNoC._route_table`.  A run walks iff no ``sim`` is passed,
-traced or not; both paths report the same ``noc.*`` metrics and
-``noc.run`` span times.
+from those lists the first time it is read.  Both paths number the
+distinct ``(src, dst)`` pairs in numpy (:meth:`MeshNoC._route_table`);
+the kernel path routes each once with the scalar ``xy``/``yx`` route,
+and the walk builds all their hops in numpy (:meth:`MeshNoC._chains`).
+A run walks iff no ``sim`` is passed, traced or not; both paths report
+the same ``noc.*`` metrics and ``noc.run`` span times.
 
 Energy: every hop charges router + link energy to a ledger, connecting
 the NoC to the paper's "energy is largely spent moving data" argument
@@ -41,7 +42,7 @@ from ..core.energy import EnergyLedger
 from ..core.events import FunctionCheckpoint, Simulator
 from ..core.instrument import default_registry
 from ..core.units import is_integer
-from .topology import xy_route
+from .topology import ROUTES, dimension_order_hops
 
 Coord = Tuple[int, int]
 Link = Tuple[Coord, Coord]
@@ -182,7 +183,9 @@ class MeshNoC:
         self.config = config
         self._sim: Optional[Simulator] = None
         self._stats = None
-        self._links: Dict[Link, _LinkState] = {}
+        # Keyed by ``(from, to)`` coordinates on the kernel path and by
+        # link id on the walk (:meth:`_chains`).
+        self._links: Dict[Link | int, _LinkState] = {}
         self.faults_injected = 0
 
     # -- SimModel protocol -------------------------------------------------
@@ -225,24 +228,24 @@ class MeshNoC:
         injection_times: Optional[np.ndarray] = None,
         max_cycles: int = 200_000,
         sim: Optional[Simulator] = None,
-        route_fn: Optional[Callable[[Coord, Coord], list[Coord]]] = None,
+        routing: str = "xy",
     ) -> NoCResult:
         """Inject packets (``pairs[i]`` at ``injection_times[i]``, default
         all at cycle 0 back-to-back per source) and run to drain (or to
         the ``max_cycles`` horizon; undelivered packets count as
         dropped; the horizon is inclusive).  ``pairs`` is a sequence of
         ``((sx, sy), (dx, dy))`` or an ``(n, 2, 2)`` integer array.  Pass
-        ``sim`` to share a caller-owned kernel, and ``route_fn`` to swap
-        the routing policy (default :func:`xy_route`; any ``(src, dst)
-        -> [coords]`` path on mesh links works — the NoC routing
-        championship plugs in here), called once per distinct pair
-        (:meth:`_route_table`), in first-seen order, on Python ints.
-        Coordinates must be integers inside the mesh, injection times
-        finite and non-negative and ``max_cycles`` a number >= 0, not a
-        bool (``ValueError`` otherwise).  Without ``sim`` the run walks,
-        and a session tracer gets one ``noc.run`` span (``path="walk"``)."""
-        if route_fn is None:
-            route_fn = xy_route
+        ``sim`` to share a caller-owned kernel.  ``routing`` names the
+        dimension order, ``"xy"`` (default) or ``"yx"`` (the NoC routing
+        championship plugs in here).  Coordinates must be integers
+        inside the mesh, injection times finite and non-negative,
+        ``max_cycles`` a number >= 0, not a bool, and ``routing`` one of
+        those names (``ValueError`` otherwise).  Without ``sim`` the run
+        walks, and a session tracer gets one ``noc.run`` span
+        (``path="walk"``)."""
+        if routing not in ROUTES:
+            raise ValueError(f"unknown routing {routing!r}; choose from "
+                             f"{', '.join(sorted(ROUTES))}")
         if isinstance(max_cycles, (bool, np.bool_)) or not max_cycles >= 0:
             raise ValueError(
                 f"max_cycles must be a number >= 0, got {max_cycles!r}"
@@ -262,8 +265,7 @@ class MeshNoC:
                     f"injection_times[{i}] = {injection_arr[i]} is not a "
                     "finite cycle >= 0"
                 )
-        ends, route_ids = self._route_table(pairs)
-        routes = [route_fn(src, dst) for src, dst in ends]
+        distinct, route_ids = self._route_table(pairs)
         # Injections align to the next cycle boundary (the model is
         # cycle-approximate even though the kernel clock is a float).
         inject_at = np.ceil(injection_arr)
@@ -273,18 +275,18 @@ class MeshNoC:
             tracer = registry.tracer
             self._stats = registry.scoped("noc")
             self.reset()
+            heads, route_hops = self._chains(distinct, routing)
             injected, hops, order, arrivals = self._walk(
-                routes, route_ids, inject_at, until
+                heads, route_ids, inject_at, until
             )
             idx = np.array(order, dtype=np.intp)
             injected_at = injection_arr[idx]
             delivered_ids = route_ids[idx]
-            route_hops = np.array([len(r) - 1 for r in routes], dtype=float)
             result = self._result(
                 len(route_ids), injected, hops,
                 np.array(arrivals, dtype=float), injected_at,
-                route_hops[delivered_ids],
-                partial(_walk_packets, ends, routes, delivered_ids,
+                route_hops[delivered_ids].astype(float),
+                partial(_walk_packets, distinct, routing, delivered_ids,
                         injected_at, arrivals),
                 until,
             )
@@ -303,10 +305,7 @@ class MeshNoC:
         # completed at delivery (checkpoint-replay safe).
         tracer = getattr(sim.metrics, "tracer", None)
 
-        packets = [
-            Packet(*ends[r], injected_at=t, route=routes[r])
-            for t, r in zip(injection_arr.tolist(), route_ids.tolist())
-        ]
+        packets = _packets(distinct, routing, route_ids, injection_arr)
         links = self._links
         delivered: list[Packet] = []
         hop_lat = self.config.hop_latency
@@ -460,18 +459,55 @@ class MeshNoC:
             cycles=cycles, ledger=ledger, _packets=packets,
         )
 
+    def _chains(
+        self, distinct: np.ndarray, routing: str
+    ) -> tuple[list[tuple], np.ndarray]:
+        """Each distinct route's chain ``(queue, rest)`` of the link
+        queues it crosses, ending in ``None``, and its hop count.
+
+        Dimension-order routes are destination-based, so every route
+        through a node toward one destination shares its tail: one chain
+        per distinct ``(node, destination)``, built shortest first from
+        the numpy hops (:func:`dimension_order_hops`).  ``self._links``
+        gets the link states, keyed by link id."""
+        width = int(self.config.width)
+        src, dst = distinct[:, 0], distinct[:, 1]
+        counts, at, links = dimension_order_hops(src, dst, width, routing)
+        stops = np.cumsum(counts)
+        # Hops left to the destination, this one included.
+        left = np.repeat(stops, counts) - np.arange(len(at))
+        suffixes, suffix = _distinct_pairs(
+            at, np.repeat(dst[:, 0] + dst[:, 1] * width, counts),
+            width * int(self.config.height),
+        )
+        n = len(suffixes)
+        # One hop from each suffix: any one, as all of them go on alike.
+        hop = np.empty(n, dtype=np.intp)
+        hop[suffix] = np.arange(len(at))
+        # The suffix after that hop; ``n`` stands for ``None``.
+        rest = np.where(left[hop] == 1, n, np.append(suffix, n)[hop + 1])
+        ids, queue_of = np.unique(links[hop], return_inverse=True)
+        self._links = {link: _LinkState() for link in ids.tolist()}
+        queues = [state.queue for state in self._links.values()]
+        chains: list = [None] * (n + 1)
+        order = np.argsort(left[hop])
+        for s, q, r in zip(order.tolist(), queue_of[order].tolist(),
+                           rest[order].tolist()):
+            chains[s] = (queues[q], chains[r])
+        return [chains[s] for s in suffix[stops - counts].tolist()], counts
+
     def _walk(
         self,
-        routes: list[list[Coord]],
+        heads: list[tuple],
         route_ids: np.ndarray,
         inject_at: np.ndarray,
         until: float,
     ) -> tuple[int, int, list[int], list[int]]:
         """The kernel path's event order on a ring of per-cycle lists.
 
-        Each route becomes a chain ``(queue, rest)`` of the link queues
-        its hops cross, ending in ``None``; a queue entry is ``(ready,
-        packet index, rest of chain)``.  ``ring[t % (hop_latency + 1)]``
+        ``heads[r]`` is route ``r``'s chain of link queues
+        (:meth:`_chains`); a queue entry is ``(ready, packet index, rest
+        of chain)``.  ``ring[t % (hop_latency + 1)]``
         lists the link queues departing at cycle ``t`` in the order the
         kernel would have scheduled them, i.e. in seq order: no
         departure is ever scheduled more than ``hop_latency`` cycles
@@ -484,23 +520,10 @@ class MeshNoC:
         cycles, in delivery order.
         """
         hop_lat = int(self.config.hop_latency)
-        links = self._links
-        chains: list = []
-        for route in routes:
-            queues = []
-            for link in zip(route, route[1:]):
-                state = links.get(link)
-                if state is None:
-                    state = links[link] = _LinkState()
-                queues.append(state.queue)
-            chain = None
-            for queue in reversed(queues):
-                chain = (queue, chain)
-            chains.append(chain)
         order = np.argsort(inject_at, kind="stable")
         due = inject_at[order].tolist()
         index = order.tolist()
-        first = [chains[r] for r in route_ids[order].tolist()]
+        first = [heads[r] for r in route_ids[order].tolist()]
         n = len(index)
         size = hop_lat + 1
         ring: list[list[Deque]] = [[] for _ in range(size)]
@@ -566,17 +589,17 @@ class MeshNoC:
 
     def _route_table(
         self, pairs: Sequence[tuple[Coord, Coord]] | np.ndarray
-    ) -> tuple[list[tuple[Coord, Coord]], np.ndarray]:
-        """The distinct ``(src, dst)`` pairs in first-seen order, as
-        tuples of Python ints, and each packet's index into them.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct ``(src, dst)`` pairs, as a ``(k, 2, 2)`` int64
+        array, and each packet's index into them.
 
         The pairs are checked as one integer array; if that fails, each
         is checked in input order and the first bad one raises a
-        ``ValueError`` naming it.  Pairs are keyed ``src_node * nodes +
-        dst_node``, or by both node ids where that could overflow int64.
+        ``ValueError`` naming it.  The distinct pairs come in the order
+        of their node ids (:func:`_distinct_pairs`).
         """
         if not len(pairs):
-            return [], np.zeros(0, dtype=np.intp)
+            return np.zeros((0, 2, 2), np.int64), np.zeros(0, np.intp)
         try:
             arr = np.asarray(pairs)
         except ValueError:  # ragged: some pair is not two coordinates
@@ -598,18 +621,9 @@ class MeshNoC:
                 raise ValueError(f"pairs of shape {arr.shape}, not (n, 2, 2)")
         # Inside the mesh, every coordinate and node id fits int64.
         arr = arr.astype(np.int64, copy=False)
-        nodes = width * height
         ids = arr[..., 0] + arr[..., 1] * width
-        if nodes <= 2**31:  # keys below 2**62
-            ids = ids[:, 0] * nodes + ids[:, 1]
-        _, first, inverse = np.unique(ids, return_index=True,
-                                      return_inverse=True, axis=0)
-        # ``np.unique`` numbers the pairs by key; renumber by first sight.
-        seen = np.argsort(first)
-        rank = np.empty_like(seen)
-        rank[seen] = np.arange(len(seen))
-        sx, sy, dx, dy = arr[first[seen]].reshape(-1, 4).T.tolist()
-        return list(zip(zip(sx, sy), zip(dx, dy))), rank[inverse.reshape(-1)]
+        ends, route_ids = _distinct_pairs(ids[:, 0], ids[:, 1], width * height)
+        return np.stack([ends % width, ends // width], axis=2), route_ids
 
     def _check_pair(self, src: Coord, dst: Coord) -> None:
         for c in (src, dst):
@@ -623,9 +637,39 @@ class MeshNoC:
             raise ValueError("self-loop packet")
 
 
+def _distinct_pairs(
+    a: np.ndarray, b: np.ndarray, nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pairs ``(a[i], b[i])`` of node ids below ``nodes``,
+    sorted, as ``(k, 2)`` rows, and each pair's index into them: keyed
+    ``a * nodes + b``, or as rows where that key could overflow int64.
+    No first indices: their stable sort is about 3x slower."""
+    if nodes > 2**31:
+        rows, inverse = np.unique(np.stack([a, b], axis=1),
+                                  return_inverse=True, axis=0)
+        return rows, inverse.reshape(-1)
+    keys, inverse = np.unique(a * nodes + b, return_inverse=True)
+    return np.stack(np.divmod(keys, nodes), axis=1), inverse
+
+
+def _packets(
+    distinct: np.ndarray,
+    routing: str,
+    route_ids: np.ndarray,
+    injected_at: np.ndarray,
+) -> list[Packet]:
+    """One :class:`Packet` per ``route_ids`` entry, injected at
+    ``injected_at``, on the scalar route (each distinct pair routed once)."""
+    sx, sy, dx, dy = distinct.reshape(-1, 4).T.tolist()
+    ends = list(zip(zip(sx, sy), zip(dx, dy)))
+    routes = [ROUTES[routing](src, dst) for src, dst in ends]
+    return [Packet(*ends[r], injected_at=t, route=routes[r])
+            for r, t in zip(route_ids.tolist(), injected_at.tolist())]
+
+
 def _walk_packets(
-    ends: list[tuple[Coord, Coord]],
-    routes: list[list[Coord]],
+    distinct: np.ndarray,
+    routing: str,
     route_ids: np.ndarray,
     injected_at: np.ndarray,
     arrivals: list[int],
@@ -633,14 +677,10 @@ def _walk_packets(
     """The walk's deliveries as :class:`Packet` objects, in delivery
     order; ``route_ids``, ``injected_at`` and ``arrivals`` run parallel.
     A module-level function, so a result stays picklable."""
-    built = []
-    for r, t, at in zip(route_ids.tolist(), injected_at.tolist(), arrivals):
-        src, dst = ends[r]
-        route = routes[r]
-        built.append(Packet(
-            src=src, dst=dst, injected_at=t, route=route,
-            hop_index=len(route) - 1, delivered_at=float(at),
-        ))
+    built = _packets(distinct, routing, route_ids, injected_at)
+    for packet, at in zip(built, arrivals):
+        packet.hop_index = len(packet.route) - 1
+        packet.delivered_at = float(at)
     return built
 
 

@@ -20,10 +20,11 @@ that is negative or not finite.  A lane with no records is a
 heap only while every server is busy, and a request finishing at an
 arrival's time is still in flight then: the kernel ran the bulk-loaded
 arrival first.  The ``noc`` sink passes its packets as one ``(n, 2, 2)``
-coordinate array and no kernel to
+coordinate array, its ``routing`` name and no kernel to
 :meth:`repro.interconnect.noc.MeshNoC.run`, which numbers the distinct
-pairs in numpy and walks its ring of per-cycle departure lists; the
-sink reads the result's per-packet ``latencies`` and ``hops`` arrays, not its packets.  The
+pairs and builds their hops in numpy and walks its ring of per-cycle
+departure lists; the sink reads the result's per-packet ``latencies``
+and ``hops`` arrays, not its packets.  The
 ``wear`` sink applies its write stream in closed form.
 
 Sinks (:data:`SINKS`):
@@ -33,8 +34,8 @@ Sinks (:data:`SINKS`):
   championship's plug point), each server taking its records in stable
   timestamp order.
 * ``noc``     — request records as node-to-node packets through
-  :class:`repro.interconnect.noc.MeshNoC` with a pluggable route
-  function (the routing championship's plug point).
+  :class:`repro.interconnect.noc.MeshNoC`, routed ``xy`` or ``yx``
+  by name (the routing championship's plug point).
 * ``memory``  — memory records through the default
   :class:`repro.memory.hierarchy.MemoryHierarchy`, one level at a time:
   L1 filters the whole stream in stable timestamp order, and each next
@@ -271,18 +272,10 @@ def _replay_noc(
     max_cycles: int = 500_000,
 ) -> Dict[str, Any]:
     """Request records as packets on a ``width`` x ``height`` mesh, given
-    to :meth:`MeshNoC.run` as one ``(n, 2, 2)`` array of coordinates."""
+    to :meth:`MeshNoC.run` as one ``(n, 2, 2)`` array of coordinates and
+    routed ``xy`` or ``yx``."""
     from ..interconnect.noc import MeshNoC, NoCConfig
-    from ..interconnect.topology import xy_route, yx_route
 
-    routes = {"xy": xy_route, "yx": yx_route}
-    try:
-        route_fn = routes[routing]
-    except KeyError:
-        raise ValueError(
-            f"unknown routing {routing!r}; choose from "
-            f"{', '.join(sorted(routes))}"
-        ) from None
     # The mesh is checked before any node-id arithmetic: a zero width
     # would divide by zero below.
     noc = MeshNoC(NoCConfig(width=width, height=height))
@@ -306,7 +299,7 @@ def _replay_noc(
         pairs,
         injection_times=cycles,
         max_cycles=max_cycles,
-        route_fn=route_fn,
+        routing=routing,
     )
     # The per-packet arrays, never ``result.delivered``: on the walk
     # that would build one Packet per delivery.

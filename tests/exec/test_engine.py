@@ -1,5 +1,7 @@
 """Tests for the execution engine: scheduling, cache, retries, report."""
 
+import errno
+import os
 import time
 
 import pytest
@@ -295,6 +297,33 @@ class TestEngineCache:
         assert warm.cache_hits() == 1
         assert cold.result("t") == {"pair": [1, 2]}  # tuple → list, cold too
         assert cold.result("t") == warm.result("t")
+
+    def test_a_full_disk_fails_no_job(self, tmp_path, monkeypatch):
+        """A cache write that raises ``OSError`` is counted, not fatal."""
+
+        def build():
+            return JobGraph([Job(id="t", fn=tuple_result_job),
+                             Job(id="e", fn=config_echo, config={"x": 1})])
+
+        clean = ExecutionEngine(cache=ResultCache(tmp_path / "clean",
+                                                  version="t")).run(build())
+        replace = os.replace
+
+        def disk_full(src, dst):
+            if str(tmp_path / "full") in str(dst):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        cache = ResultCache(tmp_path / "full", version="t")
+        report = ExecutionEngine(runner=SerialRunner(), cache=cache).run(
+            build())
+        assert [report[j].status for j in ("t", "e")] == [
+            JobStatus.SUCCEEDED] * 2
+        assert report.result("t") == clean.result("t") == {"pair": [1, 2]}
+        assert report.result("e") == clean.result("e")
+        assert cache.stats()["write_failed"] == 2 and cache.writes == 0
+        assert not list((tmp_path / "full").rglob("*.json"))
 
     def test_failed_jobs_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path, version="t")

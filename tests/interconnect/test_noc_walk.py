@@ -14,13 +14,16 @@ both paths, and a non-integer coordinate fails before routing instead
 of hanging.
 
 ``MeshNoC._route_table`` checks and numbers the packets' ``(src, dst)``
-pairs as one numpy array.  Its reference is the per-pair loop it
-replaced (:func:`reference_route_table`): lists of Python and numpy
-ints and arrays of every integer dtype, heavy with repeated pairs, must
-give the same distinct pairs in the same order, the same route ids and
-the same ``route_fn`` calls, and one bad pair the same exception.
-Pairs keyed ``src_node * nodes + dst_node`` and, on a mesh too large
-for that key, by node-id rows must be numbered alike.
+pairs as one numpy array, in node-id order.  Its reference is the
+per-pair loop it replaced (:func:`reference_route_table`), which
+numbered them in first-seen order: lists of Python and numpy ints and
+arrays of every integer dtype, heavy with repeated pairs, must give the
+same distinct pairs, each packet the same one, the same routes, and one
+bad pair the same exception, on both paths.  Pairs
+keyed ``src_node * nodes + dst_node`` and, on a mesh too large for that
+key, by node-id rows must be numbered alike.  An unknown ``routing``
+name is the same ``ValueError`` on both paths and through the ``noc``
+replay sink.
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ from repro.core import instrument
 from repro.core.events import Simulator
 from repro.core.units import is_integer
 from repro.interconnect import MeshNoC, NoCConfig
-from repro.interconnect.topology import xy_route, yx_route
+from repro.interconnect.topology import ROUTES
+from repro.traces.format import KIND_REQUEST
+from repro.traces.generators import generate
+from repro.traces.replay import replay
 
 #: A failure reports the example it drew, in seconds, not a minimal one.
 NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
@@ -71,20 +77,20 @@ def workloads(draw):
         times = sorted(draw(st.lists(st.integers(0, 40), min_size=n,
                                      max_size=n)))
     max_cycles = draw(st.one_of(st.just(200_000), st.integers(0, 40)))
-    route_fn = draw(st.sampled_from([xy_route, yx_route]))
+    routing = draw(st.sampled_from(["xy", "yx"]))
     return (NoCConfig(width=width, height=height, router_delay_cycles=router,
                       link_delay_cycles=link),
-            pairs, np.asarray(times, dtype=float), max_cycles, route_fn)
+            pairs, np.asarray(times, dtype=float), max_cycles, routing)
 
 
-def _run(cfg, pairs, times, max_cycles, route_fn, sim):
+def _run(cfg, pairs, times, max_cycles, routing, sim):
     """One run on a fresh enabled session: the result and its metrics."""
     prev = instrument.install_session(instrument.MetricsRegistry(enabled=True))
     try:
         kernel = sim() if sim is not None else None
         res = MeshNoC(cfg).run(pairs, injection_times=times,
                                max_cycles=max_cycles, sim=kernel,
-                               route_fn=route_fn)
+                               routing=routing)
         state = instrument.default_registry().to_state()
     finally:
         instrument.install_session(prev)
@@ -123,8 +129,8 @@ def test_same_cycle_departure_runs_after_earlier_ones():
                     link_delay_cycles=0)
     pairs = [((0, 0), (3, 0)), ((2, 1), (3, 0))]
     times = np.array([0.0, 1.0])
-    walk = _run(cfg, pairs, times, 200_000, yx_route, sim=None)
-    assert walk == _run(cfg, pairs, times, 200_000, yx_route, sim=Simulator)
+    walk = _run(cfg, pairs, times, 200_000, "yx", sim=None)
+    assert walk == _run(cfg, pairs, times, 200_000, "yx", sim=Simulator)
     assert [(d[0], d[3]) for d in walk[0]] == [((0, 0), 3.0), ((2, 1), 4.0)]
 
 
@@ -285,18 +291,23 @@ def _nested_tuples(value):
     return value
 
 
-class _Recorder:
-    """A route function that records its calls and routes on Python
-    ints: the per-pair loop passed numpy coordinates through, and
-    ``xy_route`` overflowed stepping an unsigned one down."""
+def _by_first_sight(distinct, route_ids):
+    """A route table as ``(ends, route_ids)`` lists, renumbered in the
+    order the pairs first appear, as the per-pair loop numbered them.
+    Every distinct pair must be some packet's."""
+    seen = list(dict.fromkeys(route_ids.tolist()))
+    assert sorted(seen) == list(range(len(distinct)))
+    rank = {r: i for i, r in enumerate(seen)}
+    ends = list(_nested_tuples(distinct))
+    return [ends[r] for r in seen], [rank[r] for r in route_ids.tolist()]
 
-    def __init__(self, route_fn):
-        self.route_fn = route_fn
-        self.calls = []
 
-    def __call__(self, src, dst):
-        self.calls.append((src, dst))
-        return self.route_fn(tuple(map(int, src)), tuple(map(int, dst)))
+def _on_python_ints(route_fn):
+    """``route_fn`` on Python ints: the per-pair loop passed numpy
+    coordinates through, and ``xy_route`` overflowed stepping an
+    unsigned one down."""
+    return lambda src, dst: route_fn(tuple(map(int, src)),
+                                     tuple(map(int, dst)))
 
 
 def _outcome(fn):
@@ -364,39 +375,39 @@ def route_tables(draw):
         else:
             pairs = list(_nested_tuples(pairs) if form == "array" else pairs)
             pairs.insert(i, (src, dst))
-    route_fn = draw(st.sampled_from([xy_route, yx_route]))
-    return NoCConfig(width=width, height=height), pairs, route_fn
+    routing = draw(st.sampled_from(["xy", "yx"]))
+    return NoCConfig(width=width, height=height), pairs, routing
 
 
 @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(route_tables())
 def test_route_table_matches_the_per_pair_loop(case):
-    cfg, pairs, route_fn = case
-    reference = _Recorder(route_fn)
+    cfg, pairs, routing = case
+    route_fn = ROUTES[routing]
     # The loop hashes its pairs, so it reads an array as tuples.
     ref_pairs = (_nested_tuples(pairs) if isinstance(pairs, np.ndarray)
                  else pairs)
-    want = _outcome(lambda: reference_route_table(cfg, ref_pairs,
-                                                  reference))
-
-    recorder = _Recorder(route_fn)
+    want = _outcome(lambda: reference_route_table(
+        cfg, ref_pairs, _on_python_ints(route_fn)))
     noc = MeshNoC(cfg)
 
     def table():
-        ends, route_ids = noc._route_table(pairs)
-        assert route_ids.dtype == np.intp
-        assert all(type(c) is int for end in ends for xy in end for c in xy)
-        return ends, route_ids.tolist(), [route_fn(*end) for end in ends]
+        distinct, route_ids = noc._route_table(pairs)
+        assert distinct.dtype == np.int64 and route_ids.dtype == np.intp
+        # The distinct pairs come in the order of their node ids.
+        ids = distinct[..., 0] + distinct[..., 1] * cfg.width
+        assert (np.diff(ids[:, 0] * cfg.width * cfg.height + ids[:, 1])
+                > 0).all()
+        ends, route_ids = _by_first_sight(distinct, route_ids)
+        return ends, route_ids, [route_fn(*end) for end in ends]
 
     got = _outcome(table)
     assert got == want
-    # ``run`` routes each distinct pair once, in first-seen order.
-    run = _outcome(lambda: noc.run(pairs, route_fn=recorder).dropped)
-    if isinstance(want[0], type):
-        assert run == want
-    else:
-        assert run == 0
-        assert recorder.calls == reference.calls
+    for sim in (None, Simulator):
+        run = _outcome(lambda: noc.run(
+            pairs, routing=routing,
+            sim=sim() if sim is not None else None).dropped)
+        assert run == (want if isinstance(want[0], type) else 0)
 
 
 @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
@@ -423,9 +434,10 @@ def test_pair_keys_and_node_id_rows_number_pairs_alike(
     tall = NoCConfig(width=width, height=2**31 // width + 1)
     want = MeshNoC(NoCConfig(width=width, height=height))._route_table(pairs)
     got = MeshNoC(tall)._route_table(pairs)
-    assert got[0] == want[0]
+    assert got[0].tolist() == want[0].tolist()
     assert got[1].tolist() == want[1].tolist()
-    assert want[0] == list(dict.fromkeys(_nested_tuples(pairs)))
+    assert (_by_first_sight(*want)[0]
+            == list(dict.fromkeys(_nested_tuples(pairs))))
 
 
 @pytest.mark.parametrize("sim", [None, Simulator], ids=["walk", "kernel"])
@@ -437,9 +449,9 @@ def test_list_and_array_pairs_run_alike(sim):
     arr = np.stack([ids[:, 0] % 4, ids[:, 0] // 4, ids[:, 1] % 4,
                     ids[:, 1] // 4], axis=1).reshape(-1, 2, 2)
     times = np.sort(rng.integers(0, 50, size=len(arr))).astype(float)
-    as_list = _run(cfg, _nested_tuples(arr), times, 200_000, xy_route, sim)
+    as_list = _run(cfg, _nested_tuples(arr), times, 200_000, "xy", sim)
     for dtype in (np.int64, np.uint8):
-        assert _run(cfg, arr.astype(dtype), times, 200_000, xy_route,
+        assert _run(cfg, arr.astype(dtype), times, 200_000, "xy",
                     sim) == as_list
 
 
@@ -460,9 +472,25 @@ def test_mesh_whose_pair_keys_overflow_int64_routes(sim):
     pairs = [((far, far), (far - 1, far)), ((far, far - 1), (far, far)),
              ((far, far), (far - 1, far)), ((far - 1, far), (far, far))]
     noc = MeshNoC(NoCConfig(width=side, height=side))
-    ends, route_ids = noc._route_table(np.array(pairs))
+    ends, route_ids = _by_first_sight(*noc._route_table(np.array(pairs)))
     assert ends == [pairs[0], pairs[1], pairs[3]]
-    assert route_ids.tolist() == [0, 1, 0, 2]
+    assert route_ids == [0, 1, 0, 2]
     res = noc.run(pairs, sim=sim() if sim is not None else None)
     assert res.dropped == 0 and res.hops.tolist() == [1.0] * 4
     assert sorted(res.latencies.tolist()) == [3.0, 3.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("routing", ["zx", "XY", "", "x"])
+def test_unknown_routing_is_one_error_on_both_paths_and_the_sink(routing):
+    message = f"unknown routing {routing!r}; choose from xy, yx"
+    pairs = [((0, 0), (1, 1))]
+    for sim in (None, Simulator()):
+        with pytest.raises(ValueError) as err:
+            MeshNoC(NoCConfig(width=2, height=2)).run(pairs, sim=sim,
+                                                      routing=routing)
+        assert str(err.value) == message
+    _, arr = generate("noc-uniform", seed=1, n=50, nodes=16)
+    with pytest.raises(ValueError) as err:
+        replay([(KIND_REQUEST, arr)], sink="noc",
+               sink_params={"width": 4, "height": 4, "routing": routing})
+    assert str(err.value) == message

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.core.events import Simulator
 from repro.interconnect.noc import MeshNoC, NoCConfig, NoCResult
-from repro.interconnect.topology import xy_route, yx_route
 from repro.traces.format import KIND_REQUEST, dtype_for
 from repro.traces.generators import generate
 from repro.traces.replay import SINKS, _quantiles, _time_ordered, replay
@@ -41,7 +40,6 @@ def reference_noc(
     max_cycles: int = 500_000,
 ) -> Dict[str, Any]:
     """The Packet-reading sink, on the kernel path."""
-    route_fn = {"xy": xy_route, "yx": yx_route}[routing]
     arr, _ = _time_ordered(blocks)
     nodes = width * height
     src_ids = arr["client"] % nodes
@@ -62,7 +60,7 @@ def reference_noc(
         injection_times=cycles,
         max_cycles=max_cycles,
         sim=Simulator(),
-        route_fn=route_fn,
+        routing=routing,
     )
     delivered = result.delivered
     lat = (
