@@ -295,7 +295,7 @@ def serve_rps_summary(rows: list[dict]) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Hedged vs unhedged tail latency (PR9): the router's HedgePolicy must
+# Hedged vs unhedged tail latency: the serve hedge (HedgedRunner) must
 # buy a measured p99 improvement on a straggler-laced closed loop.
 # ---------------------------------------------------------------------------
 

@@ -46,6 +46,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ._cli import positive_float
+
 
 def _expand_ids(tokens: list[str]) -> list[str]:
     """Split comma-separated id lists: ``["E07,E21", "E03"]`` -> 3 ids."""
@@ -158,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         help="retry a failing experiment up to K times with backoff (default 0)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
+        "--timeout", type=positive_float, default=None, metavar="S",
         help=(
             "per-experiment timeout in seconds; on worker processes "
             "(--jobs > 1) a hung experiment's worker is killed and, "
@@ -196,8 +198,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--jobs must be >= 1")
     if args.retries < 0:
         parser.error("--retries must be >= 0")
-    if args.timeout is not None and args.timeout <= 0:
-        parser.error("--timeout must be positive")
 
     from .analysis import REGISTRY
     from .core import instrument

@@ -10,15 +10,13 @@ library sits on:
   callables with explicit dependencies and deterministic per-job seeds.
 * :mod:`repro.exec.runners` — the :class:`Runner` protocol and the
   in-process :class:`SerialRunner`.
-* :mod:`repro.exec.backends` — the routed multi-backend layer: the
-  :class:`Backend` capability protocol, the elastic TCP
-  :class:`SocketWorkerBackend` (``python -m repro workers`` attaches
-  external workers), the local :class:`PoolBackend` (N spawned socket
-  workers, replaced when lost: per-job timeout and worker-crash
-  containment), the batch :class:`ArrayBackend` (array-task
-  manifests), and :class:`BackendRouter` placing jobs per an explicit
-  :class:`RoutingPolicy`.  :func:`make_backend` builds any of them by
-  name — the CLI's ``--backend`` flag.
+* :mod:`repro.exec.backends` — the backends: the :class:`Backend`
+  protocol, the elastic TCP :class:`SocketWorkerBackend` (``python -m
+  repro workers`` attaches external workers), the local
+  :class:`PoolBackend` (N spawned socket workers, replaced when lost:
+  per-job timeout and worker-crash containment), and the batch
+  :class:`ArrayBackend` (array-task manifests).  :func:`make_backend`
+  builds any of them by name — the CLI's ``--backend`` flag.
 * :mod:`repro.exec.cache` — :class:`ResultCache`: content-addressed
   on-disk JSON artifacts keyed by callable + canonical config +
   library version; corruption is a miss, never a crash.
@@ -44,9 +42,8 @@ from .._lazy import lazy_exports
 
 _EXPORTS = {
     "backends": ("ArrayBackend", "Backend", "BackendCapabilities",
-                 "BackendRouter", "PoolBackend", "RoutingError",
-                 "RoutingPolicy", "SocketWorkerBackend",
-                 "available_backends", "capabilities_of", "make_backend"),
+                 "PoolBackend", "SocketWorkerBackend", "available_backends",
+                 "capabilities_of", "make_backend"),
     "cache": ("ResultCache", "cache_key", "canonicalize", "repro_version"),
     "engine": ("ExecutionEngine", "JobRecord", "JobStatus", "RunReport",
                "run_jobs"),

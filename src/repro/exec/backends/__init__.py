@@ -1,11 +1,10 @@
-"""repro.exec.backends — routed multi-backend execution.
+"""repro.exec.backends — the execution backends.
 
 The execution layer's backend seam:
 
 * :mod:`~repro.exec.backends.base` — the :class:`Backend` protocol:
-  a :class:`~repro.exec.runners.Runner` that describes itself via
-  :class:`BackendCapabilities` (parallelism, heartbeat, preemption,
-  locality tags).
+  a :class:`~repro.exec.runners.Runner` that names itself via
+  :class:`BackendCapabilities`.
 * :mod:`~repro.exec.backends.frames` — the versioned tagged-frame wire
   format socket workers speak (version byte fails loud on mismatch;
   unknown tags skip gracefully).
@@ -15,9 +14,9 @@ The execution layer's backend seam:
   replaced when lost.
 * :mod:`~repro.exec.backends.array` — array/batch manifests
   (plan/submit-script/collect) plus an engine-driven batching backend.
-* :mod:`~repro.exec.backends.router` — :class:`BackendRouter`, a
-  Runner facade that places each job on one named backend per an
-  explicit :class:`RoutingPolicy`.
+* :mod:`~repro.exec.backends.hedge` — :class:`HedgedRunner`, which
+  wraps one backend and duplicates any job still running after a fixed
+  delay (``repro serve --hedge-ms``).
 
 :func:`make_backend` is the one-string factory the CLI, ``run_jobs``,
 the experiment registry and the resilience campaign share:
@@ -46,8 +45,7 @@ _EXPORTS = {
     "frames": ("FRAME_TAGS", "PROTOCOL_VERSION", "FrameCorruptError",
                "FrameError", "FrameProtocolError", "FrameVersionError",
                "recv_frame", "send_frame"),
-    "router": ("BackendRouter", "HedgePolicy", "RoutingError",
-               "RoutingPolicy", "VerifyPolicy"),
+    "hedge": ("HedgedRunner",),
     "socket_worker": ("PoolBackend", "SocketWorkerBackend",
                       "spawn_local_worker", "worker_main"),
 }

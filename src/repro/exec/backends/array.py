@@ -25,9 +25,8 @@ waiting (or the queue has lingered), a shard is written and launched as
 a local task process — the loopback stand-in for ``sbatch``.  ``poll``
 reaps finished tasks by reading their result files, which is exactly
 how a real array run reports: through the filesystem, not a pipe.
-Heartbeats cannot stream out of a batch task, so the backend advertises
-``supports_heartbeat=False`` and the router prefers other backends for
-watchdog-armed jobs; timeouts are enforced per *task* (the whole shard
+Heartbeats cannot stream out of a batch task, so the hang watchdog
+never fires here; timeouts are enforced per *task* (the whole shard
 is killed and each unfinished job reports ``timeout``).
 """
 
@@ -398,17 +397,7 @@ class ArrayBackend:
     # -- Backend protocol --------------------------------------------------
 
     def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            name="array",
-            max_parallelism=self.max_parallel * self.shard_size,
-            supports_heartbeat=False,  # batch tasks report via files
-            supports_preemption=True,  # whole-shard kill on task timeout
-            locality=("local", "batch", "array"),
-            description=(
-                f"array-task manifests under {self.root} "
-                f"(shard={self.shard_size}, parallel={self.max_parallel})"
-            ),
-        )
+        return BackendCapabilities(name="array")
 
     def capacity(self) -> int:
         # Queue-based: the engine may hand over every ready job; shards

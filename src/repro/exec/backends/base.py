@@ -1,34 +1,22 @@
-"""The Backend protocol: what a routed execution backend must provide.
+"""The Backend protocol: a Runner that names itself.
 
 A *backend* is a :class:`~repro.exec.runners.Runner` (the engine's
 poll-based execution seam: ``capacity``/``active``/``submit``/``poll``/
-``shutdown``) that additionally *describes itself* via
-:meth:`Backend.capabilities`.  The description is what lets a
-:class:`~repro.exec.backends.router.BackendRouter` choose a backend per
-job instead of the caller hard-wiring one:
+``shutdown``) that also describes itself via
+:meth:`Backend.capabilities`.  The description is the backend's
+``name`` (``serial``, ``pool``, ``socket``, ``array``), which
+:class:`~repro.exec.engine.RunReport` and the resilience campaign
+report.
 
-* ``max_parallelism`` — how many attempts can genuinely execute at
-  once (``0`` means elastic: the backend queues and the limit is
-  whatever workers are attached at the moment);
-* ``supports_heartbeat`` — whether ``heartbeat(progress)`` frames reach
-  the coordinator *live* (required for the hang watchdog to fire before
-  the wall-clock deadline);
-* ``supports_preemption`` — whether a running attempt can be killed
-  (live timeout enforcement vs. the serial runner's post-hoc
-  classification);
-* ``locality`` — tags naming where the backend runs work
-  (``"local"``, ``"socket"``, ``"batch"``, ``"host:<name>"``...).  A
-  job's own ``locality`` tags must be a subset of its backend's.
-
-Legacy runners that predate the protocol keep working:
-:func:`capabilities_of` infers a conservative description for any
-object that only implements the bare Runner protocol.
+Runners that predate the protocol keep working: :func:`capabilities_of`
+names any object that only implements the bare Runner protocol after
+its type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Tuple, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from ..runners import Runner
 
@@ -37,53 +25,24 @@ __all__ = ["Backend", "BackendCapabilities", "capabilities_of"]
 
 @dataclass(frozen=True)
 class BackendCapabilities:
-    """Self-description a backend hands to the router."""
+    """Self-description a backend hands to its reports."""
 
     name: str
-    #: Concurrent-attempt ceiling; 0 = elastic (queue now, execute as
-    #: workers attach).
-    max_parallelism: int
-    #: Heartbeats reach the coordinator while the attempt runs.
-    supports_heartbeat: bool
-    #: A running attempt can be killed (live timeout/hang enforcement).
-    supports_preemption: bool
-    #: Where work lands; a job routes only to backends whose tags cover
-    #: the job's own ``locality`` tags.
-    locality: Tuple[str, ...] = ()
-    description: str = ""
-
-    def satisfies(self, tags: Tuple[str, ...]) -> bool:
-        """True when this backend covers every requested locality tag."""
-        return set(tags).issubset(self.locality)
 
 
 @runtime_checkable
 class Backend(Runner, Protocol):
-    """A Runner that can describe itself to the router."""
+    """A Runner that can describe itself."""
 
     def capabilities(self) -> BackendCapabilities:
         ...
 
 
 def capabilities_of(runner: Runner) -> BackendCapabilities:
-    """Capabilities of any runner, inferring for pre-protocol ones.
-
-    A legacy runner gets a conservative description: its current
-    ``capacity() + active()`` as the parallelism bound, no live
-    heartbeat/preemption promises, and plain ``local`` locality — the
-    router will still schedule on it, it just won't be preferred for
-    watchdog-armed jobs.
-    """
+    """Capabilities of any runner, named after its type if it has none."""
     caps = getattr(runner, "capabilities", None)
     if callable(caps):
         got = caps()
         if isinstance(got, BackendCapabilities):
             return got
-    return BackendCapabilities(
-        name=type(runner).__name__,
-        max_parallelism=max(1, runner.capacity() + runner.active()),
-        supports_heartbeat=False,
-        supports_preemption=False,
-        locality=("local",),
-        description="inferred for a pre-protocol Runner",
-    )
+    return BackendCapabilities(name=type(runner).__name__)

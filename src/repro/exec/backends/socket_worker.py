@@ -274,8 +274,8 @@ class _Pending:
     beats: int = 0
     progress: Optional[float] = None
     telemetry: Optional[dict] = None
-    #: Cancelled by the router (a hedge lost the race): the eventual
-    #: result is discarded instead of reported.
+    #: Cancelled (a hedge lost the race): the eventual result is
+    #: discarded instead of reported.
     abandoned: bool = False
 
 
@@ -346,9 +346,6 @@ class SocketWorkerBackend:
         self._breaker_failures: Dict[str, int] = {}
         self._breaker_open_until: Dict[str, float] = {}
         self.breaker_rejections = 0
-        #: Worker names quarantined by the verification layer — their
-        #: registrations are refused permanently for this backend's life.
-        self._quarantined: set[str] = set()
         self._lock = threading.RLock()
         self._queue: Deque[_Pending] = deque()
         self._queued_ids: set[str] = set()
@@ -387,19 +384,7 @@ class SocketWorkerBackend:
     # -- Backend protocol --------------------------------------------------
 
     def capabilities(self) -> BackendCapabilities:
-        with self._lock:
-            attached = len(self._workers)
-        return BackendCapabilities(
-            name="socket",
-            max_parallelism=0,  # elastic: whoever is registered right now
-            supports_heartbeat=True,
-            supports_preemption=True,  # a hung/overdue worker is dropped
-            locality=("local", "socket"),
-            description=(
-                f"elastic socket workers on {self.address[0]}:"
-                f"{self.address[1]} ({attached} attached)"
-            ),
-        )
+        return BackendCapabilities(name="socket")
 
     def capacity(self) -> int:
         with self._lock:
@@ -478,28 +463,6 @@ class SocketWorkerBackend:
             else:
                 self._count("abandoned")
             return True
-
-    def quarantine_worker(self, name: str) -> bool:
-        """Ban a suspect worker (verification vote-loser) by name.
-
-        Its current registration is dropped (any in-flight job comes
-        back as a crash attempt, so the engine re-runs it elsewhere) and
-        future registrations under that name are refused.
-        """
-        with self._lock:
-            self._quarantined.add(name)
-            victim = next(
-                (w for w in self._workers.values() if w.name == name), None
-            )
-        if victim is not None:
-            self._drop(victim, "worker quarantined by result verification")
-            self._count("quarantined")
-            return True
-        return False
-
-    def quarantined_workers(self) -> list[str]:
-        with self._lock:
-            return sorted(self._quarantined)
 
     def poll(self) -> List[Attempt]:
         now = time.perf_counter()
@@ -597,7 +560,6 @@ class SocketWorkerBackend:
                     for name, until in self._breaker_open_until.items()
                     if time.perf_counter() < until
                 ),
-                "quarantined": sorted(self._quarantined),
             }
 
     def spawned_processes(self) -> List[mp.Process]:
@@ -625,8 +587,6 @@ class SocketWorkerBackend:
 
     def _admit(self, name: str) -> bool:
         """May a worker with this name (re-)register? (lock held)"""
-        if name in self._quarantined:
-            return False
         open_until = self._breaker_open_until.get(name)
         if open_until is not None:
             if time.perf_counter() < open_until:
@@ -677,7 +637,7 @@ class SocketWorkerBackend:
                 conn.close()
                 return
             if name and not self._admit(name):
-                # Quarantined or breaker-open: refuse the registration.
+                # Breaker-open: refuse the registration.
                 self.breaker_rejections += 1
                 self._count("breaker_rejected")
                 try:
@@ -745,8 +705,7 @@ class SocketWorkerBackend:
                         if not pending.abandoned:
                             self._done.append(
                                 self._attempt(
-                                    pending, status, result, err, now,
-                                    worker.name,
+                                    pending, status, result, err, now
                                 )
                             )
                         self._assigned.pop(pending.job.id, None)
@@ -800,7 +759,6 @@ class SocketWorkerBackend:
         result: Any,
         error: Optional[str],
         now: float,
-        worker: Optional[str] = None,
     ) -> Attempt:
         return Attempt(
             pending.job.id,
@@ -811,7 +769,6 @@ class SocketWorkerBackend:
             progress=pending.progress,
             heartbeats=pending.beats,
             telemetry=pending.telemetry,
-            worker=worker,
         )
 
     def _pump(self) -> None:
@@ -853,7 +810,7 @@ class SocketWorkerBackend:
         if pending is not None:
             if not pending.abandoned:
                 self._done.append(
-                    self._attempt(pending, status, None, error, now, worker.name)
+                    self._attempt(pending, status, None, error, now)
                 )
             self._assigned.pop(pending.job.id, None)
             worker.current = None
@@ -879,7 +836,6 @@ class SocketWorkerBackend:
                             None,
                             f"worker {worker.name} lost mid-job: {error}",
                             time.perf_counter(),
-                            worker.name,
                         )
                     )
                 self._assigned.pop(pending.job.id, None)
@@ -975,7 +931,7 @@ class PoolBackend(SocketWorkerBackend):
 
     A fixed local roster on the socket transport.  ``capacity()`` is
     ``workers - active()``, so the engine never queues more attempts
-    than there are workers and a router ranks it by free slots.  A
+    than there are workers, and a hedge launches only into a free slot.  A
     worker lost to its job's crash, timeout, hang or cancel is killed
     and respawned; a crash names the dead worker's exit code.
     """
@@ -989,14 +945,4 @@ class PoolBackend(SocketWorkerBackend):
         self.workers = workers
 
     def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            name="pool",
-            max_parallelism=self.workers,
-            supports_heartbeat=True,
-            supports_preemption=True,
-            locality=("local", "pool"),
-            description=(
-                f"{self.workers} spawned socket workers, replaced when "
-                "lost; crash containment + live watchdog"
-            ),
-        )
+        return BackendCapabilities(name="pool")

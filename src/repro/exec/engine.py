@@ -91,14 +91,8 @@ class RunReport:
     #: see :func:`repro.obs.telemetry.merge_job_telemetry`.
     telemetry: Optional[dict] = None
     #: Name of the backend that executed the run (capabilities name,
-    #: e.g. ``serial``/``pool``/``socket``/``array``/``router``).
+    #: e.g. ``serial``/``pool``/``socket``/``array``).
     backend: Optional[str] = None
-    #: Routing provenance from a router-backed run (placements, hedge
-    #: wins, verification outcomes, suspect workers) — see
-    #: :meth:`repro.exec.backends.router.BackendRouter.routing_report`.
-    #: Excluded from :meth:`digest`: *where* and *how many times* a job
-    #: ran must never change what it computed.
-    routing: Optional[dict] = None
 
     def __getitem__(self, job_id: str) -> JobRecord:
         return self.records[job_id]
@@ -151,20 +145,6 @@ class RunReport:
                 parts.append(
                     f"{self.cache_stats['corrupt']} corrupt quarantined"
                 )
-        if self.routing:
-            hedges = self.routing.get("hedges") or {}
-            if hedges.get("launched"):
-                parts.append(
-                    f"{hedges['launched']} hedged"
-                    f" ({hedges.get('won', 0)} won)"
-                )
-            verification = self.routing.get("verification") or {}
-            outcomes = verification.get("outcomes") or {}
-            if outcomes.get("sdc"):
-                parts.append(f"{outcomes['sdc']} SDC outvoted")
-            suspects = verification.get("suspects") or []
-            if suspects:
-                parts.append("suspects: " + ",".join(suspects))
         parts.append(f"{self.wall_time_s:.2f}s")
         return ", ".join(parts)
 
@@ -177,7 +157,7 @@ class RunReport:
         Wall times, error strings (they embed durations and worker
         names), attempt counts (retries are a property of the *run's
         luck* — an injected transport fault costs a retry, never a
-        different answer), routing provenance, and cache provenance are
+        different answer), the backend name, and cache provenance are
         all excluded, so the same seeded sweep must produce the same
         digest on the serial, process-pool, and socket backends — with
         or without transport chaos; the backend-equivalence suite and
@@ -554,9 +534,6 @@ class ExecutionEngine:
             cache_stats=self.cache.stats() if self.cache is not None else {},
             backend=capabilities_of(self.runner).name,
         )
-        routing_report = getattr(self.runner, "routing_report", None)
-        if callable(routing_report):
-            report.routing = routing_report()
         if self.telemetry is not None:
             # Merge once, after the run, in sorted job order — never at
             # absorb time, which follows nondeterministic pool timing.

@@ -78,14 +78,6 @@ class Job:
     since where a job checkpoints must not change its artifact identity.
     The job function is expected to save/resume its own progress there
     (see :class:`repro.resilience.JobCheckpointStore`).
-    ``locality`` names *where* the job may run: a
-    :class:`~repro.exec.backends.router.BackendRouter` only routes the
-    job to backends whose advertised locality tags cover every tag here
-    (e.g. ``("local",)`` pins a closure-capturing job onto an
-    in-process backend).  Like the checkpoint path, locality is a
-    scheduling concern, not an identity one — it is excluded from
-    cache keys, so moving a job between backends never invalidates its
-    artifact.
     """
 
     id: str
@@ -96,30 +88,17 @@ class Job:
     retries: Optional[int] = None
     seed_key: Optional[str] = None
     checkpoint_key: Optional[str] = None
-    locality: Tuple[str, ...] = ()
-    #: Opt-in result cross-checking for this job: ``"dmr"`` runs two
-    #: replicas and compares canonical result hashes, ``"vote"`` runs
-    #: three and takes the majority.  Honored by the
-    #: :class:`~repro.exec.backends.router.BackendRouter`; like
-    #: ``locality``, a scheduling concern excluded from cache keys.
-    verify: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.id or not isinstance(self.id, str):
             raise ValueError(f"job id must be a non-empty string, got {self.id!r}")
         if not callable(self.fn):
             raise TypeError(f"job {self.id}: fn must be callable")
-        if self.verify is not None and self.verify not in ("dmr", "vote"):
-            raise ValueError(
-                f"job {self.id}: verify must be 'dmr' or 'vote', "
-                f"got {self.verify!r}"
-            )
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError(f"job {self.id}: timeout_s must be positive")
         if self.retries is not None and self.retries < 0:
             raise ValueError(f"job {self.id}: retries must be non-negative")
         object.__setattr__(self, "deps", tuple(self.deps))
-        object.__setattr__(self, "locality", tuple(self.locality))
         if self.id in self.deps:
             raise ValueError(f"job {self.id} depends on itself")
 

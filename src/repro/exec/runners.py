@@ -61,10 +61,6 @@ class Attempt:
     #: Telemetry payload from the worker's ``tel`` frame (None when
     #: telemetry was not requested or the worker died before sending it).
     telemetry: Optional[dict] = None
-    #: Name of the worker that executed this attempt, for backends that
-    #: know one (socket and pool).  Hedging/verification provenance and
-    #: quarantine decisions key off this.
-    worker: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -120,14 +116,7 @@ class SerialRunner:
     def capabilities(self):
         from .backends.base import BackendCapabilities
 
-        return BackendCapabilities(
-            name="serial",
-            max_parallelism=1,
-            supports_heartbeat=False,  # beats recorded, not live
-            supports_preemption=False,  # timeouts classified post hoc
-            locality=("local", "serial"),
-            description="in-process, one job at a time; closure-safe",
-        )
+        return BackendCapabilities(name="serial")
 
     def capacity(self) -> int:
         return 1

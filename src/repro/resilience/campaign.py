@@ -41,6 +41,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._cli import positive_float
 from ..core import instrument
 from ..core.events import Simulator
 from ..core.rng import resolve_rng
@@ -586,11 +587,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, metavar="S")
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
+        "--timeout", type=positive_float, default=None, metavar="S",
         help="per-cell wall-clock timeout (seconds)",
     )
     parser.add_argument(
-        "--hang-timeout", type=float, default=None, metavar="S",
+        "--hang-timeout", type=positive_float, default=None, metavar="S",
         help="watchdog: kill a worker silent for S seconds (needs --jobs > 1)",
     )
     parser.add_argument(
@@ -614,10 +615,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--jobs must be >= 1")
     if args.reps < 1:
         parser.error("--reps must be >= 1")
-    if args.timeout is not None and args.timeout <= 0:
-        parser.error("--timeout must be positive")
-    if args.hang_timeout is not None and args.hang_timeout <= 0:
-        parser.error("--hang-timeout must be positive")
 
     if args.instrument:
         instrument.enable_session()

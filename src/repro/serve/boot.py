@@ -48,22 +48,23 @@ def build_app(
     ``max_inflight`` defaults to the backend parallelism (``jobs``).
 
     ``hedge_ms`` arms tail-latency hedging: the backend is wrapped in a
-    single-member :class:`~repro.exec.backends.router.BackendRouter`
-    whose :class:`~repro.exec.backends.router.HedgePolicy` duplicates
-    any request still running after that many milliseconds onto another
-    worker and takes the first result.
+    :class:`~repro.exec.backends.hedge.HedgedRunner` that duplicates
+    any request still running after that many milliseconds onto a free
+    worker and takes the first result.  A negative, ``nan`` or infinite
+    delay raises ``ValueError``.
     """
     registry = metrics if metrics is not None else MetricsRegistry(enabled=True)
     root = cache_dir or tempfile.mkdtemp(prefix="repro-serve-cache-")
     cache = ResultCache(root, metrics=registry)
     runner = make_backend(backend, jobs=jobs, cache_dir=root, metrics=registry)
-    if hedge_ms is not None and hedge_ms > 0:
-        from ..exec.backends import BackendRouter, HedgePolicy
+    if hedge_ms is not None:
+        from ..exec.backends.hedge import HedgedRunner
 
-        runner = BackendRouter(
-            {backend: runner},
-            hedge=HedgePolicy(delay_s=hedge_ms / 1e3),
-        )
+        try:
+            runner = HedgedRunner(runner, hedge_ms / 1e3)
+        except ValueError:
+            runner.shutdown()
+            raise
     return ExperimentServer(
         runner=runner,
         cache=cache,

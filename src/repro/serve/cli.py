@@ -20,6 +20,7 @@ import asyncio
 import time
 from typing import Optional
 
+from .._cli import positive_float
 from .boot import ServerThread, build_app
 from .client import ServeClient
 
@@ -66,14 +67,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="concurrent backend jobs (default: --jobs)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
+        "--timeout", type=positive_float, default=None, metavar="S",
         help="per-job timeout passed to the backend",
     )
     parser.add_argument(
-        "--hedge-ms", type=float, default=None, metavar="MS",
+        "--hedge-ms", type=positive_float, default=None, metavar="MS",
         help=(
             "tail-latency hedging: duplicate any request still running "
-            "after MS milliseconds onto another worker and take the "
+            "after MS milliseconds onto a free worker and take the "
             "first result (default: off)"
         ),
     )

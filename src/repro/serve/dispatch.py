@@ -2,8 +2,8 @@
 
 A background thread owns the execution backend (anything
 :func:`repro.exec.backends.make_backend` returns — serial, pool,
-elastic socket workers, array, or a
-:class:`~repro.exec.backends.router.BackendRouter`) and runs the
+elastic socket workers, array — or that backend wrapped in a
+:class:`~repro.exec.backends.hedge.HedgedRunner`) and runs the
 service's steady-state loop:
 
 * while the backend has capacity, pop queued entries from

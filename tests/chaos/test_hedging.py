@@ -1,19 +1,21 @@
 """Hedged dispatch: duplicate the straggler, keep the first answer.
 
-Unit tests drive the router against a scriptable in-process backend so
-every race is deterministic; one end-to-end test runs a real straggler
-through the process pool and checks the hedge actually beats it.
+Unit tests drive :class:`HedgedRunner` against a scriptable in-process
+backend so every race is deterministic; one end-to-end test runs a real
+straggler through the process pool and checks the hedge actually beats
+it.  ``test_hedging_props.py`` draws the races at random.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 
 import pytest
 
-from repro.exec.backends.router import BackendRouter, HedgePolicy
 from repro.exec.backends import make_backend
+from repro.exec.backends.hedge import HedgedRunner
 from repro.exec.engine import ExecutionEngine
 from repro.exec.job import Job, JobGraph
 from repro.exec.runners import ATTEMPT_OK, Attempt
@@ -22,13 +24,11 @@ from repro.exec.runners import ATTEMPT_OK, Attempt
 class FakeBackend:
     """Scriptable Runner: completions happen when the test says so."""
 
-    def __init__(self, slots: int = 4, worker: str = "w0"):
+    def __init__(self, slots: int = 4):
         self.slots = slots
-        self.worker = worker
         self.inflight: dict[str, Job] = {}
         self.results: list[Attempt] = []
         self.cancelled: list[str] = []
-        self.quarantined: list[str] = []
 
     def capacity(self) -> int:
         return self.slots - len(self.inflight)
@@ -41,14 +41,12 @@ class FakeBackend:
 
     def complete(
         self, sub_id: str, result=None, status: str = ATTEMPT_OK,
-        worker: str | None = None, duration_s: float = 0.01,
     ) -> None:
         self.inflight.pop(sub_id, None)
         self.results.append(
             Attempt(
                 sub_id, status, result,
-                None if status == ATTEMPT_OK else "boom",
-                duration_s, worker=worker or self.worker,
+                None if status == ATTEMPT_OK else "boom", 0.01,
             )
         )
 
@@ -60,9 +58,6 @@ class FakeBackend:
         self.cancelled.append(sub_id)
         return self.inflight.pop(sub_id, None) is not None
 
-    def quarantine_worker(self, name: str) -> None:
-        self.quarantined.append(name)
-
     def shutdown(self) -> None:
         pass
 
@@ -72,97 +67,83 @@ def _job(jid: str = "j1") -> Job:
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError, match="delay_s"):
-        HedgePolicy(delay_s=-1.0)
-    with pytest.raises(ValueError, match="quantile"):
-        HedgePolicy(quantile=1.0)
-    with pytest.raises(ValueError, match="min_observations"):
-        HedgePolicy(min_observations=0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            HedgedRunner(FakeBackend(), bad)
 
 
 def test_hedge_wins_and_primary_is_cancelled():
     fake = FakeBackend()
-    router = BackendRouter({"a": fake}, hedge=HedgePolicy(delay_s=0.0))
-    router.submit(_job(), None, None)
-    assert router.poll() == []  # launches the hedge, nothing done yet
+    runner = HedgedRunner(fake, 0.0)
+    runner.submit(_job(), None, None)
+    assert runner.poll() == []  # launches the hedge, nothing done yet
     assert set(fake.inflight) == {"j1", "j1~~h1"}
-    assert router.hedges_launched == 1
+    assert runner.hedges_launched == 1
 
-    fake.complete("j1~~h1", {"answer": 42}, worker="w-hedge")
-    (attempt,) = router.poll()
+    fake.complete("j1~~h1", {"answer": 42})
+    (attempt,) = runner.poll()
     assert attempt.job_id == "j1"  # rewritten to the real id
     assert attempt.ok and attempt.result == {"answer": 42}
-    assert router.hedges_won == 1
-    assert router.hedged["j1"]["won_by"] == "hedge"
-    assert router.hedged["j1"]["worker"] == "w-hedge"
+    assert runner.hedges_won == 1
     assert "j1" in fake.cancelled  # the straggling primary
 
     # The cancelled primary straggles in anyway: dropped, not delivered.
     fake.results.append(Attempt("j1", ATTEMPT_OK, {"answer": 41}, None, 9.9))
-    assert router.poll() == []
+    assert runner.poll() == []
 
 
 def test_primary_wins_and_hedge_is_cancelled():
     fake = FakeBackend()
-    router = BackendRouter({"a": fake}, hedge=HedgePolicy(delay_s=0.0))
-    router.submit(_job(), None, None)
-    router.poll()
+    runner = HedgedRunner(fake, 0.0)
+    runner.submit(_job(), None, None)
+    runner.poll()
     fake.complete("j1", {"answer": 1})
-    (attempt,) = router.poll()
+    (attempt,) = runner.poll()
     assert attempt.job_id == "j1" and attempt.ok
-    assert router.hedged["j1"]["won_by"] == "primary"
-    assert router.hedges_won == 0
+    assert runner.hedges_won == 0
     assert "j1~~h1" in fake.cancelled
 
 
 def test_unexpired_flight_is_not_hedged():
     fake = FakeBackend()
-    router = BackendRouter({"a": fake}, hedge=HedgePolicy(delay_s=60.0))
-    router.submit(_job(), None, None)
-    router.poll()
+    runner = HedgedRunner(fake, 60.0)
+    runner.submit(_job(), None, None)
+    runner.poll()
     assert set(fake.inflight) == {"j1"}
-    assert router.hedges_launched == 0
+    assert runner.hedges_launched == 0
     fake.complete("j1", {"x": 1})
-    (attempt,) = router.poll()
+    (attempt,) = runner.poll()
     assert attempt.ok
-    assert "j1" not in router.hedged  # never hedged, no provenance entry
+    assert fake.cancelled == []  # never hedged, nothing to cancel
 
 
-def test_max_hedges_caps_duplicates():
-    fake = FakeBackend(slots=8)
-    router = BackendRouter(
-        {"a": fake}, hedge=HedgePolicy(delay_s=0.0, max_hedges=1)
-    )
-    router.submit(_job("j1"), None, None)
-    router.submit(_job("j2"), None, None)
-    router.poll()
-    hedges = [sub for sub in fake.inflight if "~~h" in sub]
-    assert len(hedges) == 1
-    assert router.hedges_launched == 1
+def test_a_refused_hedge_leaves_the_primary_running():
+    fake = FakeBackend()
+    submit = fake.submit
+
+    def refuse_hedges(job, *args, **extras):
+        if job.id.endswith("~~h1"):
+            raise RuntimeError(f"job {job.id!r} is already running")
+        submit(job, *args, **extras)
+
+    fake.submit = refuse_hedges
+    runner = HedgedRunner(fake, 0.0)
+    runner.submit(_job(), None, None)
+    assert runner.poll() == []
+    assert runner.poll() == []  # no second try
+    assert runner.hedges_launched == 0
+    fake.complete("j1", {"x": 1})
+    (attempt,) = runner.poll()
+    assert attempt.job_id == "j1" and attempt.ok
 
 
 def test_hedge_never_displaces_first_attempts():
     fake = FakeBackend(slots=1)  # the primary fills the only slot
-    router = BackendRouter({"a": fake}, hedge=HedgePolicy(delay_s=0.0))
-    router.submit(_job(), None, None)
-    router.poll()
+    runner = HedgedRunner(fake, 0.0)
+    runner.submit(_job(), None, None)
+    runner.poll()
     assert set(fake.inflight) == {"j1"}
-    assert router.hedges_launched == 0
-
-
-def test_adaptive_delay_needs_observations_then_tracks_quantile():
-    fake = FakeBackend()
-    router = BackendRouter(
-        {"a": fake},
-        hedge=HedgePolicy(quantile=0.5, min_observations=4),
-    )
-    assert router._hedge_delay() is None  # noqa: SLF001 - not enough data
-    for i, duration in enumerate((0.01, 0.02, 0.03, 0.04)):
-        jid = f"q{i}"
-        router.submit(_job(jid), None, None)
-        fake.complete(jid, {"i": i}, duration_s=duration)
-        router.poll()
-    assert router._hedge_delay() == pytest.approx(0.03)  # noqa: SLF001
+    assert runner.hedges_launched == 0
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +164,8 @@ def _transient_straggler(config: dict) -> dict:
 
 
 def test_hedged_pool_run_beats_the_straggler(tmp_path):
-    router = BackendRouter(
-        {"pool": make_backend("pool", 2)},
-        hedge=HedgePolicy(delay_s=0.08),
-    )
-    engine = ExecutionEngine(runner=router)
+    runner = HedgedRunner(make_backend("pool", 2), 0.08)
+    engine = ExecutionEngine(runner=runner)
     graph = JobGraph([
         Job(
             id="straggle",
@@ -198,9 +176,6 @@ def test_hedged_pool_run_beats_the_straggler(tmp_path):
     report = engine.run(graph)
     assert report.ok
     assert report.result("straggle") == {"tag": "t"}
-    assert report.routing is not None
-    hedges = report.routing["hedges"]
-    assert hedges["launched"] == 1
-    assert hedges["won"] == 1
-    assert hedges["by_job"]["straggle"]["won_by"] == "hedge"
-    assert "1 hedged (1 won)" in report.one_line()
+    assert report.backend == "pool"
+    assert runner.hedges_launched == 1
+    assert runner.hedges_won == 1

@@ -10,6 +10,7 @@ from repro.resilience.campaign import (
     ResilienceReport,
     architectural_campaign,
     campaign_job,
+    main,
     run_campaign,
 )
 
@@ -186,3 +187,14 @@ def test_all_models_are_fault_targets():
 
 def test_report_ok_requires_statuses():
     assert not ResilienceReport().ok
+
+
+@pytest.mark.parametrize("flag", ["--timeout", "--hang-timeout"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "x"])
+def test_cli_timeouts_must_be_finite_positive_numbers(flag, value, capsys):
+    argv = ["--models", "harvest", "--intensities", "0", "--reps", "1",
+            "--no-architectural", flag, value]
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    assert "must be a finite number > 0" in capsys.readouterr().err

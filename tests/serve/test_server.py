@@ -193,6 +193,39 @@ class TestGracefulShutdown:
             proc.communicate()
 
 
+class TestHedgedServe:
+    def test_hedge_answers_a_straggler_once_with_the_unhedged_result(
+        self, serve_factory, tmp_path
+    ):
+        # slow_every=1: every tag stalls slow_s on its first execution
+        # only, so the hedge (a second execution) runs in base_s.
+        params = {"base_s": 0.02, "slow_s": 3.0, "slow_every": 1,
+                  "tag": "strag", "scratch_dir": str(tmp_path / "markers")}
+        handle, client = serve_factory(
+            backend="pool", jobs=2, hedge_ms=100,
+            cache_dir=str(tmp_path / "hedged"),
+        )
+        runner = handle.app.dispatcher.runner
+        assert runner.backend.wait_for_workers(2, timeout_s=30.0) == 2
+        start = time.perf_counter()
+        status, _, body = client.submit("straggler", params, wait=True)
+        elapsed_s = time.perf_counter() - start
+        assert status == 200
+        run = body["runs"][0]
+        assert run["status"] == "succeeded"
+        assert elapsed_s < params["slow_s"] / 2
+        assert (runner.hedges_launched, runner.hedges_won) == (1, 1)
+        # The losing primary is cancelled (its worker killed), and no
+        # second result reaches the coalescer.
+        wait_until(lambda: runner.active() == 0)
+        assert handle.app.metrics.counter("serve.completed").value == 1
+
+        _, plain = serve_factory(cache_dir=str(tmp_path / "plain"))
+        status, _, unhedged = plain.submit("straggler", params, wait=True)
+        assert status == 200
+        assert unhedged["runs"][0]["result"] == run["result"]
+
+
 class TestSelftest:
     def test_selftest_passes_serial(self, tmp_path):
         assert selftest(backend="serial", cache_dir=str(tmp_path / "c")) == 0
@@ -207,6 +240,18 @@ class TestRetiredLinger:
     def test_build_app_rejects_linger(self):
         with pytest.raises(TypeError):
             build_app(linger_ms=2)
+
+
+class TestCliNumbers:
+    @pytest.mark.parametrize("flag", ["--timeout", "--hedge-ms"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "x"])
+    def test_timeout_and_hedge_must_be_finite_positive_numbers(
+        self, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--selftest", flag, value])
+        assert exc_info.value.code == 2
+        assert "must be a finite number > 0" in capsys.readouterr().err
 
 
 class TestWorkloadValidation:

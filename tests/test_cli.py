@@ -76,3 +76,10 @@ class TestCLI:
             main(["--retries", "-1"])
         with pytest.raises(SystemExit):
             main(["--timeout", "0"])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "x"])
+    def test_timeout_must_be_a_finite_positive_number(self, value, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["E13", "--timeout", value])
+        assert exc_info.value.code == 2
+        assert "must be a finite number > 0" in capsys.readouterr().err

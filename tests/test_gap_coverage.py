@@ -115,25 +115,3 @@ class TestTransportChaosConfig:
 
         with pytest.raises(ValueError, match="known keys"):
             ChaosConfig.from_spec("drp=0.5")
-
-
-class TestRouterTrustPolicies:
-    """repro.exec.backends.router — hedge/verify policy surface."""
-
-    def test_verify_modes_map_to_replica_counts(self):
-        from repro.exec.backends.router import VerifyPolicy
-
-        assert VerifyPolicy(mode="dmr").replicas == 2
-        assert VerifyPolicy(mode="vote").replicas == 3
-        with pytest.raises(ValueError, match="dmr"):
-            VerifyPolicy(mode="tmr")
-        with pytest.raises(ValueError):
-            VerifyPolicy(quarantine_after=0)
-
-    def test_hedge_policy_defaults(self):
-        from repro.exec.backends.router import HedgePolicy
-
-        policy = HedgePolicy()
-        assert policy.delay_s is None  # adaptive until observations land
-        assert 0.0 < policy.quantile < 1.0
-        assert policy.min_observations >= 1

@@ -27,8 +27,8 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 #: Package -> number of public names; the eager inits exported as many.
 PACKAGES = {
     "repro.core": 44,
-    "repro.exec": 29,
-    "repro.exec.backends": 31,
+    "repro.exec": 26,
+    "repro.exec.backends": 27,
     "repro.serve": 13,
     "repro.memory": 75,
     "repro.technology": 50,
