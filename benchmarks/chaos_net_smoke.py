@@ -75,7 +75,6 @@ def _run_sweep(
         chaos=chaos,
         worker_chaos=chaos,
         respawn=chaos is not None,
-        breaker_threshold=6,  # chaos is indiscriminate, not a bad worker
     )
     engine = ExecutionEngine(
         runner=backend,

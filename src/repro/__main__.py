@@ -12,7 +12,6 @@ Usage::
     python -m repro --verbose          # include each experiment's raw numbers
     python -m repro E07 --instrument   # also print kernel metrics/quantiles
     python -m repro E07 --trace        # span-trace the sweep's workers
-    python -m repro E07 --profile      # + sampling sim-profiler
 
 Experiments run through :mod:`repro.exec`: a raising, hanging, or
 crashing experiment becomes a FAILED/TIMEOUT row and the sweep still
@@ -186,13 +185,6 @@ def main(argv: list[str] | None = None) -> int:
             "the merged per-experiment span summary after the sweep"
         ),
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help=(
-            "also run the sampling sim-profiler in every worker "
-            "(implies --trace) and print the top collapsed stacks"
-        ),
-    )
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -205,12 +197,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.instrument:
         instrument.enable_session()
     telemetry = None
-    if args.trace or args.profile:
+    if args.trace:
         from .obs.telemetry import TelemetryOptions
 
-        telemetry = TelemetryOptions(
-            profile_period=16 if args.profile else 0,
-        )
+        telemetry = TelemetryOptions()
 
     runner = None
     if args.backend is not None:
@@ -263,17 +253,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {job_id:<6} {len(records):>6} spans  sha256 {digest[:16]}")
         if merged["spans_dropped"]:
             print(f"  ({merged['spans_dropped']} spans dropped at capacity)")
-        if args.profile and merged["profile"]:
-            top = sorted(merged["profile"].items(), key=lambda kv: -kv[1])[:10]
-            print("\nTop profile stacks (samples):")
-            for stack, count in top:
-                print(f"  {count:>8}  {stack}")
-        elif args.profile:
-            print(
-                "\nNo profile samples: the profiler samples event-kernel "
-                "stacks and no selected claim runs the kernel; "
-                "'python -m repro obs -v' samples kernel stacks."
-            )
     if args.verbose:
         for eid in sorted(results):
             print(f"\n[{eid}] {REGISTRY.get(eid).claim}")

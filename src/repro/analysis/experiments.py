@@ -40,7 +40,7 @@ class ExperimentRegistry:
     """Ordered collection of experiments with run-and-summarize.
 
     ``run_all`` executes through :mod:`repro.exec`: experiments are
-    jobs in a dependency-free graph, so a raising experiment becomes a
+    jobs in one graph, so a raising experiment becomes a
     FAILED row instead of aborting the sweep, ``jobs > 1`` fans out
     over worker processes, and ``cache_dir`` makes reruns ~free.  The
     engine's structured :class:`~repro.exec.RunReport` for the most
@@ -96,7 +96,7 @@ class ExperimentRegistry:
         ``telemetry`` (a :class:`repro.obs.telemetry.TelemetryOptions`)
         makes every worker capture metrics/spans/profile; the merged
         result lands on ``self.last_report.telemetry`` (the CLI's
-        ``--trace``/``--profile`` flags route through this).
+        ``--trace`` flag routes through this).
 
         ``backend`` names an execution backend (``serial``/``pool``/
         ``socket``/``array``, built via
@@ -150,7 +150,7 @@ class ExperimentRegistry:
             exp = self.get(eid)
             row = results[eid]
             status = row.get("status")
-            if status in ("FAILED", "TIMEOUT", "SKIPPED"):
+            if status in ("FAILED", "TIMEOUT"):
                 n_failed += 1
                 lines.append(f"{eid:<6}{status:<9}{exp.title}")
             else:

@@ -8,8 +8,8 @@ These are the shared primitives every paper-facing model builds on:
 * :mod:`repro.core.events` — deterministic discrete-event kernel, the
   single simulation substrate every event-driven model runs on, with
   one drain loop and no mode switches.
-* :mod:`repro.core.instrument` — counters/gauges/quantile histograms and
-  trace sinks threaded through the kernel and every migrated simulator.
+* :mod:`repro.core.instrument` — counters/gauges/quantile histograms
+  threaded through the kernel and every migrated simulator.
 * :mod:`repro.core.energy` — hierarchical energy ledger ("energy first").
 * :mod:`repro.core.design` / :mod:`repro.core.dse` — design points,
   Pareto frontiers, and sweep drivers.
@@ -36,10 +36,9 @@ _EXPORTS = {
                "energy_delay_product", "energy_delay_squared"),
     "events": ("SNAPSHOT_VERSION", "CancelToken", "Checkpointable", "Event",
                "FunctionCheckpoint", "KernelSnapshot", "PeriodicSource",
-               "SimModel", "SimStats", "Simulator", "trace_events"),
+               "SimModel", "SimStats", "Simulator"),
     "instrument": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
-                   "TraceSink", "default_registry", "disable_session",
-                   "enable_session"),
+                   "default_registry", "disable_session", "enable_session"),
     "rng": ("DEFAULT_SEED", "resolve_rng", "spawn_rngs", "stream_for"),
 }
 

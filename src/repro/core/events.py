@@ -98,27 +98,30 @@ class CancelToken:
     when they reach the head of the heap (the standard lazy-deletion
     idiom, O(1) cancel without heap surgery).
 
-    Queue-backed tokens also carry their event's sequence number and the
-    owning simulator's cancel log, so ``cancel()`` records the seq in
-    O(1).  That log is what lets :meth:`Simulator.snapshot` capture the
-    cancelled-pending set without scanning every pending entry — the
-    scan was O(pending) per snapshot and dominated checkpoint overhead
-    on large queues.
+    Queue-backed tokens also carry their event's sequence number
+    (``seq``) and the owning simulator's cancel log, so ``cancel()``
+    records the seq in O(1).  That log is what lets
+    :meth:`Simulator.snapshot` capture the cancelled-pending set without
+    scanning every pending entry — the scan was O(pending) per snapshot
+    and dominated checkpoint overhead on large queues.  An event that knows its own ``(time, seq)`` key
+    knows its exact position in the total execution order, which is
+    what a mid-run :meth:`Simulator.snapshot` needs (see
+    ``repro.resilience.CheckpointManager``).
     """
 
-    __slots__ = ("cancelled", "_log", "_seq")
+    __slots__ = ("cancelled", "_log", "seq")
 
     def __init__(self, log: Optional[set] = None, seq: int = -1) -> None:
         self.cancelled = False
         self._log = log
-        self._seq = seq
+        self.seq = seq
 
     def cancel(self) -> None:
         if self.cancelled:
             return
         self.cancelled = True
         if self._log is not None:
-            self._log.add(self._seq)
+            self._log.add(self.seq)
 
 
 class _ChainToken(CancelToken):
@@ -605,33 +608,6 @@ class Simulator:
             heapq.heappush(self._heap, entry)
         return token
 
-    def schedule_tagged(
-        self,
-        delay: float,
-        callback: EventCallback,
-        payload: Any = None,
-    ) -> Tuple[CancelToken, int]:
-        """Like :meth:`schedule`, but also return the event's sequence
-        number: ``(token, seq)``.
-
-        An event that knows its own ``(time, seq)`` key knows its exact
-        position in the total execution order, which is what a mid-run
-        :meth:`snapshot` needs to split the in-order lane into consumed
-        and pending halves without any per-event bookkeeping.  This is
-        how ``repro.resilience.CheckpointManager`` schedules its ticks.
-        """
-        if not delay >= 0:  # also rejects NaN
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        seq = next(self._seq)
-        token = CancelToken(self._cancel_log, seq)
-        entry = (self._now + delay, seq, token, callback, payload)
-        lane = self._lane
-        if not lane or entry[0] >= lane[-1][0]:
-            lane.append(entry)
-        else:
-            heapq.heappush(self._heap, entry)
-        return token, seq
-
     def schedule_many(
         self,
         times,
@@ -646,105 +622,57 @@ class Simulator:
         as if each event had been scheduled with :meth:`schedule_at` in
         a loop.  Returns the number of events scheduled.
 
-        Fast paths: a nondecreasing batch whose first timestamp does not
-        precede the in-order lane's tail extends the lane in O(n) and
-        will pop in O(1) per event; a large out-of-order batch is merged
-        into the heap with one ``heapify``.  Either way the executed
-        order is identical — ``(time, seq)`` keys are unique, so pop
-        order never depends on which lane holds an entry.
+        The whole load is checked before any sequence number is taken,
+        so a rejected load leaves the kernel as it was.  A nondecreasing
+        batch whose first timestamp does not precede the in-order lane's
+        tail extends the lane in O(n) and will pop in O(1) per event; a
+        large out-of-order batch is merged into the heap with one
+        ``heapify``.  Either way the executed order is identical —
+        ``(time, seq)`` keys are unique, so pop order never depends on
+        which lane holds an entry.
         """
         now = self._now
-        heap = self._heap
-        cls = type(times)
-        if cls.__module__ == "numpy" and cls.__name__ == "ndarray":
-            # Vectorized load for numpy trains: validation via array ops,
-            # entry tuples built in C by ``zip`` over a reserved sequence
-            # range.  The tuples — ``(time, seq, None, callback,
-            # payload)`` with seqs in iteration order — are exactly what
-            # the generic loop below builds, so the executed stream is
-            # unchanged; only the per-event Python overhead goes away.
-            import numpy as _np
-
-            ts = _np.asarray(times, dtype=float)
-            if ts.ndim != 1:
-                raise ValueError("times must be one-dimensional")
-            n = len(ts)
-            if n == 0:
-                return 0
-            if not ts.min() >= now:  # min() propagates NaN
-                bad = float(ts[~(ts >= now)][0])
-                raise ValueError(
-                    f"cannot schedule at {bad} before current time {now}"
-                )
-            if payloads is None:
-                payload_seq: Any = itertools.repeat(None, n)
-            else:
-                payload_seq = list(payloads)
-                if len(payload_seq) != n:
-                    raise ValueError(
-                        "times and payloads must have equal lengths"
-                    )
-            in_order = not bool((_np.diff(ts) < 0).any()) if n > 1 else True
-            start_seq = next(self._seq)
-            self._seq = itertools.count(start_seq + n)
-            entries = list(zip(
-                ts.tolist(),
-                range(start_seq, start_seq + n),
-                itertools.repeat(None, n),
-                itertools.repeat(callback, n),
-                payload_seq,
-            ))
-            lane = self._lane
-            if in_order and (not lane or entries[0][0] >= lane[-1][0]):
-                lane.extend(entries)
-            elif len(entries) * 4 > len(heap):
-                heap.extend(entries)
-                heapq.heapify(heap)
-            else:
-                push = heapq.heappush
-                for entry in entries:
-                    push(heap, entry)
-            return len(entries)
-        next_seq = self._seq.__next__
-        entries: list[tuple[float, int, None, EventCallback, Any]] = []
-        append = entries.append
+        ts = list(map(float, times))
         prev = -math.inf
         in_order = True
+        for t in ts:
+            if not t >= now:  # also rejects NaN
+                raise ValueError(
+                    f"cannot schedule at {t} before current time {now}"
+                )
+            if t < prev:
+                in_order = False
+            prev = t
+        n = len(ts)
         if payloads is None:
-            for t in times:
-                t = float(t)
-                if not t >= now:
-                    raise ValueError(
-                        f"cannot schedule at {t} before current time {now}"
-                    )
-                if t < prev:
-                    in_order = False
-                prev = t
-                append((t, next_seq(), None, callback, None))
+            payload_seq: Any = itertools.repeat(None, n)
         else:
-            for t, payload in zip(times, payloads, strict=True):
-                t = float(t)
-                if not t >= now:
-                    raise ValueError(
-                        f"cannot schedule at {t} before current time {now}"
-                    )
-                if t < prev:
-                    in_order = False
-                prev = t
-                append((t, next_seq(), None, callback, payload))
-        if not entries:
+            payload_seq = list(payloads)
+            if len(payload_seq) != n:
+                raise ValueError("times and payloads must have equal lengths")
+        if not n:
             return 0
+        start_seq = next(self._seq)
+        self._seq = itertools.count(start_seq + n)
+        entries = list(zip(
+            ts,
+            range(start_seq, start_seq + n),
+            itertools.repeat(None, n),
+            itertools.repeat(callback, n),
+            payload_seq,
+        ))
         lane = self._lane
-        if in_order and (not lane or entries[0][0] >= lane[-1][0]):
+        heap = self._heap
+        if in_order and (not lane or ts[0] >= lane[-1][0]):
             lane.extend(entries)  # stays sorted: O(n) load, O(1) pops
-        elif len(entries) * 4 > len(heap):
+        elif n * 4 > len(heap):
             heap.extend(entries)
             heapq.heapify(heap)  # O(n+m) beats m pushes for large m
         else:
             push = heapq.heappush
             for entry in entries:
                 push(heap, entry)
-        return len(entries)
+        return n
 
     #: The cluster, hedging, NoC and harvest models bulk-load their
     #: arrival, injection and tick trains through this name, so a
@@ -996,8 +924,8 @@ class Simulator:
 
         Works both between runs and **mid-run, from inside an event
         callback** — the latter requires ``current_seq``, the sequence
-        number of the event currently executing (obtain it by scheduling
-        the checkpoint event with :meth:`schedule_tagged`).  Pop order is
+        number of the event currently executing (the ``seq`` of the
+        :class:`CancelToken` it was scheduled with).  Pop order is
         the global ``(time, seq)`` minimum across both lanes, so every
         entry with key <= ``(now, current_seq)`` has been consumed and
         every entry above it is pending; a binary search on that key
@@ -1024,8 +952,8 @@ class Simulator:
             if current_seq is None:
                 raise RuntimeError(
                     "mid-run snapshot() requires current_seq (the executing "
-                    "event's sequence number; schedule checkpoint events "
-                    "via schedule_tagged, as CheckpointManager does)"
+                    "event's sequence number: its CancelToken.seq, as "
+                    "CheckpointManager passes it)"
                 )
             key = (self._now, current_seq)
             lo, hi = 0, len(lane)
@@ -1123,21 +1051,6 @@ class Simulator:
         self.stats.end_time = snap.now
         for obj, state in snap.states:
             obj.restore_state(state)
-
-
-def trace_events(sim: Simulator, category: str = "kernel") -> ProbeCallback:
-    """Attach a probe that mirrors every executed event into the trace
-    sink of ``sim.metrics`` (no-op sink unless tracing is enabled).
-
-    Returns the probe so callers can :meth:`Simulator.remove_probe` it.
-    """
-    metrics = sim.metrics
-
-    def _probe(s: Simulator, event: Event) -> None:
-        name = getattr(event.callback, "__qualname__", repr(event.callback))
-        metrics.trace(event.time, category, name, event.payload)
-
-    return sim.add_probe(_probe)
 
 
 @dataclass(slots=True)

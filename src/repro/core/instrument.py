@@ -1,5 +1,5 @@
-"""Cross-layer instrumentation: counters, gauges, quantile histograms,
-and structured trace events shared by every simulator.
+"""Cross-layer instrumentation: counters, gauges and quantile histograms
+shared by every simulator.
 
 The paper's agenda ("21st Century Computer Architecture") leans on
 event-driven simulation for its quantitative claims, and the lesson of
@@ -13,8 +13,6 @@ that substrate:
 * :class:`Histogram` — streaming distribution summary with bounded
   memory: exact count/sum/min/max plus a fixed-size deterministic
   reservoir for quantiles.
-* :class:`TraceSink` — bounded buffer of structured trace events for
-  post-mortem debugging and visualisation.
 * :class:`MetricsRegistry` — the factory/namespace that owns them all.
 
 **Near-zero overhead when disabled**: a disabled registry hands out
@@ -32,8 +30,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from collections import deque
-from typing import Any, Deque, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional
 
 import numpy as np
 
@@ -43,8 +40,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
-    "TraceEvent",
-    "TraceSink",
     "current_session",
     "default_registry",
     "disable_session",
@@ -291,41 +286,6 @@ class _NullHistogram(Histogram):
         pass
 
 
-TraceEvent = Tuple[float, str, str, Any]
-"""A structured trace record: ``(time, category, name, payload)``."""
-
-
-class TraceSink:
-    """Bounded in-memory buffer of :data:`TraceEvent` records.
-
-    Oldest events are evicted first once ``capacity`` is reached, so a
-    long simulation keeps the *tail* of its history — the part that
-    explains how it ended up in its final state.
-    """
-
-    __slots__ = ("capacity", "_events", "dropped")
-
-    def __init__(self, capacity: int = 65536) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
-        self.dropped = 0
-
-    def emit(self, time: float, category: str, name: str, payload: Any = None) -> None:
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append((time, category, name, payload))
-
-    def events(self, category: Optional[str] = None) -> list[TraceEvent]:
-        if category is None:
-            return list(self._events)
-        return [e for e in self._events if e[1] == category]
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-
 class ScopedMetrics:
     """A per-component view onto a registry (names share one prefix)."""
 
@@ -344,9 +304,6 @@ class ScopedMetrics:
     def histogram(self, name: str, capacity: int = 4096) -> Histogram:
         return self._registry.histogram(f"{self._prefix}.{name}", capacity)
 
-    def trace(self, time: float, name: str, payload: Any = None) -> None:
-        self._registry.trace(time, self._prefix, name, payload)
-
 
 class MetricsRegistry:
     """Factory and namespace for all instruments of one simulation.
@@ -362,14 +319,11 @@ class MetricsRegistry:
     _NULL_GAUGE = _NullGauge("null")
     _NULL_HISTOGRAM = _NullHistogram("null")
 
-    def __init__(self, enabled: bool = True, trace_capacity: int = 0) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self.trace_sink: Optional[TraceSink] = (
-            TraceSink(trace_capacity) if (enabled and trace_capacity) else None
-        )
         # Optional span tracer (see repro.obs.spans).  The kernel reads
         # this once per run() call — not per event — so a None tracer
         # costs one getattr per drain.
@@ -409,10 +363,6 @@ class MetricsRegistry:
         if not prefix:
             raise ValueError("prefix must be non-empty")
         return ScopedMetrics(self, prefix)
-
-    def trace(self, time: float, category: str, name: str, payload: Any = None) -> None:
-        if self.trace_sink is not None:
-            self.trace_sink.emit(time, category, name, payload)
 
     # -- reporting ---------------------------------------------------------
 
@@ -467,11 +417,6 @@ class MetricsRegistry:
                     f" p50={fmt(snap['p50'])} p90={fmt(snap['p90'])}"
                     f" p99={fmt(snap['p99'])} max={fmt(snap['max'])}"
                 )
-        if self.trace_sink is not None:
-            lines.append(
-                f"  [trace] {len(self.trace_sink)} events buffered"
-                f" ({self.trace_sink.dropped} dropped)"
-            )
         if not lines:
             return "  (no instruments registered)"
         return "\n".join(lines)
@@ -546,12 +491,12 @@ class MetricsRegistry:
 
 NULL_REGISTRY = MetricsRegistry(enabled=False)
 """Shared disabled registry; every factory method returns a null
-instrument and ``trace`` is a no-op."""
+instrument."""
 
 _session: Optional[MetricsRegistry] = None
 
 
-def enable_session(trace_capacity: int = 0) -> MetricsRegistry:
+def enable_session() -> MetricsRegistry:
     """Install a process-wide live registry (CLI ``--instrument``).
 
     Simulators constructed without an explicit ``metrics=`` argument
@@ -559,7 +504,7 @@ def enable_session(trace_capacity: int = 0) -> MetricsRegistry:
     caller can print :meth:`MetricsRegistry.report` afterwards.
     """
     global _session
-    _session = MetricsRegistry(enabled=True, trace_capacity=trace_capacity)
+    _session = MetricsRegistry(enabled=True)
     return _session
 
 

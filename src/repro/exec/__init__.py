@@ -7,12 +7,13 @@ subsystem is that runner, the layer every sweep-shaped workload in the
 library sits on:
 
 * :mod:`repro.exec.job` — :class:`Job`/:class:`JobGraph`: picklable
-  callables with explicit dependencies and deterministic per-job seeds.
+  callables in an insertion-ordered sweep, with deterministic per-job
+  seeds.
 * :mod:`repro.exec.runners` — the :class:`Runner` protocol and the
   in-process :class:`SerialRunner`.
-* :mod:`repro.exec.backends` — the backends: the :class:`Backend`
-  protocol, the elastic TCP :class:`SocketWorkerBackend` (``python -m
-  repro workers`` attaches external workers), the local
+* :mod:`repro.exec.backends` — the backends: the elastic TCP
+  :class:`SocketWorkerBackend` (``python -m repro workers`` attaches
+  external workers), the local
   :class:`PoolBackend` (N spawned socket workers, replaced when lost:
   per-job timeout and worker-crash containment), and the batch
   :class:`ArrayBackend` (array-task manifests).  :func:`make_backend`
@@ -20,9 +21,9 @@ library sits on:
 * :mod:`repro.exec.cache` — :class:`ResultCache`: content-addressed
   on-disk JSON artifacts keyed by callable + canonical config +
   library version; corruption is a miss, never a crash.
-* :mod:`repro.exec.engine` — :class:`ExecutionEngine`: dependency
-  release, cache consultation, bounded retry with exponential backoff,
-  and a structured :class:`RunReport`.
+* :mod:`repro.exec.engine` — :class:`ExecutionEngine`: cache
+  consultation, bounded retry with exponential backoff, and a
+  structured :class:`RunReport`.
 * :mod:`repro.exec.heartbeat` — :func:`heartbeat`: worker liveness +
   progress reporting over the worker's connection; powers the pool and
   socket backends' hang watchdog and the engine's lost-progress retry
@@ -41,9 +42,8 @@ needs only :func:`canonicalize` or :func:`derive_seed` never starts
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "backends": ("ArrayBackend", "Backend", "BackendCapabilities",
-                 "PoolBackend", "SocketWorkerBackend", "available_backends",
-                 "capabilities_of", "make_backend"),
+    "backends": ("ArrayBackend", "PoolBackend", "SocketWorkerBackend",
+                 "available_backends", "make_backend"),
     "cache": ("ResultCache", "cache_key", "canonicalize", "repro_version"),
     "engine": ("ExecutionEngine", "JobRecord", "JobStatus", "RunReport",
                "run_jobs"),

@@ -1,10 +1,9 @@
 """repro.exec.backends — the execution backends.
 
-The execution layer's backend seam:
+The execution layer's backend seam.  Each backend is a
+:class:`~repro.exec.runners.Runner` whose ``name`` the run report
+carries:
 
-* :mod:`~repro.exec.backends.base` — the :class:`Backend` protocol:
-  a :class:`~repro.exec.runners.Runner` that names itself via
-  :class:`BackendCapabilities`.
 * :mod:`~repro.exec.backends.frames` — the versioned tagged-frame wire
   format socket workers speak (version byte fails loud on mismatch;
   unknown tags skip gracefully).
@@ -40,7 +39,6 @@ if TYPE_CHECKING:
 _EXPORTS = {
     "array": ("ArrayBackend", "collect", "emit_submit_script", "plan_array",
               "run_array_task"),
-    "base": ("Backend", "BackendCapabilities", "capabilities_of"),
     "chaos": ("ChaosConfig", "ChaosSocket", "chaos_from_env", "wrap_socket"),
     "frames": ("FRAME_TAGS", "PROTOCOL_VERSION", "FrameCorruptError",
                "FrameError", "FrameProtocolError", "FrameVersionError",

@@ -8,13 +8,12 @@ that idiom — the cgptoolbox ``cGP_submitscript`` pattern — in two ways:
 :class:`~repro.exec.job.JobGraph` into ``task-NNNN/`` directories under
 a manifest root, each holding a human-readable ``manifest.json`` (job
 ids, callable names, shard index) and a ``payload.pkl`` (the picklable
-work itself).  Jobs connected by dependencies are kept in the same
-shard — an array task has no way to wait on a sibling — and shards are
-balanced by job count.  :func:`emit_submit_script` renders an
+work itself).  Jobs are dealt round-robin in insertion order, so shard
+sizes differ by at most one.  :func:`emit_submit_script` renders an
 ``sbatch``-style submission script whose array tasks each run
 ``python -m repro.exec.backends.array <root> --task $INDEX``;
 :func:`run_array_task` is what that entry point executes (jobs in
-dependency order, through the shared content-addressed
+manifest order, through the shared content-addressed
 :class:`~repro.exec.cache.ResultCache` when one is configured, results
 written atomically to ``result.pkl``); :func:`collect` folds every
 finished task's rows back into one mapping.
@@ -48,7 +47,6 @@ from ..runners import (
     ATTEMPT_TIMEOUT,
     Attempt,
 )
-from .base import BackendCapabilities
 
 __all__ = [
     "ArrayBackend",
@@ -101,31 +99,6 @@ def _write_task(
     return task_dir
 
 
-def _components(graph: JobGraph) -> List[List[str]]:
-    """Weakly-connected components in topological order.
-
-    An array task cannot wait on a sibling task, so jobs joined by any
-    dependency edge must share a shard.
-    """
-    order = graph.topo_order()
-    parent: Dict[str, str] = {jid: jid for jid in order}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for job in graph.jobs():
-        for dep in job.deps:
-            parent[find(job.id)] = find(dep)
-    groups: Dict[str, List[str]] = {}
-    for jid in order:  # topo order within each component, for free
-        groups.setdefault(find(jid), []).append(jid)
-    # Deterministic component order: by first job in topo order.
-    return sorted(groups.values(), key=lambda g: order.index(g[0]))
-
-
 def plan_array(
     graph: JobGraph,
     shards: int,
@@ -134,8 +107,8 @@ def plan_array(
 ) -> List[str]:
     """Shard ``graph`` into at most ``shards`` array-task manifests.
 
-    Components are balanced across shards by job count (largest first
-    onto the lightest shard).  ``base_seed`` applies the engine's
+    Job ``i`` (in insertion order) goes to shard ``i % shards``; no
+    shard is left empty.  ``base_seed`` applies the engine's
     deterministic per-job seed injection at plan time, so a manifest is
     self-contained: the task runner needs no engine.  Returns the task
     directories written, in index order.
@@ -144,11 +117,9 @@ def plan_array(
         raise ValueError(f"shards must be >= 1, got {shards}")
     from ..job import derive_seed
 
-    components = _components(graph)
-    bins: List[List[str]] = [[] for _ in range(min(shards, max(1, len(components))))]
-    for component in sorted(components, key=len, reverse=True):
-        min(bins, key=len).extend(component)
-    bins = [b for b in bins if b]
+    ids = graph.ids()
+    n = min(shards, len(ids))
+    bins = [ids[i::n] for i in range(n)]
     task_dirs = []
     for index, job_ids in enumerate(bins):
         entries = []
@@ -164,7 +135,6 @@ def plan_array(
                     "fn": job.fn,
                     "config": config,
                     "timeout_s": job.timeout_s,
-                    "deps": list(job.deps),
                 }
             )
         task_dirs.append(_write_task(root, index, entries))
@@ -213,11 +183,9 @@ def run_array_task(
 ) -> List[dict]:
     """Execute one shard; write ``result.pkl`` atomically; return rows.
 
-    Jobs run serially in manifest (dependency) order.  A job whose
-    in-shard dependency did not succeed is recorded ``skipped``.  With
-    ``cache_dir`` set, each job consults/publishes the shared
-    content-addressed cache, so concurrent tasks (and other backends)
-    reuse one artifact store.
+    Jobs run serially in manifest order.  With ``cache_dir`` set, each
+    job consults/publishes the shared content-addressed cache, so
+    concurrent tasks (and other backends) reuse one artifact store.
     """
     task_dir = _task_dir(root, index)
     with open(os.path.join(task_dir, "manifest.json"), encoding="utf-8") as fh:
@@ -235,21 +203,8 @@ def run_array_task(
 
         cache = ResultCache(cache_dir)
     rows: List[dict] = []
-    ok_ids: set[str] = set()
     for entry in entries:
         jid = entry["job_id"]
-        missing = [d for d in entry.get("deps", ()) if d not in ok_ids]
-        if missing:
-            rows.append(
-                {
-                    "job_id": jid,
-                    "status": ATTEMPT_ERROR,
-                    "result": None,
-                    "error": f"in-shard dependency {missing[0]!r} did not succeed",
-                    "duration_s": 0.0,
-                }
-            )
-            continue
         key = None
         if cache is not None:
             key = cache.try_key_for(
@@ -268,7 +223,6 @@ def run_array_task(
                             "cached": True,
                         }
                     )
-                    ok_ids.add(jid)
                     continue
         start = time.perf_counter()
         try:
@@ -287,15 +241,13 @@ def run_array_task(
             status = ATTEMPT_TIMEOUT
             result = None
             error = f"exceeded timeout of {timeout_s}s (ran {duration:.3f}s)"
-        if status == ATTEMPT_OK:
-            ok_ids.add(jid)
-            if cache is not None and key is not None:
-                artifact = cache.put(
-                    key, callable_name(entry["fn"]), entry.get("config"),
-                    result, duration,
-                )
-                if artifact is not None:
-                    result = artifact["result"]
+        if status == ATTEMPT_OK and cache is not None and key is not None:
+            artifact = cache.put(
+                key, callable_name(entry["fn"]), entry.get("config"),
+                result, duration,
+            )
+            if artifact is not None:
+                result = artifact["result"]
         rows.append(
             {
                 "job_id": jid,
@@ -367,6 +319,8 @@ class ArrayBackend:
     report ``timeout``.
     """
 
+    name = "array"
+
     def __init__(
         self,
         root: str,
@@ -394,10 +348,7 @@ class ArrayBackend:
         self._last_submit = 0.0
         self._ctx = mp.get_context()
 
-    # -- Backend protocol --------------------------------------------------
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(name="array")
+    # -- Runner protocol ---------------------------------------------------
 
     def capacity(self) -> int:
         # Queue-based: the engine may hand over every ready job; shards
@@ -421,7 +372,6 @@ class ArrayBackend:
             "fn": job.fn,
             "config": dict(config) if config is not None else None,
             "timeout_s": timeout_s,
-            "deps": [],  # engine releases deps; shards see ready jobs only
         }
         # Fail unpicklable jobs at submit time, like every other backend.
         pickle.dumps(entry["fn"], protocol=pickle.HIGHEST_PROTOCOL)

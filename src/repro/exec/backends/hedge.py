@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from ..job import Job
 from ..runners import Attempt, Runner
-from .base import BackendCapabilities, capabilities_of
 
 __all__ = ["HedgedRunner"]
 
@@ -56,13 +55,11 @@ class HedgedRunner:
                 f"hedge delay must be a finite number >= 0, got {delay_s!r}"
             )
         self.backend = backend
+        self.name = getattr(backend, "name", type(backend).__name__)
         self.delay_s = delay_s
         self._flights: Dict[str, _Flight] = {}
         self.hedges_launched = 0
         self.hedges_won = 0
-
-    def capabilities(self) -> BackendCapabilities:
-        return capabilities_of(self.backend)
 
     def capacity(self) -> int:
         return self.backend.capacity()

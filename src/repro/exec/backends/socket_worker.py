@@ -57,9 +57,6 @@ Trust & tail tolerance (PR 9):
   one via ``REPRO_CHAOS_NET``) and wrap their socket in the seeded
   fault injector; every injected fault must resolve to a retried
   attempt, never a wrong answer.
-* **Per-worker circuit breaker** — a worker *name* that repeatedly
-  fails mid-job trips a breaker: its re-registrations are refused for a
-  cooldown, so one flapping host cannot keep eating jobs.
 * **Respawn** — with ``respawn=True`` the coordinator replaces a
   locally-spawned worker lost with a job in hand (crash, timeout, hang,
   cancel) every time: the engine's retry budget already bounds how
@@ -97,7 +94,6 @@ from ..runners import (
     Attempt,
 )
 from . import frames as _frames
-from .base import BackendCapabilities
 from .chaos import ChaosConfig, chaos_from_env, wrap_socket
 
 __all__ = [
@@ -307,6 +303,8 @@ class SocketWorkerBackend:
     queued attempts fail as crashes rather than stranding the engine.
     """
 
+    name = "socket"
+
     def __init__(
         self,
         spawn: int = 0,
@@ -319,13 +317,9 @@ class SocketWorkerBackend:
         worker_chaos: Optional[ChaosConfig] = None,
         respawn: bool = False,
         max_respawns: int = 64,
-        breaker_threshold: int = 3,
-        breaker_cooldown_s: float = 30.0,
     ) -> None:
         if spawn < 0:
             raise ValueError(f"spawn must be non-negative, got {spawn}")
-        if breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
         self.no_worker_timeout_s = no_worker_timeout_s
         self.max_queue = max_queue
         self._metrics = metrics
@@ -338,14 +332,6 @@ class SocketWorkerBackend:
         self.respawn = respawn
         self.max_respawns = max_respawns
         self.respawns = 0
-        #: Circuit breaker: a worker name with ``breaker_threshold``
-        #: mid-job failures trips open for ``breaker_cooldown_s`` —
-        #: its re-registrations are refused while open.
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown_s = breaker_cooldown_s
-        self._breaker_failures: Dict[str, int] = {}
-        self._breaker_open_until: Dict[str, float] = {}
-        self.breaker_rejections = 0
         self._lock = threading.RLock()
         self._queue: Deque[_Pending] = deque()
         self._queued_ids: set[str] = set()
@@ -381,10 +367,7 @@ class SocketWorkerBackend:
                     )
                 )
 
-    # -- Backend protocol --------------------------------------------------
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(name="socket")
+    # -- Runner protocol ---------------------------------------------------
 
     def capacity(self) -> int:
         with self._lock:
@@ -554,12 +537,6 @@ class SocketWorkerBackend:
                 "unknown_skipped": self.unknown_skipped,
                 "mismatched_frames": self.mismatched_frames,
                 "respawns": self.respawns,
-                "breaker_rejections": self.breaker_rejections,
-                "breaker_open": sorted(
-                    name
-                    for name, until in self._breaker_open_until.items()
-                    if time.perf_counter() < until
-                ),
             }
 
     def spawned_processes(self) -> List[mp.Process]:
@@ -584,28 +561,6 @@ class SocketWorkerBackend:
 
         registry = self._metrics if self._metrics is not None else default_registry()
         registry.counter(f"exec.socket.{name}").inc()
-
-    def _admit(self, name: str) -> bool:
-        """May a worker with this name (re-)register? (lock held)"""
-        open_until = self._breaker_open_until.get(name)
-        if open_until is not None:
-            if time.perf_counter() < open_until:
-                return False
-            # Cooldown elapsed: half-open — admit, but one more failure
-            # re-trips immediately (failure count stays at threshold-1).
-            del self._breaker_open_until[name]
-            self._breaker_failures[name] = self.breaker_threshold - 1
-        return True
-
-    def _record_failure(self, name: str) -> None:
-        """One mid-job failure against the breaker (lock held)."""
-        count = self._breaker_failures.get(name, 0) + 1
-        self._breaker_failures[name] = count
-        if count >= self.breaker_threshold:
-            self._breaker_open_until[name] = (
-                time.perf_counter() + self.breaker_cooldown_s
-            )
-            self._count("breaker_tripped")
 
     def _accept_loop(self) -> None:
         while True:
@@ -634,16 +589,6 @@ class SocketWorkerBackend:
         name = str(hello.get("name", ""))
         with self._lock:
             if self._closing:
-                conn.close()
-                return
-            if name and not self._admit(name):
-                # Breaker-open: refuse the registration.
-                self.breaker_rejections += 1
-                self._count("breaker_rejected")
-                try:
-                    _frames.send_frame(conn, _frames.TAG_BYE)
-                except OSError:
-                    pass
                 conn.close()
                 return
             self._next_wid += 1
@@ -814,7 +759,6 @@ class SocketWorkerBackend:
                 )
             self._assigned.pop(pending.job.id, None)
             worker.current = None
-            self._record_failure(worker.name)
         self._bury(worker, lost_job=pending is not None)
         self._count("worker_evicted")
 
@@ -840,7 +784,6 @@ class SocketWorkerBackend:
                     )
                 self._assigned.pop(pending.job.id, None)
                 worker.current = None
-                self._record_failure(worker.name)
             self._bury(worker, lost_job=pending is not None)
 
     def _bury(self, worker: _WorkerConn, lost_job: bool) -> None:
@@ -936,6 +879,8 @@ class PoolBackend(SocketWorkerBackend):
     and respawned; a crash names the dead worker's exit code.
     """
 
+    name = "pool"
+
     def __init__(self, workers: int, metrics: Optional[Any] = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -943,6 +888,3 @@ class PoolBackend(SocketWorkerBackend):
             spawn=workers, max_queue=workers, metrics=metrics, respawn=True
         )
         self.workers = workers
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(name="pool")

@@ -41,17 +41,12 @@ same-directory temp file + ``os.replace``, which is atomic on POSIX
 filesystems (including NFS renames within a directory) — a reader sees
 either the old artifact, the new one, or a miss, never a torn file.
 
-Single-flight: concurrent lookups of the same *in-flight* key are
-observable.  A dispatcher that is about to compute a key calls
-:meth:`ResultCache.mark_pending`; until the matching
-:meth:`~ResultCache.clear_pending`, :meth:`~ResultCache.pending_keys`
-reports the key and further ``mark_pending`` calls return ``False`` —
-the caller should *coalesce* onto the in-flight computation (and say
-so via :meth:`~ResultCache.note_coalesced`, which feeds the
-``exec.cache.coalesced`` counter) instead of duplicating backend work.
-The request coalescer in :mod:`repro.serve` is the primary consumer;
-keys come from the public :meth:`~ResultCache.try_key_for`, so every
-layer agrees on one canonical key derivation.
+Coalescing: the request coalescer in :mod:`repro.serve` keeps the
+record of in-flight keys itself and attaches a duplicate lookup to the
+live computation; :meth:`ResultCache.note_coalesced` counts each such
+lookup (``exec.cache.coalesced``).  Keys come from the public
+:meth:`~ResultCache.try_key_for`, so every layer agrees on one
+canonical key derivation.
 """
 
 from __future__ import annotations
@@ -60,7 +55,6 @@ import contextlib
 import hashlib
 import json
 import os
-import threading
 import time
 from pathlib import Path
 from typing import Any, Mapping, Optional
@@ -169,11 +163,6 @@ class ResultCache:
         self.write_failed = 0
         self.unkeyable = 0
         self.coalesced = 0
-        # Keys currently being computed (single-flight bookkeeping).
-        # Guarded by a lock: the serve layer marks from its event-loop
-        # thread and clears from its dispatcher thread.
-        self._pending: set[str] = set()
-        self._pending_lock = threading.Lock()
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -193,31 +182,7 @@ class ResultCache:
             "coalesced": self.coalesced,
         }
 
-    # -- single-flight -----------------------------------------------------
-
-    def mark_pending(self, key: str) -> bool:
-        """Claim ``key`` as in flight; ``False`` if someone already has.
-
-        The caller that gets ``True`` owns the computation and must
-        :meth:`clear_pending` when it publishes (or abandons) the
-        result; a caller that gets ``False`` should attach to the
-        in-flight computation instead of recomputing.
-        """
-        with self._pending_lock:
-            if key in self._pending:
-                return False
-            self._pending.add(key)
-            return True
-
-    def clear_pending(self, key: str) -> None:
-        """Release an in-flight claim (idempotent)."""
-        with self._pending_lock:
-            self._pending.discard(key)
-
-    def pending_keys(self) -> frozenset[str]:
-        """Snapshot of keys currently claimed in flight."""
-        with self._pending_lock:
-            return frozenset(self._pending)
+    # -- coalescing --------------------------------------------------------
 
     def note_coalesced(self, n: int = 1) -> None:
         """Count lookups served by attaching to an in-flight key."""

@@ -1,11 +1,11 @@
-"""The execution engine: dependency-aware, cached, fault-tolerant.
+"""The execution engine: cached, fault-tolerant sweeps.
 
 :class:`ExecutionEngine` drives a :class:`~repro.exec.job.JobGraph`
 through a :class:`~repro.exec.runners.Runner`:
 
-1. Jobs become *ready* when every dependency has SUCCEEDED; the cache
-   (if configured) is consulted first, and a hit completes the job
-   without dispatching it.  Cache keys are salted with the job id, so
+1. Jobs are dispatched in insertion order; the cache (if configured)
+   is consulted first, and a hit completes the job without
+   dispatching it.  Cache keys are salted with the job id, so
    two jobs sharing a callable and config never share an artifact; a
    job whose config cannot be canonicalized simply runs uncached.
    JSON fidelity contract: whenever a job's result goes through the
@@ -22,8 +22,7 @@ through a :class:`~repro.exec.runners.Runner`:
    only attempts that replayed without gaining ground are charged.
    With ``hang_timeout_s`` set, a worker that stops heartbeating is
    killed and resumed long before its wall-clock deadline.
-3. A job whose dependency ends non-SUCCEEDED is SKIPPED, transitively.
-4. The outcome is a :class:`RunReport`: per-job status, attempts, wall
+3. The outcome is a :class:`RunReport`: per-job status, attempts, wall
    time, and cache provenance, plus whole-run counters mirrored into
    the instrumentation registry (``exec.jobs.*``).
 
@@ -55,7 +54,6 @@ class JobStatus(Enum):
     SUCCEEDED = "succeeded"
     FAILED = "failed"
     TIMEOUT = "timeout"
-    SKIPPED = "skipped"
 
 
 @dataclass
@@ -90,8 +88,8 @@ class RunReport:
     #: streams, profile) when the engine ran with ``telemetry=``;
     #: see :func:`repro.obs.telemetry.merge_job_telemetry`.
     telemetry: Optional[dict] = None
-    #: Name of the backend that executed the run (capabilities name,
-    #: e.g. ``serial``/``pool``/``socket``/``array``).
+    #: Name of the backend that executed the run (the runner's
+    #: ``name``, e.g. ``serial``/``pool``/``socket``/``array``).
     backend: Optional[str] = None
 
     def __getitem__(self, job_id: str) -> JobRecord:
@@ -287,11 +285,9 @@ class ExecutionEngine:
     def run(self, graph: JobGraph) -> RunReport:
         registry = self._metrics if self._metrics is not None else default_registry()
         tracer = getattr(registry, "tracer", None)
-        order = graph.topo_order()
+        order = graph.ids()
         #: Latest telemetry payload per job (worker "tel" frames).
         job_telemetry: Dict[str, Optional[dict]] = {}
-        dependents = graph.dependents()
-        remaining_deps = {jid: len(graph.get(jid).deps) for jid in order}
         configs: Dict[str, Optional[dict]] = {}
         keys: Dict[str, Optional[str]] = {}
         attempts: Dict[str, int] = {jid: 0 for jid in order}
@@ -303,7 +299,7 @@ class ExecutionEngine:
         #: Highest heartbeat progress any attempt of the job reported.
         progress_hwm: Dict[str, float] = {}
         records: Dict[str, JobRecord] = {}
-        ready: list[str] = [jid for jid in order if remaining_deps[jid] == 0]
+        ready: list[str] = list(order)
         retry_at: Dict[str, float] = {}
         running: set[str] = set()
         start = time.perf_counter()
@@ -352,29 +348,6 @@ class ExecutionEngine:
                 )
             if record.status is JobStatus.SUCCEEDED:
                 registry.histogram("exec.job.wall_s").observe(record.wall_time_s)
-                for child in dependents[jid]:
-                    remaining_deps[child] -= 1
-                    if remaining_deps[child] == 0 and child not in records:
-                        ready.append(child)
-            else:
-                skip_dependents(jid, record.status.value)
-
-        def skip_dependents(jid: str, why: str) -> None:
-            for child in dependents[jid]:
-                if child in records:
-                    continue
-                child_record = JobRecord(
-                    job_id=child,
-                    status=JobStatus.SKIPPED,
-                    error=f"dependency {jid!r} {why}",
-                    attempts=attempts[child],
-                )
-                records[child] = child_record
-                registry.counter("exec.jobs.skipped").inc()
-                if child in ready:
-                    ready.remove(child)
-                retry_at.pop(child, None)
-                skip_dependents(child, "was skipped")
 
         def dispatch(jid: str) -> None:
             job = graph.get(jid)
@@ -526,13 +499,11 @@ class ExecutionEngine:
         finally:
             self.runner.shutdown()
 
-        from .backends.base import capabilities_of
-
         report = RunReport(
             records={jid: records[jid] for jid in order},
             wall_time_s=time.perf_counter() - start,
             cache_stats=self.cache.stats() if self.cache is not None else {},
-            backend=capabilities_of(self.runner).name,
+            backend=getattr(self.runner, "name", type(self.runner).__name__),
         )
         if self.telemetry is not None:
             # Merge once, after the run, in sorted job order — never at

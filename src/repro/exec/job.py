@@ -2,10 +2,8 @@
 
 A :class:`Job` is one unit of work — a picklable callable plus an
 optional configuration mapping — identified by a stable string id.
-Jobs are wired into a :class:`JobGraph`, a DAG whose edges express
-"must complete successfully before": an experiment that post-processes
-another experiment's artifact, or a sweep stage that consumes a
-calibration stage.
+A :class:`JobGraph` is a sweep: an insertion-ordered set of
+independent jobs, scheduled in the order they were added.
 
 Determinism is a first-class concern.  The paper's claims are checked
 by reproducing numbers, so a job's random stream must not depend on
@@ -20,7 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 __all__ = ["Job", "JobGraph", "callable_name", "derive_seed", "invoke"]
 
@@ -83,7 +81,6 @@ class Job:
     id: str
     fn: Callable[..., Any]
     config: Optional[Mapping[str, Any]] = None
-    deps: Tuple[str, ...] = ()
     timeout_s: Optional[float] = None
     retries: Optional[int] = None
     seed_key: Optional[str] = None
@@ -98,13 +95,16 @@ class Job:
             raise ValueError(f"job {self.id}: timeout_s must be positive")
         if self.retries is not None and self.retries < 0:
             raise ValueError(f"job {self.id}: retries must be non-negative")
-        object.__setattr__(self, "deps", tuple(self.deps))
-        if self.id in self.deps:
-            raise ValueError(f"job {self.id} depends on itself")
 
 
 class JobGraph:
-    """A DAG of jobs keyed by id, with deterministic topological order."""
+    """Independent jobs keyed by id, in insertion order.
+
+    Insertion order is the run order: the engine dispatches, and
+    :func:`~repro.exec.backends.array.plan_array` shards, in the order
+    jobs were added, which keeps serial runs reproducible and cache
+    layouts stable.
+    """
 
     def __init__(self, jobs: Iterable[Job] = ()) -> None:
         self._jobs: Dict[str, Job] = {}
@@ -132,48 +132,6 @@ class JobGraph:
 
     def jobs(self) -> list[Job]:
         return list(self._jobs.values())
-
-    def dependents(self) -> Dict[str, list[str]]:
-        """Reverse edges: job id -> ids that depend on it (insertion order)."""
-        out: Dict[str, list[str]] = {jid: [] for jid in self._jobs}
-        for job in self._jobs.values():
-            for dep in job.deps:
-                out[dep].append(job.id)
-        return out
-
-    def validate(self) -> None:
-        """Reject unknown dependencies (cycles are caught by topo_order)."""
-        for job in self._jobs.values():
-            for dep in job.deps:
-                if dep not in self._jobs:
-                    raise ValueError(
-                        f"job {job.id!r} depends on unknown job {dep!r}"
-                    )
-
-    def topo_order(self) -> list[str]:
-        """Kahn's algorithm, ties broken by insertion order.
-
-        Deterministic: the same graph always schedules in the same
-        order, which keeps serial runs reproducible and cache layouts
-        stable.  Raises ``ValueError`` on cycles, naming the jobs left
-        unordered.
-        """
-        self.validate()
-        indegree = {jid: len(job.deps) for jid, job in self._jobs.items()}
-        ready = [jid for jid in self._jobs if indegree[jid] == 0]
-        dependents = self.dependents()
-        order: list[str] = []
-        while ready:
-            jid = ready.pop(0)
-            order.append(jid)
-            for child in dependents[jid]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.append(child)
-        if len(order) != len(self._jobs):
-            stuck = sorted(set(self._jobs) - set(order))
-            raise ValueError(f"dependency cycle among jobs: {stuck}")
-        return order
 
     def __len__(self) -> int:
         return len(self._jobs)

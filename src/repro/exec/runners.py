@@ -4,7 +4,7 @@ The engine (:mod:`repro.exec.engine`) owns scheduling, caching, and
 retry policy; a runner only executes *attempts*.  The protocol is
 deliberately poll-based — ``submit`` starts work, ``poll`` reaps
 finished :class:`Attempt` records — so the engine can multiplex cache
-hits, retry backoff, and dependency release over any backend.
+hits and retry backoff over any backend.
 
 :class:`SerialRunner` runs jobs in-process, one at a time.  It is the
 zero-dependency fallback and the only runner that can execute
@@ -69,7 +69,13 @@ class Attempt:
 
 @runtime_checkable
 class Runner(Protocol):
-    """What the engine needs from an execution backend."""
+    """What the engine needs from an execution backend.
+
+    A backend may also carry a ``name`` (``serial``, ``pool``,
+    ``socket``, ``array``), which :class:`~repro.exec.engine.RunReport`
+    and the resilience campaign report; a runner without one is named
+    after its type.
+    """
 
     def capacity(self) -> int:
         """Free worker slots right now (0 means: do not submit)."""
@@ -110,13 +116,10 @@ class Runner(Protocol):
 class SerialRunner:
     """In-process, one-job-at-a-time backend (and closure-safe fallback)."""
 
+    name = "serial"
+
     def __init__(self) -> None:
         self._done: List[Attempt] = []
-
-    def capabilities(self):
-        from .backends.base import BackendCapabilities
-
-        return BackendCapabilities(name="serial")
 
     def capacity(self) -> int:
         return 1

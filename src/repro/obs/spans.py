@@ -22,7 +22,7 @@ Design constraints, in order:
    model emission sites are guarded by a single ``is not None`` test
    hoisted out of their hot loops.
 3. **Bounded memory.**  :class:`SpanSink` is a ring over a deque with a
-   ``dropped`` counter, mirroring :class:`repro.core.instrument.TraceSink`.
+   ``dropped`` counter.
 
 Span **categories** partition the stream by replay behaviour:
 
@@ -112,7 +112,7 @@ class SpanSink:
     """Bounded ring of completed :class:`SpanRecord`\\ s.
 
     Oldest spans are evicted first once ``capacity`` is reached and
-    counted in ``dropped``, mirroring ``TraceSink``.  The sink is
+    counted in ``dropped``.  The sink is
     :class:`repro.core.events.Checkpointable`-shaped: its snapshot is
     the ``(length, dropped)`` position in the stream, and restore
     truncates back to it — valid because completed spans are only ever

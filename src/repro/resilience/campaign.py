@@ -47,7 +47,7 @@ from ..core.events import Simulator
 from ..core.rng import resolve_rng
 from ..crosscut.faults import KernelFaultInjector, Outcome, injection_campaign
 from ..crosscut.invariants import compare_protection_schemes
-from ..exec.backends import capabilities_of, make_backend
+from ..exec.backends import make_backend
 from ..exec.engine import ExecutionEngine, RunReport
 from ..exec.heartbeat import heartbeat
 from ..exec.job import Job, JobGraph
@@ -471,7 +471,7 @@ def run_campaign(
             "scale": scale,
             "seed": int(seed),
             "jobs": int(jobs),
-            "backend": capabilities_of(runner).name,
+            "backend": getattr(runner, "name", type(runner).__name__),
         },
     )
     for model in chosen:

@@ -70,15 +70,14 @@ class CheckpointManager:
             sim.restore(mgr.latest)
             sim.run()   # resumes; replays the identical event stream
 
-    The manager schedules its ticks with
-    :meth:`~repro.core.events.Simulator.schedule_tagged` so each tick
-    knows its own sequence number (what a mid-run snapshot needs), and
-    it re-arms the *next* tick **before** snapshotting, so the pending
-    tick is inside every snapshot and the checkpoint chain survives a
-    restore.  The manager itself is checkpointable — its tick token and
-    pending sequence number roll back with the kernel — while the
-    ``snapshots`` ring deliberately does not (you keep your checkpoints
-    across a restore).
+    Each tick's :class:`~repro.core.events.CancelToken` carries the
+    tick's sequence number (``token.seq``, what a mid-run snapshot
+    needs), and the manager re-arms the *next* tick **before**
+    snapshotting, so the pending tick is inside every snapshot and the
+    checkpoint chain survives a restore.  The manager itself is
+    checkpointable — its tick token rolls back with the kernel — while
+    the ``snapshots`` ring deliberately does not (you keep your
+    checkpoints across a restore).
 
     ``keep`` bounds the snapshot ring; ``keep=1`` retains only the most
     recent (the common resume-from-latest case).
@@ -94,15 +93,14 @@ class CheckpointManager:
         self.taken = 0
         self._sim: Optional[Simulator] = None
         self._token: Optional[CancelToken] = None
-        self._pending_seq: Optional[int] = None
 
     # -- Checkpointable (tick chain state rides in each snapshot) ---------
 
     def snapshot_state(self) -> Any:
-        return (self._token, self._pending_seq, self.taken)
+        return (self._token, self.taken)
 
     def restore_state(self, state: Any) -> None:
-        self._token, self._pending_seq, self.taken = state
+        self._token, self.taken = state
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -132,7 +130,7 @@ class CheckpointManager:
         self._sim = sim
         sim.register_checkpointable(self)
         delay = self.period if initial_delay is None else initial_delay
-        self._token, self._pending_seq = sim.schedule_tagged(delay, self._tick)
+        self._token = sim.schedule(delay, self._tick)
         return self
 
     def disarm(self) -> None:
@@ -140,16 +138,13 @@ class CheckpointManager:
         if self._token is not None:
             self._token.cancel()
         self._token = None
-        self._pending_seq = None
         self._sim = None
 
     def _tick(self, sim: Simulator, _payload: Any) -> None:
-        my_seq = self._pending_seq
+        my_seq = self._token.seq
         # Re-arm first: the next tick must be pending *inside* the
         # snapshot, so the chain keeps firing after a restore.
-        self._token, self._pending_seq = sim.schedule_tagged(
-            self.period, self._tick
-        )
+        self._token = sim.schedule(self.period, self._tick)
         # Count *before* snapshotting: the manager's snapshot_state then
         # carries the post-tick count, so a restore rolls ``taken`` back
         # to exactly the number of checkpoint marks in the (also
@@ -180,7 +175,6 @@ class CheckpointManager:
         if live_others <= 0:
             self._token.cancel()
             self._token = None
-            self._pending_seq = None
 
 
 class JobCheckpointStore:

@@ -9,12 +9,11 @@ checked in order under one lock:
 1. **Cache fast path** — the artifact already exists: the run record
    completes immediately, no queueing, no backend.
 2. **Coalesce** — the design point is already queued or in flight
-   (tracked both here and via the cache's single-flight
-   ``mark_pending`` hook): the new run record *attaches* to the live
-   entry; when the one backend job finishes, the result fans out to
-   every attached waiter.  Counted ``serve.coalesced`` here and
+   (its entry is live in this coalescer): the new run record
+   *attaches* to the live entry; when the one backend job finishes,
+   the result fans out to every attached waiter.  Counted ``serve.coalesced`` here and
    ``exec.cache.coalesced`` on the cache.
-3. **New entry** — the point claims its key in flight and goes to
+3. **New entry** — the point becomes a live entry and goes to
    admission control; only this case can ever be shed or cost backend
    work.
 
@@ -23,14 +22,13 @@ stays open the whole time the entry is queued *or* running.
 
 Answer before write: on success :meth:`Coalescer.complete` builds the
 canonical artifact, finishes every attached record and wakes its
-waiters, and only then writes the cache file, clears the pending key
-and retires the entry.  A duplicate arriving between the answer and
-the retirement finds the finished entry and is answered from its
-stored result; that counts as a cache fast-path hit, exactly as it
-would a moment later when the file is there.  A write that fails
-with an ``OSError`` (full disk, unwritable cache directory) is counted
-``exec.cache.write_failed`` by the cache; the run stays succeeded and
-the entry retires all the same.
+waiters, and only then writes the cache file and retires the entry.
+A duplicate arriving between the answer and the retirement finds the
+finished entry and is answered from its stored result; that counts as
+a cache fast-path hit, exactly as it would a moment later when the
+file is there.  A write that fails with an ``OSError`` (full disk,
+unwritable cache directory) is counted ``exec.cache.write_failed`` by
+the cache; the run stays succeeded and the entry retires all the same.
 """
 
 from __future__ import annotations
@@ -219,7 +217,6 @@ class Coalescer:
                     self._serve_cached(record, artifact["result"], stamp,
                                        registry)
                     return record, None
-                self.cache.mark_pending(key)
 
             entry = Entry(point, key, record)
             self._entries[point.design_id] = entry
@@ -304,11 +301,9 @@ class Coalescer:
     def _retire(self, entry: Entry) -> None:
         """Drop a finished entry; caller holds the lock."""
         self._entries.pop(entry.design_id, None)
-        if entry.key is not None:
-            self.cache.clear_pending(entry.key)
 
     def abandon(self, entry: Entry) -> None:
-        """Admission shed a just-created entry: roll its claim back."""
+        """Admission shed a just-created entry: roll it back."""
         with self._lock:
             self._retire(entry)
             for record in entry.records:

@@ -199,7 +199,6 @@ def _sweep(chaos):
         chaos=chaos,
         worker_chaos=chaos,
         respawn=chaos is not None,
-        breaker_threshold=6,
     )
     engine = ExecutionEngine(
         runner=backend, default_retries=8, default_timeout_s=10.0

@@ -314,7 +314,6 @@ class TestPendingCounts:
 _NAN_ENTRY_POINTS = {
     "schedule_at": lambda sim, cb: sim.schedule_at(math.nan, cb),
     "schedule": lambda sim, cb: sim.schedule(math.nan, cb),
-    "schedule_tagged": lambda sim, cb: sim.schedule_tagged(math.nan, cb),
     "schedule_many-list": lambda sim, cb: sim.schedule_many([2.0, math.nan], cb),
     "schedule_many-numpy": lambda sim, cb: sim.schedule_many(
         np.array([2.0, math.nan]), cb),
@@ -337,6 +336,31 @@ class TestNanTimes:
         assert len(sim) == 2
         sim.run()
         assert log == [(1.0, "b"), (5.0, "a")]
+
+
+#: A rejected bulk load must take no sequence number: each one once
+#: left ``events_executed`` counting work that never ran.
+_REJECTED_LOADS = {
+    **_NAN_ENTRY_POINTS,
+    "schedule_many-past": lambda sim, cb: sim.schedule_many([2.0, -1.0], cb),
+    "schedule_many-payload-count": lambda sim, cb: sim.schedule_many(
+        [1.0, 2.0, 3.0], cb, payloads=["a", "b"]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_REJECTED_LOADS))
+def test_rejected_load_leaves_the_kernel_as_it_was(entry):
+    sim, clean = Simulator(), Simulator()
+    with pytest.raises(ValueError):
+        _REJECTED_LOADS[entry](sim, record([]))
+    assert sim.schedule(1.0, record([])).seq == clean.schedule(
+        1.0, record([])).seq
+    assert sim.snapshot().events_executed == 0
+    log = []
+    sim.schedule_many([2.0, 3.0], record(log), payloads="ab")
+    sim.run()
+    assert log == [(2.0, "a"), (3.0, "b")]
+    assert sim.stats.events_executed == 3
 
 
 class TestRunGuards:

@@ -1,7 +1,7 @@
 """Tests for the instrumentation substrate and kernel hooks.
 
 Covers repro.core.instrument (counters, gauges, streaming quantile
-histograms, trace sink, session registry) and the kernel-side hooks
+histograms, session registry) and the kernel-side hooks
 (probes, periodic samplers, SimModel attach, PeriodicSource stop).
 The hypothesis property tests implement DESIGN.md §4's kernel
 contract: total time ordering with seq tie-breaking, lazy-cancellation
@@ -15,19 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import instrument
-from repro.core.events import (
-    PeriodicSource,
-    SimModel,
-    Simulator,
-    trace_events,
-)
+from repro.core.events import PeriodicSource, SimModel, Simulator
 from repro.core.instrument import (
     NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    TraceSink,
 )
 
 
@@ -108,16 +102,6 @@ class TestHistogram:
         assert math.isnan(Histogram("lat").quantile(0.5))
 
 
-class TestTraceSink:
-    def test_bounded_with_drop_count(self):
-        sink = TraceSink(capacity=3)
-        for i in range(5):
-            sink.emit(float(i), "cat", "ev", i)
-        assert len(sink) == 3
-        assert sink.dropped == 2
-        assert [e[0] for e in sink.events()] == [2.0, 3.0, 4.0]
-
-
 class TestRegistry:
     def test_scoped_names_are_prefixed(self):
         reg = MetricsRegistry()
@@ -129,7 +113,6 @@ class TestRegistry:
         NULL_REGISTRY.counter("x").inc()
         NULL_REGISTRY.gauge("y").set(1.0)
         NULL_REGISTRY.histogram("z").observe(1.0)
-        NULL_REGISTRY.trace(0.0, "a", "b")
         assert NULL_REGISTRY.snapshot() == before == {}
 
     def test_same_name_returns_same_instrument(self):
@@ -144,11 +127,11 @@ class TestRegistry:
         assert snap["a"]["value"] == 3 and snap["b"]["value"] == 3
 
     def test_report_mentions_every_instrument(self):
-        reg = MetricsRegistry(trace_capacity=8)
+        reg = MetricsRegistry()
         reg.counter("events").inc()
         reg.histogram("lat").observe(1.0)
         text = reg.report()
-        assert "events" in text and "lat" in text and "[trace]" in text
+        assert "events" in text and "lat" in text
 
 
 class TestSessionRegistry:
@@ -193,14 +176,6 @@ class TestProbes:
         sim.schedule(1.0, lambda s, p: None)
         sim.run()
         assert seen == [1.0]
-
-    def test_trace_events_probe_fills_sink(self):
-        reg = MetricsRegistry(trace_capacity=16)
-        sim = Simulator(metrics=reg)
-        trace_events(sim)
-        sim.schedule(1.0, lambda s, p: None, "x")
-        sim.run()
-        assert len(reg.trace_sink) == 1
 
 
 class TestSampler:

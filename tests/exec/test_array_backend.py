@@ -33,30 +33,45 @@ def slow_job(config):
     return {"slept": config["sleep_s"]}
 
 
-def _chain_graph():
-    """a -> b (dependent pair) plus two independent jobs."""
+def _graph():
+    """Four independent jobs."""
     graph = JobGraph()
-    graph.add(Job(id="a", fn=value_job, config={"x": 1}))
-    graph.add(Job(id="b", fn=value_job, config={"x": 2}, deps=("a",)))
-    graph.add(Job(id="c", fn=value_job, config={"x": 3}))
-    graph.add(Job(id="d", fn=value_job, config={"x": 4}))
+    for i, jid in enumerate("abcd", start=1):
+        graph.add(Job(id=jid, fn=value_job, config={"x": i}))
     return graph
 
 
 class TestPlan:
-    def test_dependent_jobs_share_a_shard(self, tmp_path):
-        task_dirs = plan_array(_chain_graph(), shards=4, root=str(tmp_path))
-        by_task = {}
+    @pytest.mark.parametrize("n_jobs, shards, expected", [
+        (7, 3, [["j0", "j3", "j6"], ["j1", "j4"], ["j2", "j5"]]),
+        (2, 4, [["j0"], ["j1"]]),
+        (4, 1, [["j0", "j1", "j2", "j3"]]),
+    ])
+    def test_shards_deal_jobs_round_robin(self, tmp_path, n_jobs, shards,
+                                          expected):
+        graph = JobGraph(
+            Job(id=f"j{i}", fn=value_job, config={"x": i}, timeout_s=5.0)
+            for i in range(n_jobs)
+        )
+        task_dirs = plan_array(graph, shards=shards, root=str(tmp_path))
+        manifests = []
         for task_dir in task_dirs:
             with open(os.path.join(task_dir, "manifest.json")) as fh:
-                manifest = json.load(fh)
+                manifests.append(json.load(fh))
+        assert [m["task"] for m in manifests] == list(range(len(expected)))
+        assert [[j["id"] for j in m["jobs"]] for m in manifests] == expected
+        for manifest in manifests:
+            assert manifest["version"] == 1
             for job in manifest["jobs"]:
-                by_task[job["id"]] = manifest["task"]
-        assert by_task["a"] == by_task["b"]  # dep edge pins the shard
-        assert len(by_task) == 4
+                assert job["fn"].endswith("value_job")
+                assert job["timeout_s"] == 5.0
+        with open(tmp_path / "manifest.json") as fh:
+            assert json.load(fh) == {
+                "version": 1, "tasks": len(expected), "jobs": n_jobs,
+            }
 
     def test_root_manifest_counts(self, tmp_path):
-        task_dirs = plan_array(_chain_graph(), shards=2, root=str(tmp_path))
+        task_dirs = plan_array(_graph(), shards=2, root=str(tmp_path))
         with open(tmp_path / "manifest.json") as fh:
             manifest = json.load(fh)
         assert manifest["tasks"] == len(task_dirs) == 2
@@ -76,7 +91,7 @@ class TestPlan:
         assert {r["job_id"]: r["result"]["seed"] for r in rows2} == seeds
 
     def test_submit_script_renders(self, tmp_path):
-        plan_array(_chain_graph(), shards=2, root=str(tmp_path))
+        plan_array(_graph(), shards=2, root=str(tmp_path))
         script = emit_submit_script(str(tmp_path))
         assert "#SBATCH --array=0-1" in script
         assert "repro.exec.backends.array" in script
@@ -85,7 +100,7 @@ class TestPlan:
 
 class TestRunTask:
     def test_offline_plan_run_collect(self, tmp_path):
-        plan_array(_chain_graph(), shards=2, root=str(tmp_path))
+        plan_array(_graph(), shards=2, root=str(tmp_path))
         for index in range(2):
             run_array_task(str(tmp_path), index)
         rows = collect(str(tmp_path))
@@ -93,17 +108,15 @@ class TestRunTask:
         assert all(r["status"] == "ok" for r in rows.values())
         assert rows["b"]["result"] == {"value": 20}
 
-    def test_in_shard_dep_failure_skips_dependent(self, tmp_path):
+    def test_raising_job_is_an_error_row(self, tmp_path):
         graph = JobGraph()
         graph.add(Job(id="boom", fn=raising_job))
-        graph.add(Job(id="after", fn=value_job, config={"x": 1},
-                      deps=("boom",)))
+        graph.add(Job(id="after", fn=value_job, config={"x": 1}))
         plan_array(graph, shards=1, root=str(tmp_path))
         rows = {r["job_id"]: r for r in run_array_task(str(tmp_path), 0)}
         assert rows["boom"]["status"] == "error"
         assert "bad cell" in rows["boom"]["error"]
-        assert rows["after"]["status"] == "error"
-        assert "dependency" in rows["after"]["error"]
+        assert rows["after"]["status"] == "ok"
 
     def test_shared_cache_reuse(self, tmp_path):
         root = tmp_path / "root"
@@ -119,7 +132,7 @@ class TestRunTask:
         assert rows["a"]["result"] == {"value": 50}
 
     def test_newer_manifest_version_refused(self, tmp_path):
-        plan_array(_chain_graph(), shards=1, root=str(tmp_path))
+        plan_array(_graph(), shards=1, root=str(tmp_path))
         manifest_path = tmp_path / "task-0000" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["version"] = 999
@@ -128,7 +141,7 @@ class TestRunTask:
             run_array_task(str(tmp_path), 0)
 
     def test_collect_tolerates_missing_and_corrupt(self, tmp_path):
-        plan_array(_chain_graph(), shards=2, root=str(tmp_path))
+        plan_array(_graph(), shards=2, root=str(tmp_path))
         run_array_task(str(tmp_path), 0)  # task 1 never ran
         (tmp_path / "task-0001" / "result.pkl").write_bytes(b"garbage")
         rows = collect(str(tmp_path))
@@ -178,4 +191,4 @@ class TestArrayBackend:
 
     def test_capabilities(self, tmp_path):
         backend = ArrayBackend(str(tmp_path), shard_size=3, max_parallel=2)
-        assert backend.capabilities().name == "array"
+        assert backend.name == "array"

@@ -1,59 +1,78 @@
-"""Tests for the Backend protocol, capabilities and factory."""
+"""Tests for backend names and the backend factory."""
 
 import pytest
 
+from repro.exec import ExecutionEngine, Job, JobGraph
 from repro.exec.backends import (
     ArrayBackend,
-    Backend,
     PoolBackend,
     SocketWorkerBackend,
     available_backends,
-    capabilities_of,
     make_backend,
 )
 from repro.exec.backends import BACKEND_NAMES
-from repro.exec.runners import SerialRunner
+from repro.exec.backends.hedge import HedgedRunner
+from repro.exec.runners import Runner, SerialRunner
+
+
+def ok_job():
+    return {"ok": True}
 
 
 class TestCapabilities:
+    """A backend describes itself by its ``name``."""
+
     def test_serial_capabilities(self):
-        assert SerialRunner().capabilities().name == "serial"
+        assert SerialRunner().name == "serial"
 
     def test_pool_capabilities(self):
         pool = make_backend("pool", 3)
         try:
-            assert pool.capabilities().name == "pool"
+            assert pool.name == "pool"
             assert pool.capacity() == 3 and pool.active() == 0
         finally:
             pool.shutdown()
 
     def test_builtin_runners_are_backends(self):
-        assert isinstance(SerialRunner(), Backend)
+        assert isinstance(SerialRunner(), Runner)
         pool = make_backend("pool", 1)
-        assert isinstance(pool, Backend)
-        pool.shutdown()
+        try:
+            assert isinstance(pool, Runner)
+        finally:
+            pool.shutdown()
 
-    def test_capabilities_of_passthrough(self):
-        assert capabilities_of(SerialRunner()).name == "serial"
+    def test_report_names_the_backend(self):
+        graph = JobGraph([Job(id="a", fn=ok_job)])
+        assert ExecutionEngine(SerialRunner()).run(graph).backend == "serial"
+        hedged = HedgedRunner(SerialRunner(), delay_s=1.0)
+        assert hedged.name == "serial"
+        graph = JobGraph([Job(id="a", fn=ok_job)])
+        assert ExecutionEngine(hedged).run(graph).backend == "serial"
 
-    def test_capabilities_of_infers_for_legacy_runner(self):
+    def test_report_names_a_nameless_runner_after_its_type(self):
         class Legacy:
-            def capacity(self):
-                return 2
+            """A runner that predates backend names."""
 
-            def active(self):
+            def __init__(self):
+                self._inner = SerialRunner()
+
+            def capacity(self):
                 return 1
 
-            def submit(self, *a, **k):
-                pass
+            def active(self):
+                return 0
+
+            def submit(self, *args, **kwargs):
+                self._inner.submit(*args, **kwargs)
 
             def poll(self):
-                return []
+                return self._inner.poll()
 
             def shutdown(self):
                 pass
 
-        assert capabilities_of(Legacy()).name == "Legacy"
+        graph = JobGraph([Job(id="a", fn=ok_job)])
+        assert ExecutionEngine(Legacy()).run(graph).backend == "Legacy"
 
 
 class TestMakeBackend:

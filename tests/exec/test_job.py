@@ -13,8 +13,9 @@ def sample_job():
 
 class TestJob:
     def test_valid_job(self):
-        job = Job(id="a", fn=sample_job, deps=["b", "c"])
-        assert job.deps == ("b", "c")
+        job = Job(id="a", fn=sample_job, config={"x": 1})
+        assert job.config == {"x": 1}
+        assert job.timeout_s is None and job.retries is None
 
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):
@@ -31,10 +32,6 @@ class TestJob:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             Job(id="a", fn=sample_job, retries=-1)
-
-    def test_self_dependency_rejected(self):
-        with pytest.raises(ValueError):
-            Job(id="a", fn=sample_job, deps=("a",))
 
 
 class TestCallableName:
@@ -72,35 +69,10 @@ class TestJobGraph:
         with pytest.raises(ValueError):
             graph.add(Job(id="a", fn=sample_job))
 
-    def test_unknown_dep_rejected(self):
-        graph = JobGraph([Job(id="a", fn=sample_job, deps=("ghost",))])
-        with pytest.raises(ValueError, match="ghost"):
-            graph.topo_order()
-
-    def test_cycle_detected(self):
-        graph = JobGraph(
-            [
-                Job(id="a", fn=sample_job, deps=("b",)),
-                Job(id="b", fn=sample_job, deps=("a",)),
-            ]
-        )
-        with pytest.raises(ValueError, match="cycle"):
-            graph.topo_order()
-
-    def test_topo_respects_deps(self):
-        graph = JobGraph(
-            [
-                Job(id="c", fn=sample_job, deps=("a", "b")),
-                Job(id="b", fn=sample_job, deps=("a",)),
-                Job(id="a", fn=sample_job),
-            ]
-        )
-        order = graph.topo_order()
-        assert order.index("a") < order.index("b") < order.index("c")
-
-    def test_topo_deterministic_insertion_order(self):
-        graph = JobGraph([Job(id=f"j{i}", fn=sample_job) for i in range(5)])
-        assert graph.topo_order() == [f"j{i}" for i in range(5)]
+    def test_ids_keep_insertion_order(self):
+        graph = JobGraph([Job(id=f"j{i}", fn=sample_job) for i in (3, 0, 4, 1, 2)])
+        assert graph.ids() == ["j3", "j0", "j4", "j1", "j2"]
+        assert [job.id for job in graph.jobs()] == graph.ids()
 
     def test_add_call_and_contains(self):
         graph = JobGraph()
@@ -109,12 +81,3 @@ class TestJobGraph:
         assert graph.get("a").fn is sample_job
         with pytest.raises(KeyError):
             graph.get("nope")
-
-    def test_dependents(self):
-        graph = JobGraph(
-            [
-                Job(id="a", fn=sample_job),
-                Job(id="b", fn=sample_job, deps=("a",)),
-            ]
-        )
-        assert graph.dependents()["a"] == ["b"]

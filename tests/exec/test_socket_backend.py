@@ -222,6 +222,6 @@ class TestIntrospection:
         assert snapshot["workers_joined"] == 2
 
     def test_capabilities_elastic(self, backend):
-        assert backend.capabilities().name == "socket"
+        assert backend.name == "socket"
         # Elastic: room in the queue, not the attached worker count.
         assert backend.capacity() == backend.max_queue

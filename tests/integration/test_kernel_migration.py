@@ -147,7 +147,7 @@ class TestKernelFaultInjector:
         assert injector.injected > 0
 
     def test_faults_are_counted_in_metrics(self):
-        reg = MetricsRegistry(trace_capacity=64)
+        reg = MetricsRegistry()
         sim = Simulator(metrics=reg)
         cluster = sim.attach(ClusterSimulator(ClusterConfig(n_servers=4)))
         injector = KernelFaultInjector(mean_interval=10.0, rng=0)
@@ -155,8 +155,7 @@ class TestKernelFaultInjector:
         injector.arm(sim, horizon=200.0)
         cluster.run(arrival_rate=2.0, n_requests=400, rng=0, sim=sim)
         snap = reg.snapshot()
-        assert snap["faults.injected"]["value"] == injector.injected
-        assert len(reg.trace_sink.events("faults")) > 0
+        assert snap["faults.injected"]["value"] == injector.injected > 0
 
     def test_disarm_cancels_pending(self):
         sim = Simulator()

@@ -86,7 +86,7 @@ def test_init_hook_keeps_the_walk(model, kernel_runs):
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_session_tracer_keeps_the_walk(model, kernel_runs):
     prev = instrument.current_session()
-    registry = instrument.enable_session(trace_capacity=64)
+    registry = instrument.enable_session()
     registry.tracer = Tracer()
     try:
         MODELS[model]()

@@ -1,4 +1,4 @@
-"""CLI tests: ``python -m repro obs`` and the --trace/--profile flags."""
+"""CLI tests: ``python -m repro obs`` and the --trace flag."""
 
 import json
 import subprocess

@@ -92,9 +92,9 @@ class TestKernelSnapshot:
         def nop(s, p):
             pass
 
-        _, seq_a = sim.schedule_tagged(1.0, nop)
+        seq_a = sim.schedule(1.0, nop).seq
         sim.snapshot()
-        _, seq_b = sim.schedule_tagged(2.0, nop)
+        seq_b = sim.schedule(2.0, nop).seq
         assert seq_b == seq_a + 2  # one seq burned by the snapshot
 
     def test_mid_run_snapshot_requires_current_seq(self):

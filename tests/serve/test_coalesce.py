@@ -1,7 +1,7 @@
 """Coalescing: identical design points cost one backend execution.
 
 Covers the coalescer unit (attach / fan-out / abandon / cache fast
-path), the cache's single-flight hook, and the end-to-end guarantee
+path), the cache's coalesced counter, and the end-to-end guarantee
 over HTTP: N duplicate submissions, one dispatch, N answered waiters.
 """
 
@@ -12,8 +12,6 @@ import os
 import queue
 import sys
 import threading
-
-import pytest
 
 from repro.core.instrument import MetricsRegistry
 from repro.exec.cache import ResultCache
@@ -35,7 +33,7 @@ class TestCoalescerUnit:
         point = design_point("spin", {"duration_s": 0.01, "tag": "x"})
         rec_a, entry = co.submit(point)
         assert entry is not None
-        assert entry.key in cache.pending_keys()  # single-flight claimed
+        assert co.live_entries() == 1  # the point is in flight
         rec_b, dup_entry = co.submit(design_point("spin", {"duration_s": 0.01, "tag": "x"}))
         assert dup_entry is None
         assert rec_b.coalesced and not rec_a.coalesced
@@ -44,7 +42,6 @@ class TestCoalescerUnit:
         co.complete(entry, ok=True, result={"v": 1}, duration_s=0.5)
         assert rec_a.status == "succeeded" and rec_b.status == "succeeded"
         assert rec_a.result == rec_b.result == {"v": 1}
-        assert entry.key not in cache.pending_keys()
         assert co.live_entries() == 0
 
     def test_distinct_points_do_not_coalesce(self, tmp_path):
@@ -82,7 +79,6 @@ class TestCoalescerUnit:
         record, entry = co.submit(design_point("spin", {"tag": "shed"}))
         co.abandon(entry)
         assert co.get(record.run_id) is None
-        assert entry.key not in cache.pending_keys()
         assert co.live_entries() == 0
 
     def test_done_callback_fires_immediately_when_terminal(self, tmp_path):
@@ -128,7 +124,6 @@ class TestAnswerBeforeWrite:
             # Answered with the canonical form; no file yet.
             assert woken.is_set() and record.result == {"t": [1, 2]}
             assert cache.get(entry.key) is None
-            assert entry.key in cache.pending_keys()
             dup, dup_entry = co.submit(design_point("spin", {"tag": "abw"}))
             assert dup_entry is None and dup.terminal
             assert dup.cached and not dup.coalesced
@@ -140,7 +135,6 @@ class TestAnswerBeforeWrite:
             cache.release.set()
             done.join(10.0)
         assert co.live_entries() == 0
-        assert entry.key not in cache.pending_keys()
         assert cache.get(entry.key)["result"] == {"t": [1, 2]}
         later, later_entry = co.submit(design_point("spin", {"tag": "abw"}))
         assert later_entry is None and later.cached
@@ -158,7 +152,6 @@ class TestAnswerBeforeWrite:
         co.complete(entry, ok=True, result={"v": 1})
         assert record.status == "succeeded" and record.result == {"v": 1}
         assert co.live_entries() == 0
-        assert entry.key not in cache.pending_keys()
         assert metrics.counter("exec.cache.write_failed").value == 1
         assert cache.stats()["write_failed"] == 1
 
@@ -197,7 +190,6 @@ class TestAnswerBeforeWrite:
         assert not completer.is_alive()
         assert not any(thread.is_alive() for thread in submitters)
         assert len(records) == 600 and co.live_entries() == 0
-        assert cache.pending_keys() == frozenset()
         config_of = {design_point("spin", {"tag": f"t{k}"}).design_id:
                      {"tag": f"t{k}"} for k in range(150)}
         for record in records:
@@ -213,16 +205,6 @@ class TestAnswerBeforeWrite:
 
 
 class TestCacheSingleFlight:
-    def test_mark_clear_pending(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        assert cache.mark_pending("k1") is True
-        assert cache.mark_pending("k1") is False  # second claimant loses
-        assert cache.pending_keys() == frozenset({"k1"})
-        cache.clear_pending("k1")
-        cache.clear_pending("k1")  # idempotent
-        assert cache.pending_keys() == frozenset()
-        assert cache.mark_pending("k1") is True
-
     def test_coalesced_counter_in_stats(self, tmp_path):
         metrics = MetricsRegistry(enabled=True)
         cache = ResultCache(tmp_path / "c", metrics=metrics)

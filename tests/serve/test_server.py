@@ -76,6 +76,9 @@ class TestMetricsParity:
     def test_live_scrape_matches_exporter_format(self, serve_factory):
         handle, client = serve_factory()
         client.submit("spin", {"duration_s": 0.01}, wait=True)
+        # The answer comes before the cache write (and its counter), so
+        # scrape only once the entry has retired and the state is still.
+        wait_until(lambda: handle.app.coalescer.live_entries() == 0)
         scraped = client.metrics_text()
         # Byte-identical to exporting the same registry state directly:
         # /metrics *is* registry_state_to_prometheus, not a lookalike.

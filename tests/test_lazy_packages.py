@@ -26,9 +26,9 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: Package -> number of public names; the eager inits exported as many.
 PACKAGES = {
-    "repro.core": 44,
-    "repro.exec": 26,
-    "repro.exec.backends": 27,
+    "repro.core": 42,
+    "repro.exec": 23,
+    "repro.exec.backends": 24,
     "repro.serve": 13,
     "repro.memory": 75,
     "repro.technology": 50,
