@@ -18,8 +18,10 @@ Demonstrates the three properties the `repro.exec` subsystem promises:
    backend completes the sweep through batch manifests.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_exec_engine.py -q -s``.
-Run ``PYTHONPATH=src python benchmarks/bench_exec_engine.py`` to write
-the machine-readable backend comparison to ``BENCH_PR6.json``.
+Run ``PYTHONPATH=src python benchmarks/bench_exec_engine.py OUT.json`` to
+write the machine-readable backend comparison to ``OUT.json``; the
+committed ``BENCH_PR6.json`` is a record of one such run, and nothing
+rewrites it.
 """
 
 import json
@@ -198,8 +200,9 @@ def test_all_backends_complete_and_agree():
     assert len(set(digests.values())) == 1, digests
 
 
-def main(output="BENCH_PR6.json"):
-    """Write the machine-readable backend comparison (CI artifact)."""
+def main(output):
+    """Write the machine-readable backend comparison (CI artifact) to
+    ``output``."""
     cells = [("serial", 1), ("pool", WORKERS), ("socket", WORKERS),
              ("array", 2)]
     results = {}
@@ -259,4 +262,6 @@ def main(output="BENCH_PR6.json"):
 if __name__ == "__main__":
     import sys
 
-    sys.exit(main(*sys.argv[1:]))
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUTPUT.json")
+    sys.exit(main(sys.argv[1]))

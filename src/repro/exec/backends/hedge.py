@@ -14,7 +14,9 @@ unmodified.  Its one setting is the hedge delay:
   arrives anyway, it finds no job waiting and is dropped.
 
 The ``exec.router.hedge_launched`` and ``exec.router.hedge_won``
-counters on the session registry count duplicates and their wins.
+counters count duplicates and their wins, on the registry the wrapper
+is given (``repro serve`` passes its app registry, which ``/metrics``
+exports) or else on the session registry.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional
 
+from ...core.instrument import MetricsRegistry, default_registry
 from ..job import Job
 from ..runners import Attempt, Runner
 
@@ -49,7 +52,8 @@ class _Flight:
 class HedgedRunner:
     """Wrap one backend; duplicate jobs that outlive ``delay_s``."""
 
-    def __init__(self, backend: Runner, delay_s: float) -> None:
+    def __init__(self, backend: Runner, delay_s: float,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         if not (math.isfinite(delay_s) and delay_s >= 0):
             raise ValueError(
                 f"hedge delay must be a finite number >= 0, got {delay_s!r}"
@@ -57,6 +61,7 @@ class HedgedRunner:
         self.backend = backend
         self.name = getattr(backend, "name", type(backend).__name__)
         self.delay_s = delay_s
+        self._metrics = metrics
         self._flights: Dict[str, _Flight] = {}
         self.hedges_launched = 0
         self.hedges_won = 0
@@ -92,7 +97,7 @@ class HedgedRunner:
                 self._cancel(real_id if is_hedge else real_id + HEDGE_SUFFIX)
                 if is_hedge:
                     self.hedges_won += 1
-                    _count("hedge_won")
+                    self._count("hedge_won")
             done.append(replace(attempt, job_id=real_id))
         self._launch_hedges()
         return done
@@ -116,7 +121,12 @@ class HedgedRunner:
                 # that finishes it cooperatively.  The primary runs on.
                 continue
             self.hedges_launched += 1
-            _count("hedge_launched")
+            self._count("hedge_launched")
+
+    def _count(self, name: str) -> None:
+        registry = (self._metrics if self._metrics is not None
+                    else default_registry())
+        registry.counter(f"exec.router.{name}").inc()
 
     def _cancel(self, sub_id: str) -> None:
         cancel = getattr(self.backend, "cancel", None)
@@ -126,9 +136,3 @@ class HedgedRunner:
     def shutdown(self) -> None:
         self.backend.shutdown()
         self._flights.clear()
-
-
-def _count(name: str) -> None:
-    from ...core.instrument import default_registry
-
-    default_registry().counter(f"exec.router.{name}").inc()

@@ -12,16 +12,18 @@ path* runs on the shared event kernel
 injection, and packet injections and link departures are scheduled
 events, so the kernel's fault hooks can stall links mid-flight
 (:meth:`MeshNoC.inject_fault`), checkpoints capture the run, and probes
-and span tracers see every hop.  The *walk* keeps the same
-``(time, seq)`` order on a private ring of per-cycle departure lists,
-on packet indices and flat lists, without scheduling an event per hop
-or building a :class:`Packet`; its :attr:`NoCResult.delivered` is built
-from those lists the first time it is read.  Both paths number the
-distinct ``(src, dst)`` pairs in numpy (:meth:`MeshNoC._route_table`);
-the kernel path routes each once with the scalar ``xy``/``yx`` route,
-and the walk builds all their hops in numpy (:meth:`MeshNoC._chains`).
-A run walks iff no ``sim`` is passed, traced or not; both paths report
-the same ``noc.*`` metrics and ``noc.run`` span times.
+and span tracers see every hop.  The *walk* computes the same
+departures without an event per hop or a :class:`Packet`: one link
+level at a time in numpy (:func:`_level_schedule`), a per-link FIFO
+recursion per level, with the kernel's ``(time, seq)`` order within a
+cycle derived from the events that scheduled each departure; its
+:attr:`NoCResult.delivered` is built the first time it is read.  Both
+paths number the distinct ``(src, dst)`` pairs in numpy
+(:meth:`MeshNoC._route_table`); the kernel path routes each once with
+the scalar ``xy``/``yx`` route, and the walk reads each packet's two
+legs as runs of link levels (:func:`_dimension_levels`).  A run walks
+iff no ``sim`` is passed, traced or not; both paths report the same
+``noc.*`` metrics and ``noc.run`` span times.
 
 Energy: every hop charges router + link energy to a ledger, connecting
 the NoC to the paper's "energy is largely spent moving data" argument
@@ -30,7 +32,6 @@ the NoC to the paper's "energy is largely spent moving data" argument
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -42,7 +43,7 @@ from ..core.energy import EnergyLedger
 from ..core.events import FunctionCheckpoint, Simulator
 from ..core.instrument import default_registry
 from ..core.units import is_integer
-from .topology import ROUTES, dimension_order_hops
+from .topology import ROUTES
 
 Coord = Tuple[int, int]
 Link = Tuple[Coord, Coord]
@@ -58,8 +59,8 @@ class NoCConfig:
     energy_per_hop_link_j: float = 2e-12
 
     def __post_init__(self) -> None:
-        # The model runs on whole cycles: the walk's calendar is a ring
-        # indexed by integer cycle.  A bool is not a size.
+        # The model runs on whole cycles: the walk's schedule is in
+        # integer cycles.  A bool is not a size.
         for name in ("width", "height", "router_delay_cycles",
                      "link_delay_cycles"):
             value = getattr(self, name)
@@ -149,12 +150,8 @@ class NoCResult:
 
 
 class _LinkState:
-    """FIFO queue plus serialization state for one directed link.
-
-    The walk (:meth:`MeshNoC._walk`) reads only ``queue``: without
-    faults a link's next free cycle never decides a departure, and a
-    link has a departure pending exactly when its queue is non-empty.
-    """
+    """FIFO queue plus serialization state for one directed link, on
+    the kernel path (the walk keeps no per-link state)."""
 
     __slots__ = ("queue", "next_free", "busy")
 
@@ -173,19 +170,19 @@ class MeshNoC:
     uncontended hop costs exactly ``hop_latency``.  On the kernel path
     departures are kernel events (one per hop), which is what lets the
     shared instrumentation/fault machinery observe the NoC like any
-    other simulator.  Without a ``sim``, :meth:`run` walks the same
-    departures on a ring of per-cycle lists instead (:meth:`_walk`),
-    carrying packet indices rather than :class:`Packet` objects; the
-    kernel path is its differential reference.
+    other simulator.  Without a ``sim``, :meth:`run` computes the same
+    departures link level by link level in numpy instead
+    (:func:`_level_schedule`), on packet indices rather than
+    :class:`Packet` objects; the kernel path is its differential
+    reference.
     """
 
     def __init__(self, config: NoCConfig = NoCConfig()) -> None:
         self.config = config
         self._sim: Optional[Simulator] = None
         self._stats = None
-        # Keyed by ``(from, to)`` coordinates on the kernel path and by
-        # link id on the walk (:meth:`_chains`).
-        self._links: Dict[Link | int, _LinkState] = {}
+        # The kernel path's links, keyed by ``(from, to)`` coordinates.
+        self._links: Dict[Link, _LinkState] = {}
         self.faults_injected = 0
 
     # -- SimModel protocol -------------------------------------------------
@@ -275,20 +272,17 @@ class MeshNoC:
             tracer = registry.tracer
             self._stats = registry.scoped("noc")
             self.reset()
-            heads, route_hops = self._chains(distinct, routing)
-            injected, hops, order, arrivals = self._walk(
-                heads, route_ids, inject_at, until
+            injected, hops, backlog, order, arrivals, hop_counts = (
+                _level_schedule(distinct, route_ids, inject_at, until,
+                                self.config, routing)
             )
-            idx = np.array(order, dtype=np.intp)
-            injected_at = injection_arr[idx]
-            delivered_ids = route_ids[idx]
+            injected_at = injection_arr[order]
             result = self._result(
-                len(route_ids), injected, hops,
-                np.array(arrivals, dtype=float), injected_at,
-                route_hops[delivered_ids].astype(float),
-                partial(_walk_packets, distinct, routing, delivered_ids,
+                len(route_ids), injected, hops, arrivals, injected_at,
+                hop_counts.astype(float),
+                partial(_walk_packets, distinct, routing, route_ids[order],
                         injected_at, arrivals),
-                until,
+                until, backlog=backlog,
             )
             if tracer is not None:
                 # The kernel stops at the horizon or the last departure,
@@ -430,10 +424,13 @@ class MeshNoC:
         hop_counts: np.ndarray,
         packets: Callable[[], list[Packet]],
         until: float,
+        backlog: Optional[int] = None,
     ) -> NoCResult:
         """Metrics, energy, :meth:`finish` and the result, shared by both
         paths.  The arrays hold one entry per delivered packet, in
-        delivery order; ``packets`` builds the :class:`Packet` list."""
+        delivery order; ``packets`` builds the :class:`Packet` list.
+        The walk passes its ``backlog`` at the horizon; the kernel path's
+        is in its link queues, which :meth:`finish` counts."""
         cfg = self.config
         stats = self._stats
         # Per-hop/injection accounting batches exactly: the counts cover
@@ -448,7 +445,10 @@ class MeshNoC:
             ledger.charge("noc.link", cfg.energy_per_hop_link_j * hops)
         latencies = delivered_at - injected_at
         stats.histogram("packet_latency_cycles").observe_many(latencies)
-        self.finish()
+        if backlog is None:
+            self.finish()
+        else:
+            stats.gauge("queued_at_end").set(backlog)
 
         dropped = n_packets - len(latencies)
         # Deliveries run in time order, so the last one is the latest.
@@ -458,134 +458,6 @@ class MeshNoC:
             latencies=latencies, hops=hop_counts, dropped=dropped,
             cycles=cycles, ledger=ledger, _packets=packets,
         )
-
-    def _chains(
-        self, distinct: np.ndarray, routing: str
-    ) -> tuple[list[tuple], np.ndarray]:
-        """Each distinct route's chain ``(queue, rest)`` of the link
-        queues it crosses, ending in ``None``, and its hop count.
-
-        Dimension-order routes are destination-based, so every route
-        through a node toward one destination shares its tail: one chain
-        per distinct ``(node, destination)``, built shortest first from
-        the numpy hops (:func:`dimension_order_hops`).  ``self._links``
-        gets the link states, keyed by link id."""
-        width = int(self.config.width)
-        src, dst = distinct[:, 0], distinct[:, 1]
-        counts, at, links = dimension_order_hops(src, dst, width, routing)
-        stops = np.cumsum(counts)
-        # Hops left to the destination, this one included.
-        left = np.repeat(stops, counts) - np.arange(len(at))
-        suffixes, suffix = _distinct_pairs(
-            at, np.repeat(dst[:, 0] + dst[:, 1] * width, counts),
-            width * int(self.config.height),
-        )
-        n = len(suffixes)
-        # One hop from each suffix: any one, as all of them go on alike.
-        hop = np.empty(n, dtype=np.intp)
-        hop[suffix] = np.arange(len(at))
-        # The suffix after that hop; ``n`` stands for ``None``.
-        rest = np.where(left[hop] == 1, n, np.append(suffix, n)[hop + 1])
-        ids, queue_of = np.unique(links[hop], return_inverse=True)
-        self._links = {link: _LinkState() for link in ids.tolist()}
-        queues = [state.queue for state in self._links.values()]
-        chains: list = [None] * (n + 1)
-        order = np.argsort(left[hop])
-        for s, q, r in zip(order.tolist(), queue_of[order].tolist(),
-                           rest[order].tolist()):
-            chains[s] = (queues[q], chains[r])
-        return [chains[s] for s in suffix[stops - counts].tolist()], counts
-
-    def _walk(
-        self,
-        heads: list[tuple],
-        route_ids: np.ndarray,
-        inject_at: np.ndarray,
-        until: float,
-    ) -> tuple[int, int, list[int], list[int]]:
-        """The kernel path's event order on a ring of per-cycle lists.
-
-        ``heads[r]`` is route ``r``'s chain of link queues
-        (:meth:`_chains`); a queue entry is ``(ready, packet index, rest
-        of chain)``.  ``ring[t % (hop_latency + 1)]``
-        lists the link queues departing at cycle ``t`` in the order the
-        kernel would have scheduled them, i.e. in seq order: no
-        departure is ever scheduled more than ``hop_latency`` cycles
-        ahead, so the ring never wraps onto a pending cycle.  At each
-        cycle the packets due then inject first, in input order
-        (bulk-loaded, they hold the lowest seqs), then that cycle's
-        departures run in list order.  A link has a departure pending
-        exactly when its queue is non-empty.  Returns ``(injected, hops,
-        order, arrivals)``: the delivered packets' indices and delivery
-        cycles, in delivery order.
-        """
-        hop_lat = int(self.config.hop_latency)
-        order = np.argsort(inject_at, kind="stable")
-        due = inject_at[order].tolist()
-        index = order.tolist()
-        first = [heads[r] for r in route_ids[order].tolist()]
-        n = len(index)
-        size = hop_lat + 1
-        ring: list[list[Deque]] = [[] for _ in range(size)]
-        delivered: list[int] = []
-        arrivals: list[int] = []
-        hops = 0
-        j = 0
-        next_due = due[0] if n else math.inf
-        t = int(next_due) if n else 0
-        # No departure is pending after cycle ``last``.
-        last = -1
-        # A link may forward again one cycle after it last did, so its
-        # next free cycle is at most ``t + 1``: an idle link departs when
-        # the packet is ready, and a backlogged one one cycle after its
-        # departure (or when its next packet is ready, if later).
-        while t <= until:
-            if t == next_due:
-                ready = t + hop_lat - 1
-                # ``ready == t`` (only when ``hop_latency == 1``) lands
-                # at the end of this cycle's list, after the departures
-                # scheduled before it.
-                bucket = ring[ready % size]
-                while next_due == t:
-                    queue, rest = first[j]
-                    if not queue:
-                        bucket.append(queue)
-                    queue.append((ready, index[j], rest))
-                    j += 1
-                    next_due = due[j] if j < n else math.inf
-                if ready > last:
-                    last = ready
-            bucket = ring[t % size]
-            if bucket:
-                free = t + 1
-                ready = last = t + hop_lat
-                soon = ring[free % size]
-                later = ring[ready % size]
-                for queue in bucket:
-                    _, i, rest = queue.popleft()
-                    if rest is None:
-                        delivered.append(i)
-                        arrivals.append(free)
-                    else:
-                        nxt, rest = rest
-                        if not nxt:
-                            later.append(nxt)
-                        nxt.append((ready, i, rest))
-                    if queue:
-                        depart = queue[0][0]
-                        if depart > free:
-                            ring[depart % size].append(queue)
-                        else:
-                            soon.append(queue)
-                hops += len(bucket)
-                bucket.clear()
-            if t < last:
-                t += 1
-            elif j < n:
-                t = int(next_due)
-            else:
-                break
-        return j, hops, delivered, arrivals
 
     def _route_table(
         self, pairs: Sequence[tuple[Coord, Coord]] | np.ndarray
@@ -652,6 +524,351 @@ def _distinct_pairs(
     return np.stack(np.divmod(keys, nodes), axis=1), inverse
 
 
+def _dimension_levels(
+    pairs: np.ndarray, width: int, height: int, routing: str
+) -> tuple[tuple, tuple, int, int]:
+    """Each ``(src, dst)`` pair's route as two legs of link levels.
+
+    A dimension-order route crosses links of strictly increasing level.
+    Under ``xy`` a ``+x`` link leaving column ``x`` has level ``x``, a
+    ``-x`` one ``W-1-x``, a ``+y`` link leaving row ``y`` ``W-1+y`` and a
+    ``-y`` one ``W-1+H-1-y``; ``yx`` swaps the axes.  Within its level a
+    link is ``2 * c + (step < 0)``, ``c`` its coordinate on the other
+    axis.  ``pairs`` is an ``(n, 2, 2)`` int64 array.
+
+    Returns ``(first, second, split, levels)``: per leg, the axis routed
+    first then the other, arrays ``(start, hops, link)``, hop ``j`` of a
+    leg crossing link ``link`` of level ``start + j``; levels below
+    ``split`` are the first axis's, of ``levels`` in all.
+    """
+    lead = int(routing == "yx")  # the axis routed first
+    s0, s1 = (height, width) if lead else (width, height)
+    u0, v0 = pairs[:, 0, lead], pairs[:, 0, 1 - lead]
+    u1, v1 = pairs[:, 1, lead], pairs[:, 1, 1 - lead]
+    back_u, back_v = u1 < u0, v1 < v0
+    first = (np.where(back_u, s0 - 1 - u0, u0), np.abs(u1 - u0),
+             2 * v0 + back_u)
+    second = (np.where(back_v, s1 - 1 - v0, v0) + (s0 - 1), np.abs(v1 - v0),
+              2 * u1 + back_v)
+    return first, second, s0 - 1, s0 + s1 - 2
+
+
+class _Departures:
+    """The departures of a level schedule, by hop id.
+
+    Hop ids count hops in the order the level passes settle them, and
+    ``n_hops + p`` stands for packet ``p``'s injection.  Departure ``x``
+    runs at ``cycle[x]``.  ``by[x]`` is the event that scheduled it: its
+    own previous step (a departure or its injection), or its FIFO
+    predecessor's departure, in which case ``second[x]``, since a
+    departure schedules its packet's next hop before its queue's next
+    one.  ``token[x]`` is ``2 * c + kind`` for that event, at cycle
+    ``c``, ``kind`` 0 for an injection and 1 for a departure, so tokens
+    order the events of one cycle by kind as well.
+    """
+
+    __slots__ = ("cycle", "token", "by", "second")
+
+    def __init__(self, n_hops: int, cycles: type, ids: type) -> None:
+        self.cycle = np.empty(n_hops, cycles)
+        self.token = np.empty(n_hops, cycles)
+        self.by = np.empty(n_hops, ids)
+        self.second = np.empty(n_hops, bool)
+
+    def before(self, x: int, y: int) -> bool:
+        """Whether departure ``x`` runs before ``y != x`` of its cycle.
+
+        Two departures of one cycle run in the order of the events that
+        scheduled them: earlier cycle first, injections before
+        departures, injections by input index, one event's two by
+        emission, and two departures of one cycle likewise, so both
+        chains of scheduling events are walked back together.
+        """
+        by, token = self.by, self.token
+        while True:
+            bx, b_y = by[x], by[y]
+            if bx == b_y:
+                return bool(self.second[y])
+            tx, ty = token[x], token[y]
+            if tx != ty:
+                return bool(tx < ty)
+            if not tx & 1:
+                return bool(bx < b_y)
+            x, y = bx, b_y
+
+    def settle(self, lo: int, open_: list[int], up: np.ndarray,
+               empty: np.ndarray) -> None:
+        """Settle the departures ``lo + i``, ``i`` in ``open_``, whose
+        queue the tokens could not tell empty or not at their append, in
+        FIFO order: it was empty iff the hop ahead, ``lo + i - 1``,
+        departed before their own previous step ``up[i]``, which then
+        scheduled them."""
+        for i in open_:
+            if self.before(lo + i - 1, up[i]):
+                self.by[lo + i] = up[i]
+                self.second[lo + i] = False
+                empty[i] = True
+
+    def runs(self, x: np.ndarray, hop_lat: int) -> tuple[np.ndarray,
+                                                          np.ndarray]:
+        """How many steps back each departure ``x`` was scheduled by a
+        departure exactly ``hop_lat`` cycles earlier, and the departure
+        where that run ends."""
+        run = np.zeros(len(x), np.int64)
+        end = x.astype(np.int64)
+        walking = np.arange(len(x))
+        n_hops = len(self.by)
+        while len(walking):
+            at = end[walking]
+            by = self.by[at]
+            on = (by < n_hops) & (self.cycle[at] - (self.token[at] >> 1)
+                                  == hop_lat)
+            walking = walking[on]
+            end[walking] = by[on]
+            run[walking] += 1
+        return run, end
+
+
+def _level_schedule(
+    distinct: np.ndarray,
+    route_ids: np.ndarray,
+    inject_at: np.ndarray,
+    until: float,
+    config: NoCConfig,
+    routing: str,
+) -> tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel path's departures, computed one link level at a time.
+
+    Packet ``i`` goes from ``distinct[r, 0]`` to ``distinct[r, 1]``,
+    ``r = route_ids[i]``, and is injected at cycle ``inject_at[i]``
+    (whole cycles).  On a link, hop ``k`` of a packet is appended at
+    ``a``, its injection cycle for ``k = 0`` and otherwise the cycle hop
+    ``k - 1`` departed, and is
+    ready at ``R = a + hop_latency - 1`` if injected, ``a + hop_latency``
+    if forwarded.  In append order a link departs ``D_i = max(R_i,
+    D_{i-1} + 1)``, that is ``i + cummax(R - i)``.  Levels
+    (:func:`_dimension_levels`) are processed in order, so every hop's
+    ``a`` is known when its level is.  Only same-cycle order needs more
+    than that: the kernel's ``(time, seq)`` order, which
+    :class:`_Departures` derives from the events that scheduled each
+    departure instead of stepping cycles.  The whole schedule is
+    computed and then cut at ``until``.
+
+    Returns ``(injected, hops, backlog, order, arrivals, hop_counts)``:
+    the packets injected, hops departed and hops still queued at the
+    horizon, and the delivered packets' input indices, delivery cycles
+    and hop counts, in delivery order.
+    """
+    live = np.flatnonzero(inject_at <= until)
+    m = len(live)
+    if not m:
+        return 0, 0, 0, live, np.zeros(0), np.zeros(0, np.int64)
+    h = int(config.hop_latency)
+    first, second, split, levels = _dimension_levels(
+        distinct, int(config.width), int(config.height), routing)
+    route = route_ids[live]
+    # Levels are below ``width + height``; links stay int64, as they
+    # enter the sort keys.
+    small, unsigned = ((np.int32, np.uint32)
+                       if config.width + config.height < 2**31
+                       else (np.int64, np.uint64))
+    first, second = ((start[route].astype(small),
+                      length[route].astype(small), link[route])
+                     for start, length, link in (first, second))
+    base = float(inject_at[live].min())
+    injected = inject_at[live] - base
+    counts = first[1] + second[1]
+    n_hops = int(counts.sum())
+    # Cycles count from ``base``.  A level delays a hop by at most
+    # ``h`` plus one cycle per hop ahead of it in its queue.
+    bound = float(injected.max()) + levels * h + n_hops + 2
+    cycles = np.int32 if 2 * bound < 2**31 else np.int64
+    deps = _Departures(n_hops, cycles,
+                       np.int32 if n_hops + m < 2**31 else np.int64)
+    # Per packet: the cycle its next hop is appended, the token of the
+    # event that scheduled its last departure (one that sorts a first
+    # hop ahead of forwards) and that departure's hop id.
+    at = injected.astype(cycles)
+    token = 2 * (at - (h + 1))
+    last = np.arange(n_hops, n_hops + m, dtype=deps.by.dtype)
+    queued = np.zeros(m, bool)
+    horizon = until - base
+    hops = backlog = 0
+    lo = 0
+    for level in _present(first, second, levels):
+        start, length, links = first if level < split else second
+        p = np.flatnonzero((level - start).view(unsigned)
+                           < length.view(unsigned))
+        n = len(p)
+        a = at[p].astype(np.int64)
+        up = last[p]
+        # The append order on each link: in a cycle, injections first,
+        # in input order, then forwards in the order their departures
+        # ran, by the tokens of the events that scheduled those, and
+        # through their chains where the tokens tie.
+        order, link, same = _append_order(
+            links[p], a, token[p] - 2 * a + (2 * h + 2), 2 * h + 4)
+        for t in np.flatnonzero(same).tolist():
+            while t >= 0 and same[t] and deps.before(up[order[t + 1]],
+                                                     up[order[t]]):
+                order[t], order[t + 1] = order[t + 1], order[t]
+                t -= 1
+        p, a, up = p[order], a[order], up[order]
+        forward = up < n_hops
+        new = np.empty(n, bool)
+        new[0] = True
+        np.not_equal(link[1:], link[:-1], out=new[1:])
+        depart = _fifo(a + forward - np.arange(n), link, new) + (h - 1)
+        depart += np.arange(n)
+        ahead = np.empty(n, np.int64)
+        ahead[1:] = depart[:-1]
+        ahead[new] = -1
+        # The queue was empty at the append iff the hop ahead had left;
+        # the departure was then scheduled by its own previous step,
+        # else by the hop ahead's departure.
+        empty = ahead < a
+        tok = 2 * np.maximum(ahead, a) + (forward | ~empty)
+        # A forward appended in the cycle the hop ahead departs found
+        # the queue empty iff that departure ran first.  The events'
+        # tokens decide most; the rest are settled in FIFO order.
+        tie = np.flatnonzero((ahead == a) & forward)
+        unsettled = ()
+        if len(tie):
+            tq, tu = tok[tie - 1], token[p[tie]]
+            even = (tq & 1) == 0
+            empty[tie] = (tq < tu) | ((tq == tu) & even
+                                      & (p[tie - 1] < p[tie]))
+            unsettled = tie[(tq == tu) & ~even].tolist()
+        hi = lo + n
+        ids = np.arange(lo, hi)
+        deps.cycle[lo:hi] = depart
+        deps.token[lo:hi] = tok
+        deps.by[lo:hi] = np.where(empty, up, ids - 1)
+        deps.second[lo:hi] = ~empty
+        deps.settle(lo, unsettled, up, empty)
+        at[p] = depart
+        token[p] = tok
+        last[p] = ids
+        queued[p[~empty]] = True
+        if depart.max() > horizon:
+            left = depart <= horizon
+            hops += int(np.count_nonzero(left))
+            backlog += int(np.count_nonzero(~left & (a <= horizon)))
+        else:
+            hops += n
+        lo = hi
+    done = at.astype(np.int64)
+    order = _delivery_order(deps, done, counts, queued, last, h, horizon)
+    return (m, hops, backlog, live[order], done[order] + (base + 1.0),
+            counts[order])
+
+
+def _present(first: tuple, second: tuple, levels: int) -> list[int]:
+    """The levels some leg crosses, in order."""
+    cover = np.zeros(levels + 1, np.int64)
+    for start, length, _ in (first, second):
+        cover += np.bincount(start, minlength=levels + 1)
+        cover -= np.bincount(start + length, minlength=levels + 1)
+    return np.flatnonzero(np.cumsum(cover[:levels]) > 0).tolist()
+
+
+def _append_order(
+    link: np.ndarray, a: np.ndarray, rank: np.ndarray, ranks: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order of one level's hops by ``(link, a, rank)``, ties in
+    input order; the links in that order; and where hop ``t`` ties with
+    hop ``t + 1`` on an odd ``rank < ranks``, for the caller to settle.
+    One packed sort where ``(link, a, rank, position)`` fits an int64
+    key, else ``np.lexsort``."""
+    n = len(a)
+    low = int(a.min())
+    span = int(a.max()) - low + 1
+    if (int(link.max()) + 1) * span * ranks * n < 2**63:
+        key = ((link * span + (a - low)) * ranks + rank) * n + np.arange(n)
+        key.sort()
+        order = key % n
+        key //= n
+        same = (key[1:] == key[:-1]) & (key[1:] & 1 == 1)
+        return order, key // (span * ranks), same
+    order = np.lexsort((rank, a, link))
+    link, a, rank = link[order], a[order], rank[order]
+    same = ((link[1:] == link[:-1]) & (a[1:] == a[:-1])
+            & (rank[1:] == rank[:-1]) & (rank[1:] & 1 == 1))
+    return order, link, same
+
+
+def _fifo(v: np.ndarray, link: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The running maximum of ``v`` within each run of equal ``link``s
+    (non-decreasing; ``new`` marks where a run starts)."""
+    span = int(v.max()) - int(v.min()) + 1
+    if (int(link[-1]) + 1) * span < 2**62:
+        lift = link * span
+        return np.maximum.accumulate(v + lift) - lift
+    out = np.empty_like(v)
+    bounds = np.append(np.flatnonzero(new), len(v)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        out[lo:hi] = np.maximum.accumulate(v[lo:hi])
+    return out
+
+
+def _delivery_order(
+    deps: _Departures,
+    done: np.ndarray,
+    counts: np.ndarray,
+    queued: np.ndarray,
+    last: np.ndarray,
+    hop_lat: int,
+    horizon: float,
+) -> np.ndarray:
+    """The packets whose last departure, at ``done``, is inside the
+    horizon, in the order those departures run.
+
+    A packet none of whose departures queued runs in ``(cycle, hops
+    descending, input order)``.  In a cycle that also delivers a queued
+    packet, the packets sort by their last departures' runs
+    (:meth:`_Departures.runs`), longest first, then by the token of the
+    event that scheduled where each run ends, and by the scheduling
+    chains where those tie.
+    """
+    sel = np.flatnonzero(done <= horizon)
+    m = len(done)
+    if not len(sel):
+        return sel
+    at = done[sel]
+    low = int(at.min())
+    top = int(counts.max())
+    if (int(at.max()) - low + 1) * (top + 1) * m < 2**63:
+        key = ((at - low) * (top + 1) + (top - counts[sel])) * m + sel
+        key.sort()
+        sel = key % m
+    else:
+        sel = sel[np.lexsort((sel, -counts[sel], at))]
+    at = done[sel]
+    new = np.empty(len(sel), bool)
+    new[0] = True
+    np.not_equal(at[1:], at[:-1], out=new[1:])
+    cycle = np.cumsum(new) - 1
+    mixed = np.zeros(cycle[-1] + 1, bool)
+    mixed[cycle[queued[sel]]] = True
+    mixed &= np.bincount(cycle) > 1
+    pos = np.flatnonzero(mixed[cycle])
+    if not len(pos):
+        return sel
+    run, end = deps.runs(last[sel[pos]], hop_lat)
+    token = deps.token[end]
+    index = np.where(token & 1 == 0, deps.by[end], 0)
+    rank = np.lexsort((index, token, -run, cycle[pos]))
+    sel[pos] = sel[pos][rank]
+    keys = np.stack([cycle[pos], run, token, index])[:, rank]
+    same = (keys[:, 1:] == keys[:, :-1]).all(axis=0)
+    for t in np.flatnonzero(same).tolist():
+        while t >= 0 and same[t] and deps.before(last[sel[pos[t + 1]]],
+                                                 last[sel[pos[t]]]):
+            sel[pos[t]], sel[pos[t + 1]] = sel[pos[t + 1]], sel[pos[t]]
+            t -= 1
+    return sel
+
+
 def _packets(
     distinct: np.ndarray,
     routing: str,
@@ -672,15 +889,15 @@ def _walk_packets(
     routing: str,
     route_ids: np.ndarray,
     injected_at: np.ndarray,
-    arrivals: list[int],
+    arrivals: np.ndarray,
 ) -> list[Packet]:
     """The walk's deliveries as :class:`Packet` objects, in delivery
     order; ``route_ids``, ``injected_at`` and ``arrivals`` run parallel.
     A module-level function, so a result stays picklable."""
     built = _packets(distinct, routing, route_ids, injected_at)
-    for packet, at in zip(built, arrivals):
+    for packet, at in zip(built, arrivals.tolist()):
         packet.hop_index = len(packet.route) - 1
-        packet.delivered_at = float(at)
+        packet.delivered_at = at
     return built
 
 

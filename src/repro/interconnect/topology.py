@@ -176,35 +176,6 @@ def yx_route(src: Tuple[int, int], dst: Tuple[int, int]) -> list[Tuple[int, int]
 ROUTES = {"xy": xy_route, "yx": yx_route}
 
 
-def dimension_order_hops(
-    src: np.ndarray, dst: np.ndarray, width: int, routing: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The hops of many :data:`ROUTES` routes from ``src`` to ``dst``
-    (``(k, 2)`` int64 coordinates on a mesh ``width`` wide) at once.
-
-    Returns ``(counts, nodes, links)``: route ``i`` makes ``counts[i]``
-    hops, listed after route ``i - 1``'s.  Hop ``j`` leaves node
-    ``nodes[j]`` (``x + y * width``) on link ``4 * nodes[j] + d``, ``d``
-    0-3 for a step to ``+x``, ``-x``, ``+y`` or ``-y``."""
-    lead = int(routing == "yx")  # the axis routed first
-    axes = (lead, 1 - lead)
-    delta = dst - src
-    counts = np.abs(delta).sum(axis=1)
-    # Per hop: its index within its route, and the route's start, step
-    # and first-axis distance, the axis routed first first.
-    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
-                                            counts)
-    start = [np.repeat(src[:, ax], counts) for ax in axes]
-    step = [np.repeat(np.sign(delta[:, ax]), counts) for ax in axes]
-    first = np.repeat(np.abs(delta[:, lead]), counts)
-    at = (start[0] + step[0] * np.minimum(j, first),
-          start[1] + step[1] * np.maximum(j - first, 0))
-    nodes = at[lead] + at[1 - lead] * width
-    links = 4 * nodes + np.where(j < first, 2 * axes[0] + (step[0] < 0),
-                                 2 * axes[1] + (step[1] < 0))
-    return counts, nodes, links
-
-
 def topology_summary(g: nx.Graph) -> dict[str, float]:
     """One-line comparison record for a topology."""
     return {

@@ -11,11 +11,15 @@ overhead the paper's runtime agenda worries about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..core.rng import RngLike, resolve_rng
 from .tasks import greedy_bound, span, total_work
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,12 @@ is validated against: T1/P <= T_P <= T1/P + T_inf (Brent/Graham).
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from ..core.rng import RngLike, resolve_rng
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def make_task_graph(
@@ -21,6 +22,8 @@ def make_task_graph(
     work: dict[int, float],
 ) -> nx.DiGraph:
     """Build a validated task DAG with ``work`` per node."""
+    import networkx as nx
+
     g = nx.DiGraph()
     for node, w in work.items():
         if w <= 0:
@@ -44,6 +47,8 @@ def span(g: nx.DiGraph) -> float:
     """T_inf: critical-path length (longest weighted path)."""
     if g.number_of_nodes() == 0:
         return 0.0
+    import networkx as nx
+
     finish: dict = {}
     for node in nx.topological_sort(g):
         preds = list(g.predecessors(node))
@@ -75,6 +80,8 @@ def critical_path(g: nx.DiGraph) -> list:
     """Node sequence realizing the span."""
     if g.number_of_nodes() == 0:
         return []
+    import networkx as nx
+
     finish: dict = {}
     best_pred: dict = {}
     for node in nx.topological_sort(g):
@@ -109,6 +116,8 @@ def fork_join_graph(
         raise ValueError("n_tasks and levels must be >= 1")
     if work <= 0 or serial_work <= 0:
         raise ValueError("work values must be positive")
+    import networkx as nx
+
     g = nx.DiGraph()
     node_id = 0
 
@@ -144,6 +153,8 @@ def random_dag(
     if lo <= 0 or hi < lo:
         raise ValueError("bad work range")
     gen = resolve_rng(rng)
+    import networkx as nx
+
     g = nx.DiGraph()
     for i in range(n):
         g.add_node(i, work=float(gen.uniform(lo, hi)))
@@ -158,6 +169,8 @@ def chain_graph(n: int, work: float = 1.0) -> nx.DiGraph:
     """Fully serial chain — zero parallelism."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    import networkx as nx
+
     g = nx.DiGraph()
     for i in range(n):
         g.add_node(i, work=float(work))

@@ -61,7 +61,7 @@ def build_app(
         from ..exec.backends.hedge import HedgedRunner
 
         try:
-            runner = HedgedRunner(runner, hedge_ms / 1e3)
+            runner = HedgedRunner(runner, hedge_ms / 1e3, metrics=registry)
         except ValueError:
             runner.shutdown()
             raise

@@ -1,7 +1,10 @@
 """Start-up imports only what runs.
 
 ``import repro`` loads no subpackage, and scipy and networkx load only
-inside the model functions that call them.  The package inits below it
+inside the model functions that call them.  The paper-claim registry
+imports neither, and ``repro.parallel``'s task graphs load networkx
+only where they build or walk one, so E08, which builds none, runs
+without it.  The package inits below it
 are lazy too, so a path loads the modules it uses and not their
 siblings.  Each case runs in a fresh interpreter, because this test
 process has long since imported everything.
@@ -61,6 +64,12 @@ out = run_cluster({"n_servers": 8, "arrival_rate": 6.0, "n_requests": 400,
 assert out["requests"] == 400, out
 """
 
+#: E08 runs the Hill-Marty and communication models: no task graph.
+E08_CLAIM = """
+from repro.analysis.paper_experiments import run_e08_parallelism
+run_e08_parallelism()
+"""
+
 CASES = {
     "repro": "import repro",
     "traces.replay": "import repro.traces.replay",
@@ -68,6 +77,7 @@ CASES = {
     "socket_worker": "import repro.exec.backends.socket_worker",
     "interconnect.noc": "import repro.interconnect.noc",
     "noc-replay": NOC_REPLAY,
+    "E08-claim": E08_CLAIM,
 }
 
 

@@ -1,16 +1,17 @@
-"""Differential test for the NoC walk's numpy dimension-order hops.
+"""Differential test for the NoC walk's link levels.
 
-:func:`repro.interconnect.topology.dimension_order_hops` builds the
-hops of many routes at once; :func:`xy_route` and :func:`yx_route`,
-one route at a time, are its reference.  On random meshes, 1xN and Nx1
-ones and one of more than 2**31 nodes included, every route's hop
-count, the nodes its hops leave and the links they take must be those
-of its scalar route, in order.  :meth:`MeshNoC._chains` shares one
-chain of link queues per ``(node, destination)``; every distinct
-pair's chain must cross exactly the links of its scalar route, in
-order.  And the walk never routes a pair in Python: with both scalar
-functions made to raise, a walk-path run and a ``noc`` replay give the
-outputs they give without the patch.
+The walk schedules hops one link level at a time
+(``noc._dimension_levels``): each packet's route is two legs, and hop
+``j`` of a leg crosses link ``link`` of level ``start + j``.
+:func:`xy_route` and :func:`yx_route`, one route at a time, are the
+reference.  On random meshes, 1xN and Nx1 ones and one of more than
+2**31 nodes included, every route's hops must cross the levels and
+links that the level rule gives its scalar route's steps, in order;
+levels must rise strictly along a route, the first axis's below
+``split``; and a ``(level, link)`` pair must name one directed link of
+the mesh, and it only.  And the walk never routes a pair in Python:
+with both scalar functions made to raise, a walk-path run and a
+``noc`` replay give the outputs they give without the patch.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 
 from repro.interconnect import MeshNoC, NoCConfig
 from repro.interconnect import topology
-from repro.interconnect.topology import ROUTES, dimension_order_hops
+from repro.interconnect.noc import _dimension_levels
+from repro.interconnect.topology import ROUTES
 from repro.traces.format import KIND_REQUEST
 from repro.traces.generators import generate
 from repro.traces.replay import replay
@@ -34,12 +36,27 @@ NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 HUGE = (2**16, 2**15 + 1)
 
 
-def reference_links(route, width):
-    """The link ids of a scalar route's hops: ``4 * node + d``, ``d``
-    0-3 for a step to ``+x``, ``-x``, ``+y`` or ``-y``."""
-    steps = {(1, 0): 0, (-1, 0): 1, (0, 1): 2, (0, -1): 3}
-    return [4 * (x + y * width) + steps[(bx - x, by - y)]
-            for (x, y), (bx, by) in zip(route, route[1:])]
+def reference_levels(route, width, height, routing):
+    """The ``(level, link)`` of each step of a scalar route, and the
+    directed link ``(from, to)`` it takes.  Under ``xy`` a ``+x`` step
+    from column ``x`` is level ``x``, a ``-x`` one ``W-1-x``, a ``+y``
+    step from row ``y`` ``W-1+y`` and a ``-y`` one ``W-1+H-1-y``; ``yx``
+    swaps the axes.  A link within its level is ``2 * c + (step < 0)``,
+    ``c`` its coordinate on the other axis."""
+    lead = int(routing == "yx")
+    sizes = (width, height)
+    first, other = sizes[lead], sizes[1 - lead]
+    out = []
+    for a, b in zip(route, route[1:]):
+        axis = 0 if a[0] != b[0] else 1
+        back = b[axis] < a[axis]
+        size = sizes[axis]
+        level = size - 1 - a[axis] if back else a[axis]
+        if axis != lead:
+            level += first - 1
+        assert level < first + other - 2
+        out.append(((level, 2 * a[1 - axis] + back), (a, b)))
+    return out
 
 
 @st.composite
@@ -65,34 +82,29 @@ def meshes_and_pairs(draw):
 
 @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(meshes_and_pairs())
-def test_hops_and_chains_follow_the_scalar_routes(case):
+def test_hop_levels_follow_the_scalar_routes(case):
     cfg, pairs, routing = case
     route_fn = ROUTES[routing]
-    routes = [route_fn(src, dst) for src, dst in pairs]
-    width = cfg.width
-    arr = np.array(pairs, dtype=np.int64)
-    counts, nodes, links = dimension_order_hops(arr[:, 0], arr[:, 1],
-                                                width, routing)
-    assert counts.tolist() == [len(r) - 1 for r in routes]
-    at = 0
-    for route, n in zip(routes, counts.tolist()):
-        assert nodes[at:at + n].tolist() == [x + y * width
-                                             for x, y in route[:-1]]
-        assert links[at:at + n].tolist() == reference_links(route, width)
-        at += n
-    assert at == len(nodes) == len(links)
-
-    noc = MeshNoC(cfg)
-    heads, hops = noc._chains(arr, routing)
-    assert hops.tolist() == counts.tolist()
-    link_of = {id(state.queue): link for link, state in noc._links.items()}
-    assert len(link_of) == len(set(links.tolist()))
-    for route, chain in zip(routes, heads):
-        crossed = []
-        while chain is not None:
-            queue, chain = chain
-            crossed.append(link_of[id(queue)])
-        assert crossed == reference_links(route, width)
+    width, height = cfg.width, cfg.height
+    first, second, split, levels = _dimension_levels(
+        np.array(pairs, dtype=np.int64), width, height, routing)
+    assert levels == width + height - 2
+    assert split == (height if routing == "yx" else width) - 1
+    named = {}
+    for i, (src, dst) in enumerate(pairs):
+        want = reference_levels(route_fn(src, dst), width, height, routing)
+        got = []
+        for (start, hops, link), below in ((first, True), (second, False)):
+            for j in range(int(hops[i])):
+                level = int(start[i]) + j
+                assert (level < split) == below
+                got.append((level, int(link[i])))
+        assert got == [key for key, _ in want]
+        assert all(a < b for (a, _), (b, _) in zip(got, got[1:]))
+        for key, step in want:
+            assert named.setdefault(key, step) == step
+    # One directed link per ``(level, link)``, and one name per link.
+    assert len(set(named.values())) == len(named)
 
 
 def _refuse(src, dst):

@@ -1,17 +1,25 @@
-"""Differential test for :class:`MeshNoC`'s per-cycle walk.
+"""Differential test for :class:`MeshNoC`'s level schedule.
 
-With nothing observing the kernel, ``MeshNoC.run`` walks its own
-per-cycle calendar instead of scheduling one kernel event per hop.
-Passing ``sim=Simulator()`` forces the kernel path, which is the
-reference here.  Random meshes, delays (including ``hop_latency == 1``,
-where an injection can schedule a departure for its own cycle),
-tie-heavy, fractional and unsorted injection times, both dimension
-orders and horizons that cut the run mid-flight must give the same
-delivered packets in the same order, the same per-packet latency and
-hop arrays and summary statistics, the same drops, cycles, energy and
-``noc.*`` metrics.  Bad inputs fail with the same ``ValueError`` on
-both paths, and a non-integer coordinate fails before routing instead
-of hanging.
+With nothing observing the kernel, ``MeshNoC.run`` computes its
+schedule one link level at a time in numpy instead of scheduling one
+kernel event per hop.  Passing ``sim=Simulator()`` forces the kernel
+path, which is the reference here.  Random meshes, delays (weighted
+toward ``hop_latency == 1``, where an injection can schedule a
+departure for its own cycle), up to 200 packets with uniform or
+hotspot destinations, tie-heavy, fractional and unsorted injection
+times, both dimension orders and horizons that cut the run mid-flight
+must give the same delivered packets in the same order, the same
+per-packet latency and hop arrays and summary statistics, the same
+drops, cycles, energy and ``noc.*`` metrics.  The draws must reach
+each of the schedule's same-cycle tie paths, counted on a fixed seed:
+forwards appended to one link in one cycle whose order the scheduling
+tokens leave open, appends in the cycle the hop ahead departs that
+only the chains settle (one after another on a link, too), and
+delivery cycles that mix free and queued packets; each has a named
+regression as well.  The ledger's two ``noc-replay`` traces at two
+seeds run through both paths.  Bad inputs fail with the same
+``ValueError`` on both paths, and a non-integer coordinate fails
+before routing instead of hanging.
 
 ``MeshNoC._route_table`` checks and numbers the packets' ``(src, dst)``
 pairs as one numpy array, in node-id order.  Its reference is the
@@ -31,17 +39,20 @@ from __future__ import annotations
 import math
 import pickle
 import signal
+from collections import Counter
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
 from repro.core import instrument
 from repro.core.events import Simulator
 from repro.core.units import is_integer
-from repro.interconnect import MeshNoC, NoCConfig
+from repro.exec import derive_seed
+from repro.interconnect import MeshNoC, NoCConfig, noc
 from repro.interconnect.topology import ROUTES
 from repro.traces.format import KIND_REQUEST
 from repro.traces.generators import generate
@@ -57,13 +68,21 @@ INT_DTYPES = (np.int8, np.int16, np.int32, np.int64,
 def workloads(draw):
     width = draw(st.integers(1, 5))
     height = draw(st.integers(2 if width == 1 else 1, 5))
-    router, link = draw(st.sampled_from([(1, 0), (1, 1), (2, 0), (2, 1),
-                                         (3, 2)]))
-    coords = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
-    pairs = draw(st.lists(
-        st.tuples(coords, coords).filter(lambda p: p[0] != p[1]),
-        min_size=1, max_size=60,
-    ))
+    # ``hop_latency == 1`` ties the most: drawn as often as the rest.
+    router, link = draw(st.sampled_from([(1, 0)] * 4 + [
+        (1, 1), (2, 0), (2, 1), (3, 2)]))
+    nodes = width * height
+    n = draw(st.integers(1, 200))
+    node = st.integers(0, nodes - 1)
+    src = draw(st.lists(node, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        dst = draw(st.lists(node, min_size=n, max_size=n))
+    else:  # a hotspot: every packet to one node
+        dst = [draw(node)] * n
+    # A packet drawn to its own node goes to the next one instead.
+    pairs = [((s % width, s // width), (d % width, d // width))
+             for s, d in zip(src, ((d + (d == s)) % nodes
+                                    for s, d in zip(src, dst)))]
     n = len(pairs)
     style = draw(st.sampled_from(["ties", "fractional", "sorted"]))
     if style == "ties":
@@ -111,13 +130,173 @@ def _run(cfg, pairs, times, max_cycles, routing, sim):
             summary)
 
 
+#: The level schedule's same-cycle tie paths, by the name ``_ties`` gives.
+TIES = ("forward tie", "open append", "chained open append",
+        "mixed delivery cycle")
+
+
+@contextmanager
+def _ties():
+    """The set of :data:`TIES` that walks in the block take: forwards
+    whose append order ``_append_order`` leaves to the chains; appends
+    in the cycle the hop ahead departs that ``_Departures.settle`` gets,
+    two of them one after another on a link; and a delivery cycle of
+    free and queued packets (``_Departures.runs``)."""
+    seen = set()
+    append_order = noc._append_order
+    settle = noc._Departures.settle
+    runs = noc._Departures.runs
+
+    def spy_append_order(*args):
+        out = append_order(*args)
+        if out[2].any():
+            seen.add("forward tie")
+        return out
+
+    def spy_settle(self, lo, open_, up, empty):
+        if open_:
+            seen.add("open append")
+        if any(b == a + 1 for a, b in zip(open_, open_[1:])):
+            seen.add("chained open append")
+        return settle(self, lo, open_, up, empty)
+
+    def spy_runs(self, x, hop_lat):
+        seen.add("mixed delivery cycle")
+        return runs(self, x, hop_lat)
+
+    with mock.patch.object(noc, "_append_order", spy_append_order), \
+            mock.patch.object(noc._Departures, "settle", spy_settle), \
+            mock.patch.object(noc._Departures, "runs", spy_runs):
+        yield seen
+
+
 @settings(max_examples=300, deadline=None)
 @given(workloads())
 def test_walk_matches_kernel(case):
-    walk = _run(*case, sim=None)
+    with _ties() as seen:
+        walk = _run(*case, sim=None)
+    for name in sorted(seen):
+        event(name)
     kernel = _run(*case, sim=Simulator)
     assert walk == kernel
     assert walk[4]["gauges"]["noc.queued_at_end"]["samples"] == 1
+
+
+def test_workloads_draw_every_tie():
+    # On a fixed seed, so that the count does not depend on the draw.
+    seen = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None, phases=[Phase.generate])
+    @given(workloads())
+    def draw(case):
+        cfg, pairs, times, max_cycles, routing = case
+        with _ties() as ties:
+            MeshNoC(cfg).run(pairs, injection_times=times,
+                             max_cycles=max_cycles, routing=routing)
+        seen.update(ties)
+
+    draw()
+    # Each in at least 20 of the 150 draws.
+    assert all(seen[name] >= 20 for name in TIES), seen
+
+
+def _regression(cfg, pairs, times, tie, routing="xy"):
+    """The walk takes ``tie``, matches the kernel path and delivers
+    ``(src, injected_at, delivered_at)`` in the order it returns."""
+    times = np.asarray(times, dtype=float)
+    with _ties() as seen:
+        walk = _run(cfg, pairs, times, 200_000, routing, sim=None)
+    assert tie in seen
+    assert walk == _run(cfg, pairs, times, 200_000, routing, sim=Simulator)
+    return [(d[0], d[2], d[3]) for d in walk[0]]
+
+
+ONE_CYCLE = NoCConfig(width=3, height=3, router_delay_cycles=1,
+                      link_delay_cycles=0)
+
+
+def test_forwards_appended_in_one_cycle_run_in_departure_order():
+    # Packets 1 and 2 are appended to the -y link out of (0, 1) in cycle
+    # 2, from (1, 1) and from (0, 2), by departures both scheduled in
+    # cycle 1; only the chains put packet 2's first.
+    pairs = [((1, 1), (0, 1)), ((2, 1), (0, 0)), ((2, 2), (0, 0)),
+             ((0, 2), (2, 2))]
+    assert _regression(ONE_CYCLE, pairs, [3, 2, 1, 2], "forward tie") == [
+        ((0, 2), 2.0, 4.0), ((2, 2), 1.0, 5.0), ((1, 1), 3.0, 5.0),
+        ((2, 1), 2.0, 6.0),
+    ]
+
+
+@pytest.mark.parametrize("tie", ["open append", "chained open append"])
+def test_append_in_the_cycle_the_hop_ahead_departs(tie):
+    if tie == "open append":
+        # Packet 1 is appended to the -y link out of (3, 1) in cycle 4,
+        # when packet 0 departs it, by events both scheduled in cycle 3.
+        # The chains show packet 0 left first, so packet 1 found the
+        # queue empty and its own step scheduled its last departure,
+        # which then runs after packet 2's in cycle 5.
+        cfg = NoCConfig(width=4, height=3, router_delay_cycles=1,
+                        link_delay_cycles=0)
+        pairs = [((1, 2), (3, 0)), ((1, 1), (3, 0)), ((2, 0), (0, 2))]
+        times = [1, 3, 2]
+        want = [((1, 2), 1.0, 5.0), ((2, 0), 2.0, 6.0), ((1, 1), 3.0, 6.0)]
+    else:
+        # On the -y link out of (0, 1), packets 2, 0 and 4 are each
+        # appended in the cycle the one ahead departs, by events whose
+        # tokens tie: each is settled after the one ahead of it.
+        cfg = NoCConfig(width=2, height=3, router_delay_cycles=1,
+                        link_delay_cycles=0)
+        pairs = [((0, 2), (0, 0)), ((0, 2), (1, 0)), ((1, 2), (0, 0)),
+                 ((0, 2), (0, 0)), ((1, 2), (0, 0))]
+        times = [1, 2, 0, 0, 2]
+        want = [((0, 2), 0.0, 2.0), ((1, 2), 0.0, 3.0), ((0, 2), 1.0, 4.0),
+                ((0, 2), 2.0, 5.0), ((1, 2), 2.0, 5.0)]
+    assert _regression(cfg, pairs, times, tie) == want
+
+
+def test_delivery_cycle_mixing_free_and_queued_packets():
+    # Cycle 3 delivers packet 0, queued behind packet 1 on the +x link
+    # out of (1, 1), and packet 2, which never queued.  The free
+    # packets' order, (cycle, hops descending, input order), would put
+    # packet 2 first.
+    pairs = [((1, 1), (2, 1)), ((0, 1), (2, 1)), ((2, 0), (1, 1))]
+    assert _regression(ONE_CYCLE, pairs, [1, 0, 1],
+                       "mixed delivery cycle") == [
+        ((0, 1), 0.0, 2.0), ((1, 1), 1.0, 3.0), ((2, 0), 1.0, 3.0),
+    ]
+
+
+#: The ledger's ``noc-replay`` traces: (profile, generator parameters,
+#: mesh side), copy 0 of each.
+LEDGER_NOC = (("noc-uniform", {"n": 10_000, "nodes": 64, "rate": 2500.0}, 8),
+              ("noc-hotspot", {"n": 10_000, "nodes": 16, "rate": 2500.0,
+                               "hot_fraction": 0.4}, 4))
+
+
+@pytest.mark.parametrize("seed", [20140215, 7])
+@pytest.mark.parametrize("profile, params, side", LEDGER_NOC,
+                         ids=[t[0] for t in LEDGER_NOC])
+def test_schedule_matches_the_kernel_on_the_ledger_traces(profile, params,
+                                                          side, seed):
+    # The packets the ``noc`` sink builds from the trace.
+    _, arr = generate(profile, seed=derive_seed(seed, f"{profile}.0>noc"),
+                      **params)
+    nodes = side * side
+    ids = np.stack([arr["client"], arr["target"]], 1).astype(np.int64) % nodes
+    same = ids[:, 0] == ids[:, 1]
+    ids[same, 1] = (ids[same, 1] + 1) % nodes
+    pairs = np.stack([ids % side, ids // side], axis=2)
+    ts = arr["ts"]
+    times = np.floor((ts - ts[0]) / float(ts[-1] - ts[0]) * (2.0 * len(arr)))
+    cfg = NoCConfig(width=side, height=side)
+    runs = [MeshNoC(cfg).run(pairs, injection_times=times,
+                             max_cycles=500_000, sim=sim)
+            for sim in (None, Simulator())]
+    walk, kernel = ([r.latencies.tolist(), r.hops.tolist(), r.dropped,
+                     r.cycles] for r in runs)
+    assert walk == kernel
+    assert walk[2] == 0 and len(walk[0]) == len(arr)
 
 
 def test_same_cycle_departure_runs_after_earlier_ones():
@@ -478,6 +657,24 @@ def test_mesh_whose_pair_keys_overflow_int64_routes(sim):
     res = noc.run(pairs, sim=sim() if sim is not None else None)
     assert res.dropped == 0 and res.hops.tolist() == [1.0] * 4
     assert sorted(res.latencies.tolist()) == [3.0, 3.0, 3.0, 4.0]
+
+
+def test_cycles_far_apart_on_a_wide_mesh():
+    # Bursts 2**45 cycles apart on a 2**16-wide mesh: a level's packed
+    # sort key and its per-link offsets would overflow int64, so the
+    # level schedule sorts with np.lexsort and runs its FIFOs one link
+    # at a time.
+    side = 2**16
+    far = side - 1
+    pairs = [((far - 1, far), (far - 2, far)), ((far - 1, far), (far - 2, far)),
+             ((far, far - 1), (far - 2, far - 1)), ((far, 0), (far - 2, 0)),
+             ((far - 1, far - 1), (far - 2, far - 1)),
+             ((far, far - 1), (far - 2, far - 1))]
+    times = np.array([0.0, 2.0**46 + 1, 0.0, 2.0**45, 2.0**45, 0.0])
+    cfg = NoCConfig(width=side, height=side)
+    walk = _run(cfg, pairs, times, 2**47, "xy", sim=None)
+    assert walk == _run(cfg, pairs, times, 2**47, "xy", sim=Simulator)
+    assert walk[2] == 2.0**46 + 4
 
 
 @pytest.mark.parametrize("routing", ["zx", "XY", "", "x"])

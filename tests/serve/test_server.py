@@ -229,6 +229,25 @@ class TestHedgedServe:
         assert unhedged["runs"][0]["result"] == run["result"]
 
 
+    def test_metrics_show_the_hedge_counters(self, serve_factory, tmp_path):
+        # The wrapper counts on the app registry, which /metrics
+        # exports, not on the session registry a server never enables.
+        params = {"base_s": 0.02, "slow_s": 3.0, "slow_every": 1,
+                  "tag": "counted", "scratch_dir": str(tmp_path / "markers")}
+        handle, client = serve_factory(
+            backend="pool", jobs=2, hedge_ms=100,
+            cache_dir=str(tmp_path / "hedged"),
+        )
+        assert handle.app.dispatcher.runner.backend.wait_for_workers(
+            2, timeout_s=30.0) == 2
+        status, _, _ = client.submit("straggler", params, wait=True)
+        assert status == 200
+        wait_until(lambda: handle.app.coalescer.live_entries() == 0)
+        scraped = client.metrics_text()
+        assert "repro_exec_router_hedge_launched_total 1" in scraped
+        assert "repro_exec_router_hedge_won_total 1" in scraped
+
+
 class TestSelftest:
     def test_selftest_passes_serial(self, tmp_path):
         assert selftest(backend="serial", cache_dir=str(tmp_path / "c")) == 0
